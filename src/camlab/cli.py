@@ -6,6 +6,7 @@ All outputs are deterministic given flags and seeds.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -240,7 +241,9 @@ def cmd_faithfulness(args):
                 sums[m].append(rho)
     metrics = {}
     for m in methods:
-        metrics[f"mean_rank_correlation.{m}"] = round(float(np.mean(sums[m])), 6)
+        # every rho of the method undefined: report nan, with no empty-mean warning
+        mean = float(np.mean(sums[m])) if sums[m] else math.nan
+        metrics[f"mean_rank_correlation.{m}"] = round(mean, 6)
         metrics[f"n_defined.{m}"] = len(sums[m])
     evaluation.write_report(metrics, args.report)
     print(evaluation.format_report(metrics))

@@ -278,45 +278,83 @@ class WeightStore:
         return cls(params)
 
 
-def forward(spec, weights, image, dtype=np.float32):
-    """Run the chain; returns (pre-softmax scores, activation tape)."""
-    image = np.asarray(image, dtype=dtype)
-    if tuple(image.shape) != tuple(spec.input_shape):
+# Byte budget of one batched forward.  Each image in a batch costs its
+# largest float64 buffer, an im2col matrix or an activation; both fixture
+# specs need 691 200 bytes per image for the c2 im2col matrix, so a batch
+# holds 4 images.  Larger batches scored occlusion maps no faster and took
+# more memory.
+BATCH_BYTES = 3 << 20
+
+
+def batch_size(spec):
+    """Images per batched forward that keep within BATCH_BYTES, at least 1."""
+    shapes = spec.shapes()
+    sizes = [int(np.prod(spec.input_shape))] + [int(np.prod(s)) for s in shapes.values()]
+    for name, group in spec.parameter_shapes().items():
+        if spec.layer(name).kind == "conv":
+            sizes.append(int(np.prod(group["weights"][1:])) * int(np.prod(shapes[name][1:])))
+    return max(1, BATCH_BYTES // (8 * max(sizes)))
+
+
+def _run_layers(spec, weights, x, dtype, batched, records=None):
+    """The layer loop over one image [C, H, W] or a batch [N, C, H, W].
+
+    Returns the scores, [K] or [N, K]; the ops run one image as a batch of
+    one.  With `records`, appends a LayerRecord per layer.
+    """
+    if tuple(x.shape[batched:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
-            f"image shape {image.shape} != spec input {tuple(spec.input_shape)}")
+            f"image shape {x.shape[batched:]} != spec input {tuple(spec.input_shape)}")
     weights.check_against(spec)
-    x = image
-    records = []
     for layer in spec.layers:
         p = layer.params
-        extras = {}
+        params, extras = {}, {}
+        if layer.kind in ("conv", "dense"):
+            group = weights.params[layer.name]
+            params = {key: group[key].astype(dtype, copy=False)
+                      for key in ("weights", "bias")}
         if layer.kind == "conv":
-            w = weights.params[layer.name]["weights"].astype(dtype)
-            b = weights.params[layer.name]["bias"].astype(dtype)
-            y = ops.conv2d(x, w, b, p.get("stride", 1), p.get("pad", 0))
-            params = {"weights": w, "bias": b}
             extras = {"stride": p.get("stride", 1), "padding": p.get("pad", 0)}
+            y = ops.conv2d(x, params["weights"], params["bias"],
+                           extras["stride"], extras["padding"])
         elif layer.kind == "relu":
             y = ops.relu(x)
-            params = {}
         elif layer.kind == "maxpool":
-            y, arg = ops.maxpool2d(x, p["window"], p.get("stride", p["window"]))
-            params = {}
-            extras = {"argmax": arg}
+            y, extras["argmax"] = ops.maxpool2d(x, p["window"],
+                                                p.get("stride", p["window"]))
         elif layer.kind == "gap":
             y = ops.global_avg_pool(x)
-            params = {}
         elif layer.kind == "flatten":
-            y = x.reshape(-1)
-            params = {}
+            y = x.reshape(x.shape[:batched] + (-1,))
         elif layer.kind == "dense":
-            w = weights.params[layer.name]["weights"].astype(dtype)
-            b = weights.params[layer.name]["bias"].astype(dtype)
-            y = ops.dense(x, w, b)
-            params = {"weights": w, "bias": b}
-        records.append(LayerRecord(layer.name, layer.kind, x, y, params, extras))
+            y = ops.dense(x, params["weights"], params["bias"])
+        if records is not None:
+            records.append(LayerRecord(layer.name, layer.kind, x, y, params, extras))
         x = y
-    return x, ActivationTape(records=records, input=image, scores=x)
+    return x
+
+
+def forward(spec, weights, image, dtype=np.float32):
+    """Run the chain on one image; returns (pre-softmax scores, activation tape).
+
+    Where the weights already have `dtype`, the tape's conv and dense params
+    are the WeightStore arrays themselves, so do not update those in place
+    while the tape is still in use.
+    """
+    image = np.asarray(image, dtype=dtype)
+    records = []
+    scores = _run_layers(spec, weights, image, dtype, False, records)
+    return scores, ActivationTape(records=records, input=image, scores=scores)
+
+
+def score_batch(spec, weights, images):
+    """Float32 pre-softmax scores [N, K] of a batch [N, C, H, W]; no tape.
+
+    Row i equals the scores `forward` gives for images[i].  The caller
+    sizes the batch, for example by `batch_size`.
+    """
+    return _run_layers(spec, weights, np.asarray(images, dtype=np.float32),
+                       np.float32, True)
 
 
 def init_weights(spec, rng_seed=0):
@@ -336,11 +374,13 @@ def init_weights(spec, rng_seed=0):
 
 def accuracy(spec, weights, dataset):
     """Top-1 accuracy over (image, label) pairs or ShapesExamples."""
+    pairs = [_as_pair(ex) for ex in dataset]
+    step = batch_size(spec)
     correct = 0
-    for ex in dataset:
-        image, label = _as_pair(ex)
-        scores, _ = forward(spec, weights, image)
-        correct += int(np.argmax(scores) == label)
+    for start in range(0, len(pairs), step):
+        images, labels = zip(*pairs[start:start + step])
+        scores = score_batch(spec, weights, np.stack(images))
+        correct += int((np.argmax(scores, axis=1) == labels).sum())
     return correct / len(dataset)
 
 
@@ -353,9 +393,9 @@ def _as_pair(ex):
 def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
     """Plain per-example SGD on softmax cross-entropy.
 
-    Deterministic given rng_seed.  Returns the trained WeightStore; final
-    train accuracy is logged.  Raises TrainingError (naming the epoch) if
-    the loss goes non-finite.
+    Deterministic given rng_seed.  Returns the trained WeightStore; the mean
+    loss of each epoch is logged.  Raises TrainingError (naming the epoch)
+    if the loss goes non-finite.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -386,8 +426,6 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
                 for key, g in group.items():
                     weights.params[name][key] -= lr * g
         log.debug("epoch %d: mean loss %.4f", epoch, total_loss / len(pairs))
-    acc = accuracy(spec, weights, pairs)
-    log.info("train_fixture: final train accuracy %.3f", acc)
     return weights
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .ops import softmax
 
 
 @dataclass
@@ -41,7 +42,10 @@ def grid_positions(extent, stride):
 
 
 def occlusion_map(spec, weights, image, category, config):
-    """Signed heatmap [H,W]: score(original) - score(masked at p)."""
+    """Signed heatmap [H,W]: score(original) - score(masked at p).
+
+    The masked images are scored in batches of `nn.batch_size(spec)`.
+    """
     image = np.asarray(image, dtype=np.float32)
     if not 0 <= category < spec.num_categories:
         raise ValueError(f"category {category} out of range")
@@ -52,25 +56,27 @@ def occlusion_map(spec, weights, image, category, config):
     else:
         fill_vec = np.full(c, fill, dtype=np.float32)
 
-    def score(img):
-        s, _ = nn.forward(spec, weights, img)
+    def score(batch):
+        s = nn.score_batch(spec, weights, batch)
         if config.score_point == "post_softmax":
-            from .ops import softmax
-            return float(softmax(s)[category])
-        return float(s[category])
+            s = softmax(s)
+        return s[:, category].astype(np.float64)
 
-    base = score(image)
+    base = score(image[None])[0]
     half = config.patch // 2
     rows = grid_positions(h, config.stride)
     cols = grid_positions(w, config.stride)
-    coarse = np.zeros((len(rows), len(cols)), dtype=np.float32)
-    for ri, i in enumerate(rows):
-        for ci, j in enumerate(cols):
-            masked = image.copy()
-            y0, y1 = max(0, i - half), min(h, i + half + 1)
-            x0, x1 = max(0, j - half), min(w, j + half + 1)
-            masked[:, y0:y1, x0:x1] = fill_vec[:, None, None]
-            coarse[ri, ci] = base - score(masked)
+    boxes = [(max(0, i - half), min(h, i + half + 1), max(0, j - half), min(w, j + half + 1))
+             for i in rows for j in cols]
+    step = nn.batch_size(spec)
+    drops = np.empty(len(boxes), dtype=np.float32)
+    for start in range(0, len(boxes), step):
+        chunk = boxes[start:start + step]
+        masked = np.repeat(image[None], len(chunk), axis=0)
+        for img, (y0, y1, x0, x1) in zip(masked, chunk):
+            img[:, y0:y1, x0:x1] = fill_vec[:, None, None]
+        drops[start:start + len(chunk)] = base - score(masked)
+    coarse = drops.reshape(len(rows), len(cols))
     if config.stride == 1:
         return coarse
     # nearest-neighbor fill between grid points

@@ -5,6 +5,10 @@ row-major by default; reductions (convolution, pooling sums) accumulate in
 float64 and cast back, so results stay deterministic and close to a naive
 double-precision loop.  Passing float64 inputs keeps the whole computation
 in float64, which the finite-difference tests rely on.
+
+The forward operations also take a batch with a leading N axis; a single
+example is run as the batch of one, through the same code.  The backward
+operations take one example.
 """
 
 import numpy as np
@@ -39,15 +43,37 @@ def _out_extent(size, k, stride, padding):
     return (size + 2 * padding - k) // stride + 1
 
 
+def _batched(x, ndim, op):
+    """(x with a leading batch axis, whether that axis was added).
+
+    An input of `ndim` axes is one example, the N=1 case of a batch.
+    """
+    x = np.asarray(x)
+    if x.ndim == ndim:
+        return x[None], True
+    if x.ndim != ndim + 1:
+        raise DimensionError(f"{op} expects {ndim}-D input or a batch of them, "
+                             f"got {x.shape}")
+    return x, False
+
+
+def _padded(x, padding):
+    # float64 copy of x [..., H, W] inside a zero border of `padding` pixels
+    h, w = x.shape[-2:]
+    xp = np.zeros(x.shape[:-2] + (h + 2 * padding, w + 2 * padding))
+    xp[..., padding:padding + h, padding:padding + w] = x
+    return xp
+
+
 def _im2col(xp, kh, kw, stride, h_out, w_out):
-    # xp: padded input [C, Hp, Wp] -> [C*kh*kw, h_out*w_out]
-    c = xp.shape[0]
-    cols = np.empty((c, kh, kw, h_out, w_out), dtype=xp.dtype)
+    # xp: padded input [C, N, Hp, Wp] -> [C*kh*kw, N*h_out*w_out]
+    c, n = xp.shape[:2]
+    cols = np.empty((c, kh, kw, n, h_out, w_out), dtype=xp.dtype)
     for di in range(kh):
         for dj in range(kw):
-            cols[:, di, dj] = xp[:, di:di + stride * h_out:stride,
+            cols[:, di, dj] = xp[:, :, di:di + stride * h_out:stride,
                                  dj:dj + stride * w_out:stride]
-    return cols.reshape(c * kh * kw, h_out * w_out)
+    return cols.reshape(c * kh * kw, n * h_out * w_out)
 
 
 def _col2im(cols, c, hp, wp, kh, kw, stride, h_out, w_out):
@@ -64,15 +90,18 @@ def _col2im(cols, c, hp, wp, kh, kw, stride, h_out, w_out):
 def conv2d(x, kernels, bias, stride=1, padding=0):
     """Cross-correlation of [C,H,W] with [K,C,kh,kw] kernels (no flip).
 
-    Zero padding; output extent floor((H + 2p - kh)/stride) + 1.
+    Zero padding; output extent floor((H + 2p - kh)/stride) + 1.  A batch
+    [N,C,H,W] gives [N,K,h_out,w_out] from one float64 im2col matrix of
+    N*h_out*w_out columns and one GEMM.  The BLAS sums each output column
+    in the same order whatever N is, so a batch equals its examples run one
+    by one, bit for bit (the tests check this).
     """
-    x = np.asarray(x)
+    xb, single = _batched(x, 3, "conv2d")
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
-    if x.ndim != 3 or kernels.ndim != 4:
-        raise DimensionError(f"conv2d expects 3-D input and 4-D kernels, "
-                             f"got {x.shape} and {kernels.shape}")
-    c, h, w = x.shape
+    if kernels.ndim != 4:
+        raise DimensionError(f"conv2d expects 4-D kernels, got {kernels.shape}")
+    n, c, h, w = xb.shape
     k, ck, kh, kw = kernels.shape
     if ck != c:
         raise DimensionError(f"kernel channels {ck} != input channels {c}")
@@ -80,11 +109,11 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
         raise DimensionError("kernel larger than padded input")
     h_out = _out_extent(h, kh, stride, padding)
     w_out = _out_extent(w, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))).astype(np.float64)
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
+    cols = _im2col(_padded(xb.swapaxes(0, 1), padding), kh, kw, stride, h_out, w_out)
     wmat = kernels.reshape(k, c * kh * kw).astype(np.float64)
-    out = wmat @ cols + bias.astype(np.float64)[:, None]
-    return out.reshape(k, h_out, w_out).astype(x.dtype)
+    out = (wmat @ cols + bias.astype(np.float64)[:, None]).reshape(k, n, h_out, w_out)
+    out = np.ascontiguousarray(out.swapaxes(0, 1), dtype=xb.dtype)
+    return out[0] if single else out
 
 
 def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
@@ -105,8 +134,7 @@ def conv2d_param_grad(grad_out, x, kernel_shape, stride=1, padding=0):
     """Gradients of conv2d w.r.t. kernels and bias."""
     k, c, kh, kw = kernel_shape
     h_out, w_out = grad_out.shape[1], grad_out.shape[2]
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))).astype(np.float64)
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
+    cols = _im2col(_padded(x[:, None], padding), kh, kw, stride, h_out, w_out)
     g = grad_out.reshape(k, -1).astype(np.float64)
     dk = (g @ cols.T).reshape(k, c, kh, kw)
     db = g.sum(axis=1)
@@ -114,32 +142,31 @@ def conv2d_param_grad(grad_out, x, kernel_shape, stride=1, padding=0):
 
 
 def maxpool2d(x, window, stride):
-    """Max pooling over [C,H,W]; returns (output, argmax).
+    """Max pooling over [C,H,W] or a batch [N,C,H,W]; returns (output, argmax).
 
     argmax holds, per output element, the flat spatial index i*W + j of the
-    winning input element.  Ties go to the first element of the window in
-    row-major order, so the backward routing is deterministic.
+    winning input element within its own image.  Ties go to the first
+    element of the window in row-major order, so the backward routing is
+    deterministic.
     """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise DimensionError(f"maxpool2d expects 3-D input, got {x.shape}")
-    c, h, w = x.shape
+    xb, single = _batched(x, 3, "maxpool2d")
+    n, c, h, w = xb.shape
     if window > h or window > w:
         raise DimensionError(f"window {window} larger than input {h}x{w}")
     h_out = (h - window) // stride + 1
     w_out = (w - window) // stride + 1
-    best = np.full((c, h_out, w_out), -np.inf, dtype=x.dtype)
-    arg = np.zeros((c, h_out, w_out), dtype=np.int64)
+    best = np.full((n, c, h_out, w_out), -np.inf, dtype=xb.dtype)
+    arg = np.zeros((n, c, h_out, w_out), dtype=np.int64)
     rows = np.arange(h_out) * stride
     cols = np.arange(w_out) * stride
     for di in range(window):
         for dj in range(window):
-            view = x[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
+            view = xb[:, :, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
             mask = view > best
             best = np.where(mask, view, best)
             flat = (rows[:, None] + di) * w + (cols[None, :] + dj)
-            arg = np.where(mask, flat[None, :, :], arg)
-    return best, arg
+            arg = np.where(mask, flat, arg)
+    return (best[0], arg[0]) if single else (best, arg)
 
 
 def maxpool2d_grad(grad_out, argmax, x_shape):
@@ -152,22 +179,28 @@ def maxpool2d_grad(grad_out, argmax, x_shape):
 
 
 def global_avg_pool(x):
-    """[K,u,v] -> [K]; mean over the spatial grid (Z = u*v)."""
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise DimensionError(f"global_avg_pool expects 3-D input, got {x.shape}")
-    return x.astype(np.float64).mean(axis=(1, 2)).astype(x.dtype)
+    """[K,u,v] -> [K], or [N,K,u,v] -> [N,K]; mean over the spatial grid (Z = u*v)."""
+    xb, single = _batched(x, 3, "global_avg_pool")
+    out = xb.astype(np.float64).mean(axis=(2, 3)).astype(xb.dtype)
+    return out[0] if single else out
 
 
 def dense(x, weights, bias):
-    """weights[M,N] @ x[N] + bias[M]."""
-    x = np.asarray(x)
+    """weights[U,M] @ x[M] + bias[U]; a batch x[N,M] gives [N,U].
+
+    One example runs as a float64 GEMV and a batch as one GEMM, whose sums
+    may round differently in the last float64 bit, so a batch row matches
+    its one-example result in float32 except when that bit decides the
+    rounding to float32.
+    """
+    xb, single = _batched(x, 1, "dense")
     weights = np.asarray(weights)
-    if x.ndim != 1 or weights.ndim != 2 or weights.shape[1] != x.shape[0]:
+    if weights.ndim != 2 or weights.shape[1] != xb.shape[1]:
         raise DimensionError(f"dense shape mismatch: weights {weights.shape}, "
-                             f"input {x.shape}")
-    out = weights.astype(np.float64) @ x.astype(np.float64) + np.asarray(bias, np.float64)
-    return out.astype(x.dtype)
+                             f"input {np.shape(x)}")
+    out = xb.astype(np.float64) @ weights.astype(np.float64).T + np.asarray(bias, np.float64)
+    out = out.astype(xb.dtype)
+    return out[0] if single else out
 
 
 def relu(x):
@@ -175,8 +208,8 @@ def relu(x):
 
 
 def softmax(x):
-    """Numerically stable softmax over a 1-D score vector."""
+    """Numerically stable softmax over a score vector, or each row of [N,K]."""
     x = np.asarray(x)
     dtype = x.dtype if x.dtype.kind == "f" else np.float64
-    z = np.exp(x.astype(np.float64) - float(x.max()))
-    return (z / z.sum()).astype(dtype)
+    z = np.exp(x.astype(np.float64) - x.max(axis=-1, keepdims=True))
+    return (z / z.sum(axis=-1, keepdims=True)).astype(dtype)

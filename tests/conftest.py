@@ -6,9 +6,15 @@ pinned, so all downstream metrics are exactly reproducible.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import camlab
 from camlab import fixtures
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so they neither change between runs nor fail on a slow host.
+settings.register_profile("camlab", derandomize=True, deadline=None)
+settings.load_profile("camlab")
 
 IMAGE_SIDE = 48
 

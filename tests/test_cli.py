@@ -1,5 +1,8 @@
 """Command-line surface: exit codes, emitted files, reproducibility."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -222,3 +225,24 @@ def test_faithfulness_writes_report(workspace, tmp_path):
     text = report.read_text()
     assert "mean_rank_correlation.gradcam=" in text
     assert "mean_rank_correlation.guided-backprop=" in text
+
+
+def test_faithfulness_with_no_defined_rho_reports_nan_without_warning(
+        workspace, tmp_path):
+    # a constant image has a constant occlusion map, so every rho is undefined
+    ex = camlab.fixtures.make_shapes_dataset(1, 48, rng_seed=4)[0]
+    ex = dataclasses.replace(ex, image=np.full_like(ex.image, 0.5))
+    camlab.fixtures.save_dataset([ex], tmp_path / "const")
+    report = tmp_path / "faith.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["faithfulness", *gap_args(workspace),
+                     "--data", str(tmp_path / "const"),
+                     "--methods", "gradcam,backprop",
+                     "--report", str(report)]) == 0
+    assert report.read_text().splitlines() == [
+        "mean_rank_correlation.backprop=nan",
+        "mean_rank_correlation.gradcam=nan",
+        "n_defined.backprop=0",
+        "n_defined.gradcam=0",
+    ]

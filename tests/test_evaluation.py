@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from camlab import evaluation
 from camlab.evaluation import (BBox, EvalRecord, NoSegmentError, ProtocolError,
@@ -185,6 +188,15 @@ def test_rank_correlation_matches_brute_force_oracle(rng):
             assert math.isnan(got)
         else:
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),  # many ties
+                          st.floats(-1e6, 1e6, allow_nan=False)),
+                min_size=1, max_size=80))
+def test_average_ranks_match_scipy_rankdata(values):
+    values = np.array(values, dtype=np.float64)
+    np.testing.assert_array_equal(evaluation._average_ranks(values),
+                                  rankdata(values, method="average"))
 
 
 def test_rank_correlation_constant_map_is_nan():

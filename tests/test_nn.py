@@ -131,6 +131,43 @@ def test_forward_is_deterministic(gap_spec, rng):
     np.testing.assert_array_equal(s1, s2)
 
 
+@pytest.mark.parametrize("make_spec", [nn.fix_gap_spec, nn.fix_fc_spec])
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_score_batch_equals_forward_per_image(make_spec, n, rng):
+    spec = make_spec()
+    w = nn.init_weights(spec, rng_seed=3)
+    images = rng.random((n, *spec.input_shape)).astype(np.float32)
+    want = np.stack([nn.forward(spec, w, img)[0] for img in images])
+    assert nn.score_batch(spec, w, images).tobytes() == want.tobytes()
+
+
+def test_score_batch_rejects_wrong_image_shape(gap_spec):
+    w = nn.init_weights(gap_spec, rng_seed=0)
+    with pytest.raises(ops.DimensionError):
+        nn.score_batch(gap_spec, w, np.zeros(gap_spec.input_shape, np.float32))
+
+
+def test_batch_size_divides_the_byte_budget_by_the_largest_im2col(gap_spec, fc_spec):
+    # c2: 6 channels x 5 x 5 kernel rows, 24 x 24 columns, float64
+    per_image = 6 * 5 * 5 * 24 * 24 * 8
+    assert per_image == 691_200
+    for spec in (gap_spec, fc_spec):
+        assert nn.batch_size(spec) == nn.BATCH_BYTES // per_image == 4
+
+
+def test_accuracy_matches_per_image_argmax(monkeypatch):
+    spec = nn.parse_model_spec(TOY_SPEC)
+    # c1 im2col: 1 x 3 x 3 rows, 8 x 8 columns; 5 images per batch, so the
+    # 23 images end in a partial batch
+    monkeypatch.setattr(nn, "BATCH_BYTES", 5 * 9 * 64 * 8)
+    assert nn.batch_size(spec) == 5
+    data = separable_toy_set(23)
+    w = nn.init_weights(spec, rng_seed=2)
+    want = sum(int(np.argmax(nn.forward(spec, w, img)[0]) == label)
+               for img, label in data) / len(data)
+    assert nn.accuracy(spec, w, data) == want
+
+
 # ---------------------------------------------------------------- trainer
 
 def separable_toy_set(n=60, seed=0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import camlab
-from camlab import nn, occlusion
+from camlab import nn, occlusion, ops
 from camlab.occlusion import OcclusionConfig, default_patch, occlusion_map
 
 
@@ -108,3 +108,44 @@ def test_signed_map_marks_the_evidence_region(gap_spec, gap_weights,
     inside = heat[ex.gt_mask].mean()
     outside = heat[~ex.gt_mask].mean()
     assert inside > outside  # blanking the object hurts the score most
+
+
+def rescoring_loop(spec, weights, image, category, cfg):
+    """The coarse grid of drops, one nn.forward per masked image."""
+    def score(img):
+        s, _ = nn.forward(spec, weights, img)
+        if cfg.score_point == "post_softmax":
+            s = ops.softmax(s)
+        return float(s[category])
+
+    c, h, w = image.shape
+    fill = image.mean(axis=(1, 2))
+    half = cfg.patch // 2
+    base = score(image)
+    rows = occlusion.grid_positions(h, cfg.stride)
+    cols = occlusion.grid_positions(w, cfg.stride)
+    coarse = np.zeros((len(rows), len(cols)), dtype=np.float32)
+    for ri, i in enumerate(rows):
+        for ci, j in enumerate(cols):
+            masked = image.copy()
+            masked[:, max(0, i - half):i + half + 1,
+                   max(0, j - half):j + half + 1] = fill[:, None, None]
+            coarse[ri, ci] = base - score(masked)
+    return coarse
+
+
+@pytest.mark.parametrize("score_point", ["pre_softmax", "post_softmax"])
+def test_batched_map_equals_rescoring_loop_with_a_partial_last_batch(
+        monkeypatch, rng, score_point):
+    spec = nn.fix_gap_spec()
+    weights = nn.init_weights(spec, rng_seed=5)
+    # 7 masked images per batch: the 24 x 24 = 576 grid points of a 48 x 48
+    # image at stride 2 end in a batch of 2
+    monkeypatch.setattr(nn, "BATCH_BYTES", 7 * 691_200)
+    assert nn.batch_size(spec) == 7
+    img = rng.random(spec.input_shape).astype(np.float32)
+    cfg = OcclusionConfig(patch=5, stride=2, score_point=score_point)
+    heat = occlusion_map(spec, weights, img, 2, cfg)
+    want = rescoring_loop(spec, weights, img, 2, cfg)
+    assert want.shape == (24, 24)
+    assert heat[::2, ::2].tobytes() == want.tobytes()

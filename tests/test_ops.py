@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from camlab import ops
 
@@ -205,3 +207,95 @@ def test_float64_inputs_stay_float64(rng):
     assert ops.conv2d(x, k, np.zeros(2), 1, 1).dtype == np.float64
     assert ops.dense(np.zeros(3), np.zeros((2, 3)), np.zeros(2)).dtype == np.float64
     assert ops.softmax(np.zeros(3)).dtype == np.float64
+
+
+# ------------------------------------------------------------ batch axis
+
+BATCH_SIZES = (1, 3, 7)
+
+
+def assert_batch_is_stacked_examples(op, batch):
+    """op on a batch equals op on each example, stacked, byte for byte."""
+    got = op(batch)
+    want = [op(x) for x in batch]
+    if isinstance(got, tuple):
+        for g, w in zip(got, zip(*want)):
+            assert g.dtype == w[0].dtype
+            assert g.tobytes() == np.stack(w).tobytes()
+    else:
+        assert got.dtype == want[0].dtype
+        assert got.tobytes() == np.stack(want).tobytes()
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_conv2d_batch_equals_stacked_examples(rng, n):
+    x = rng.standard_normal((n, 3, 9, 9)).astype(np.float32)
+    kern = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    bias = rng.standard_normal(4).astype(np.float32)
+    assert_batch_is_stacked_examples(lambda a: ops.conv2d(a, kern, bias, 2, 1), x)
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_maxpool2d_batch_equals_stacked_examples(rng, n):
+    x = rng.standard_normal((n, 2, 7, 7)).astype(np.float32)
+    x[:, :, :2, :2] = 1.5  # ties inside a window
+    assert_batch_is_stacked_examples(lambda a: ops.maxpool2d(a, 2, 2), x)
+    assert_batch_is_stacked_examples(lambda a: ops.maxpool2d(a, 3, 1), x)
+    # argmax keeps its per-image i*W + j meaning
+    _, arg = ops.maxpool2d(x, 2, 2)
+    assert arg.max() < 7 * 7
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_global_avg_pool_batch_equals_stacked_examples(rng, n):
+    x = rng.standard_normal((n, 5, 6, 6)).astype(np.float32)
+    assert_batch_is_stacked_examples(ops.global_avg_pool, x)
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_dense_batch_equals_stacked_examples(rng, n):
+    x = rng.standard_normal((n, 40)).astype(np.float32)
+    w = rng.standard_normal((6, 40)).astype(np.float32)
+    b = rng.standard_normal(6).astype(np.float32)
+    assert_batch_is_stacked_examples(lambda a: ops.dense(a, w, b), x)
+
+
+def test_softmax_batch_is_per_row(rng):
+    x = rng.standard_normal((4, 3)).astype(np.float32)
+    want = np.stack([ops.softmax(row) for row in x])
+    assert ops.softmax(x).tobytes() == want.tobytes()
+
+
+def test_batch_axis_rank_is_checked():
+    with pytest.raises(ops.DimensionError):
+        ops.conv2d(np.zeros((1, 1, 1, 4, 4), np.float32),
+                   np.zeros((1, 1, 3, 3), np.float32), np.zeros(1))
+    with pytest.raises(ops.DimensionError):
+        ops.maxpool2d(np.zeros((2, 2), np.float32), 2, 2)
+    with pytest.raises(ops.DimensionError):
+        ops.dense(np.zeros((2, 2, 3), np.float32), np.zeros((2, 3)), np.zeros(2))
+
+
+@st.composite
+def conv_cases(draw):
+    c = draw(st.integers(1, 3))
+    kh = draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kh - 2 * pad), 9))
+    w = draw(st.integers(max(1, kh - 2 * pad), 9))
+    return dict(n=draw(st.integers(1, 5)), c=c, h=h, w=w, k=draw(st.integers(1, 4)),
+                kh=kh, stride=draw(st.integers(1, 3)), pad=pad,
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(conv_cases())
+def test_conv2d_batch_property(case):
+    rng = np.random.default_rng(case["seed"])
+    x = rng.standard_normal((case["n"], case["c"], case["h"], case["w"])).astype(np.float32)
+    kern = rng.standard_normal((case["k"], case["c"], case["kh"], case["kh"])).astype(np.float32)
+    bias = rng.standard_normal(case["k"]).astype(np.float32)
+    got = ops.conv2d(x, kern, bias, case["stride"], case["pad"])
+    for xi, gi in zip(x, got):
+        assert gi.tobytes() == ops.conv2d(xi, kern, bias, case["stride"], case["pad"]).tobytes()
+        np.testing.assert_allclose(gi, conv2d_loop(xi, kern, bias, case["stride"], case["pad"]),
+                                   rtol=1e-5, atol=1e-5)
