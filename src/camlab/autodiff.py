@@ -33,8 +33,9 @@ class LayerRecord:
     kind: str  # conv | relu | maxpool | gap | flatten | dense
     x: np.ndarray
     y: np.ndarray
+    backward: object  # (record, cotangent, relu policy, param_grads) -> input cotangent
     params: dict = field(default_factory=dict)   # weights/bias for conv, dense
-    extras: dict = field(default_factory=dict)   # argmax, stride, padding, window
+    extras: dict = field(default_factory=dict)   # maxpool argmax, conv stride and pad
 
 
 @dataclass
@@ -69,37 +70,6 @@ def _relu_backward(g, x, policy):
     raise ValueError(f"unknown relu policy {policy!r}")
 
 
-def _layer_backward(rec, g, policy, param_grads=None):
-    """Cotangent w.r.t. rec's input; optionally accumulate parameter grads."""
-    kind = rec.kind
-    if kind == "conv":
-        w = rec.params["weights"]
-        if param_grads is not None:
-            dk, db = ops.conv2d_param_grad(g, rec.x, w.shape,
-                                           rec.extras["stride"], rec.extras["padding"])
-            param_grads[rec.name] = {"weights": dk, "bias": db}
-        return ops.conv2d_input_grad(g, rec.x.shape, w,
-                                     rec.extras["stride"], rec.extras["padding"])
-    if kind == "relu":
-        return _relu_backward(g, rec.x, policy)
-    if kind == "maxpool":
-        return ops.maxpool2d_grad(g, rec.extras["argmax"], rec.x.shape)
-    if kind == "gap":
-        z = rec.x.shape[1] * rec.x.shape[2]
-        return np.broadcast_to((g / z)[:, None, None], rec.x.shape).astype(g.dtype)
-    if kind == "flatten":
-        return g.reshape(rec.x.shape)
-    if kind == "dense":
-        w = rec.params["weights"]
-        if param_grads is not None:
-            param_grads[rec.name] = {
-                "weights": np.outer(g, rec.x).astype(g.dtype),
-                "bias": g.copy(),
-            }
-        return (w.astype(np.float64).T @ g.astype(np.float64)).astype(g.dtype)
-    raise ValueError(f"unknown layer kind {kind!r}")
-
-
 def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
                             param_grads=None):
     """Propagate an arbitrary score-vector cotangent down to `stop_at`.
@@ -118,7 +88,7 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     for rec in reversed(tape.records):
         if rec.name == stop_at:
             return g
-        g = _layer_backward(rec, g, policy, param_grads)
+        g = rec.backward(rec, g, policy, param_grads)
     return g  # stop_at == "input"
 
 

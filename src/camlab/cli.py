@@ -11,12 +11,12 @@ import sys
 
 import numpy as np
 
-from . import evaluation, explain, fixtures, imaging, nn, occlusion
+from . import autodiff, evaluation, explain, fixtures, imaging, nn, occlusion
 
 DOMAIN_ERRORS = (explain.CamIncompatibleError, evaluation.NoSegmentError,
                  evaluation.ProtocolError, nn.SpecError, nn.WeightStoreError,
                  nn.TrainingError, imaging.ImageFormatError,
-                 FileNotFoundError, ValueError)
+                 autodiff.CheckpointError, FileNotFoundError, ValueError)
 
 METHODS = ("gradcam", "cam", "counterfactual", "guided-backprop", "deconv",
            "guided-gradcam", "backprop")

@@ -8,7 +8,7 @@ correlation between an explanation map and the occlusion map.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -87,7 +87,6 @@ class EvalRecord:
     predictions: list                      # top-k category indices
     boxes: list = None                     # BBox or None, parallel to predictions
     gt_box: BBox = None
-    outcomes: dict = field(default_factory=dict)  # method -> hit/miss/rho
 
 
 def localization_error(records, iou_threshold=0.5):

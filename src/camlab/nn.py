@@ -17,16 +17,15 @@ manifest plus a little-endian float32 blob.
 
 import io
 import logging
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import autodiff, ops
 from .autodiff import ActivationTape, LayerRecord, backward_from_cotangent
 
 log = logging.getLogger(__name__)
-
-LAYER_KINDS = ("conv", "relu", "maxpool", "gap", "flatten", "dense")
 
 
 class SpecError(ValueError):
@@ -60,85 +59,156 @@ class ModelSpec:
     def num_categories(self):
         return self.layers[-1].params["units"]
 
-    def layer(self, name):
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise SpecError(f"no layer named {name!r}")
-
     def validate(self):
+        """Check the spec and resolve its layer plan, one _Step per layer."""
         names = [l.name for l in self.layers]
         if len(set(names)) != len(names):
             raise SpecError("duplicate layer names")
-        shapes = self.shapes()
-        last = self.layers[-1]
-        if last.kind != "dense":
+        if "input" in names:
+            raise SpecError("layer name 'input' is reserved for the image checkpoint")
+        self._plan = []
+        shape = tuple(self.input_shape)
+        for layer in self.layers:
+            self._plan.append(_resolve(layer, shape))
+            shape = self._plan[-1].out_shape
+        if not self._plan[-1].kind.scores:
             raise SpecError("model must end in a dense score layer")
-        if len(shapes[last.name]) != 1:
-            raise SpecError("score vector must be 1-D")
 
     def shapes(self):
-        """Chain-check shapes statically; returns {layer name: output shape}."""
-        shape = tuple(self.input_shape)
-        out = {}
-        for layer in self.layers:
-            p = layer.params
-            if layer.kind == "conv":
-                if len(shape) != 3:
-                    raise SpecError(f"{layer.name}: conv needs a 3-D input, got {shape}")
-                c, h, w = shape
-                k, s, pad = p["kernel"], p.get("stride", 1), p.get("pad", 0)
-                if k > h + 2 * pad or k > w + 2 * pad:
-                    raise SpecError(f"{layer.name}: kernel {k} exceeds padded input")
-                shape = (p["filters"],
-                         (h + 2 * pad - k) // s + 1,
-                         (w + 2 * pad - k) // s + 1)
-            elif layer.kind == "maxpool":
-                if len(shape) != 3:
-                    raise SpecError(f"{layer.name}: maxpool needs a 3-D input")
-                c, h, w = shape
-                win, s = p["window"], p.get("stride", p["window"])
-                if win > h or win > w:
-                    raise SpecError(f"{layer.name}: window {win} exceeds input {h}x{w}")
-                shape = (c, (h - win) // s + 1, (w - win) // s + 1)
-            elif layer.kind == "gap":
-                if len(shape) != 3:
-                    raise SpecError(f"{layer.name}: gap needs a 3-D input")
-                shape = (shape[0],)
-            elif layer.kind == "flatten":
-                shape = (int(np.prod(shape)),)
-            elif layer.kind == "dense":
-                if len(shape) != 1:
-                    raise SpecError(f"{layer.name}: dense needs a flat input, got {shape}")
-                shape = (p["units"],)
-            elif layer.kind == "relu":
-                pass
-            else:
-                raise SpecError(f"{layer.name}: unknown kind {layer.kind!r}")
-            out[layer.name] = shape
-        return out
+        """{layer name: per-image output shape}, in forward order."""
+        return {step.layer.name: step.out_shape for step in self._plan}
 
     def parameter_shapes(self):
         """{layer name: {param name: shape}} for parameterized layers."""
-        shape = tuple(self.input_shape)
-        shapes = self.shapes()
-        out = {}
-        prev = None
-        for layer in self.layers:
-            inp = shape if prev is None else shapes[prev]
-            if layer.kind == "conv":
-                p = layer.params
-                out[layer.name] = {
-                    "weights": (p["filters"], inp[0], p["kernel"], p["kernel"]),
-                    "bias": (p["filters"],),
-                }
-            elif layer.kind == "dense":
-                out[layer.name] = {
-                    "weights": (layer.params["units"], inp[0]),
-                    "bias": (layer.params["units"],),
-                }
-            prev = layer.name
-        return out
+        return {step.layer.name: dict(step.param_shapes)
+                for step in self._plan if step.param_shapes}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything that depends on a layer kind; `_KINDS` maps names to these."""
+    out_shape: object       # (params, input shape) -> output shape
+    forward: object         # (x, params, weight arrays, batched) -> (y, record extras)
+    backward: object        # (record, cotangent, relu policy, param_grads) -> input cotangent
+    # key -> (minimum, default); the default None marks a required key, and
+    # a string default takes the value of that earlier key
+    schema: dict = field(default_factory=dict)
+    rank: int = 0           # rank of the per-image input it needs, 0 for any
+    param_shapes: object = lambda p, shape: {}
+    # float64 values per image of its largest buffer, which batch_size budgets for
+    buffer: object = lambda p, shape, out: int(np.prod(out))
+    scores: bool = False    # whether its output can be the score vector
+
+
+# One layer of a resolved spec: its params with the defaults filled in, its
+# output and parameter shapes (empty without parameters), and its buffer
+_Step = namedtuple("_Step", "layer kind params out_shape param_shapes buffer")
+
+
+def _resolve(layer, shape):
+    """The _Step of `layer` on a per-image input of `shape`."""
+    where = f"{layer.name} {layer.kind}:"
+    kind = _KINDS.get(layer.kind)
+    if kind is None:
+        raise SpecError(f"{where} unknown layer kind")
+    for key in layer.params:
+        if key not in kind.schema:
+            raise SpecError(f"{where} takes no parameter {key}")
+    p = {}
+    for key, (minimum, default) in kind.schema.items():
+        if isinstance(default, str):
+            default = p[default]
+        value = layer.params.get(key, default)
+        if value is None:
+            raise SpecError(f"{where} needs {key}")
+        if value < minimum:
+            raise SpecError(f"{where} {key}={value} is below its minimum {minimum}")
+        p[key] = value
+    if kind.rank and len(shape) != kind.rank:
+        raise SpecError(f"{where} needs a {kind.rank}-D input, got {shape}")
+    out = kind.out_shape(p, shape)
+    if min(out) < 1:
+        params = " ".join(f"{k}={v}" for k, v in p.items())
+        raise SpecError(f"{where} {params} gives an empty output {out} on input {shape}")
+    return _Step(layer, kind, p, out, kind.param_shapes(p, shape),
+                 kind.buffer(p, shape, out))
+
+
+def _slide(shape, k, stride, pad):
+    """(h, w) of a k x k window moving by `stride` over shape[1:] padded by `pad`."""
+    return tuple((n + 2 * pad - k) // stride + 1 for n in shape[1:])
+
+
+def _conv_backward(rec, g, policy, param_grads):
+    w, stride, pad = rec.params["weights"], rec.extras["stride"], rec.extras["pad"]
+    if param_grads is not None:
+        dk, db = ops.conv2d_param_grad(g, rec.x, w.shape, stride, pad)
+        param_grads[rec.name] = {"weights": dk, "bias": db}
+    return ops.conv2d_input_grad(g, rec.x.shape, w, stride, pad)
+
+
+def _maxpool_forward(x, p, params, batched):
+    y, argmax = ops.maxpool2d(x, p["window"], p["stride"])
+    return y, {"argmax": argmax}
+
+
+def _dense_backward(rec, g, policy, param_grads):
+    w = rec.params["weights"]
+    if param_grads is not None:
+        param_grads[rec.name] = {"weights": np.outer(g, rec.x).astype(g.dtype),
+                                 "bias": g.copy()}
+    return (w.astype(np.float64).T @ g.astype(np.float64)).astype(g.dtype)
+
+
+_KINDS = {
+    "conv": _Kind(
+        schema={"filters": (1, None), "kernel": (1, None), "stride": (1, 1),
+                "pad": (0, 0)},
+        rank=3,
+        out_shape=lambda p, shape: (p["filters"],) + _slide(shape, p["kernel"], p["stride"],
+                                                            p["pad"]),
+        # the record keeps the resolved params, stride and pad for the backward
+        forward=lambda x, p, params, batched: (
+            ops.conv2d(x, params["weights"], params["bias"], p["stride"], p["pad"]), p),
+        backward=_conv_backward,
+        param_shapes=lambda p, shape: {
+            "weights": (p["filters"], shape[0], p["kernel"], p["kernel"]),
+            "bias": (p["filters"],)},
+        # the im2col matrix, C*kh*kw rows by h_out*w_out columns
+        buffer=lambda p, shape, out: max(int(np.prod(out)),
+                                         shape[0] * p["kernel"] ** 2 * out[1] * out[2])),
+    "relu": _Kind(
+        out_shape=lambda p, shape: shape,
+        forward=lambda x, p, params, batched: (ops.relu(x), {}),
+        backward=lambda rec, g, policy, grads: autodiff._relu_backward(g, rec.x, policy)),
+    "maxpool": _Kind(
+        schema={"window": (1, None), "stride": (1, "window")},
+        rank=3,
+        out_shape=lambda p, shape: (shape[0],) + _slide(shape, p["window"], p["stride"], 0),
+        forward=_maxpool_forward,
+        backward=lambda rec, g, policy, grads: ops.maxpool2d_grad(
+            g, rec.extras["argmax"], rec.x.shape)),
+    "gap": _Kind(
+        rank=3,
+        out_shape=lambda p, shape: (shape[0],),
+        forward=lambda x, p, params, batched: (ops.global_avg_pool(x), {}),
+        backward=lambda rec, g, policy, grads: np.broadcast_to(
+            (g / (rec.x.shape[1] * rec.x.shape[2]))[:, None, None],
+            rec.x.shape).astype(g.dtype)),
+    "flatten": _Kind(
+        out_shape=lambda p, shape: (int(np.prod(shape)),),
+        forward=lambda x, p, params, batched: (x.reshape(x.shape[:batched] + (-1,)), {}),
+        backward=lambda rec, g, policy, grads: g.reshape(rec.x.shape)),
+    "dense": _Kind(
+        schema={"units": (1, None)}, rank=1,
+        out_shape=lambda p, shape: (p["units"],),
+        forward=lambda x, p, params, batched: (
+            ops.dense(x, params["weights"], params["bias"]), {}),
+        backward=_dense_backward,
+        param_shapes=lambda p, shape: {"weights": (p["units"], shape[0]),
+                                       "bias": (p["units"],)},
+        scores=True),
+}
 
 
 def parse_model_spec(text):
@@ -158,15 +228,19 @@ def parse_model_spec(text):
             if "=" not in kv:
                 raise SpecError(f"line {lineno}: bad parameter {kv!r}")
             key, val = kv.split("=", 1)
+            if key in params:
+                raise SpecError(f"line {lineno}: {name}: duplicate parameter {key}")
             params[key] = val
         if kind == "input":
-            try:
-                input_shape = tuple(int(v) for v in params["shape"].split("x"))
-            except (KeyError, ValueError) as exc:
-                raise SpecError(f"line {lineno}: input needs shape=CxHxW") from exc
+            if input_shape is not None:
+                raise SpecError(f"line {lineno}: {name}: a second input line")
+            extents = params.pop("shape", "").split("x")
+            if params or len(extents) != 3 or not all(e.isdecimal() and int(e) > 0
+                                                     for e in extents):
+                raise SpecError(f"line {lineno}: {name}: input takes only "
+                                "shape=CxHxW, each extent at least 1")
+            input_shape = tuple(int(e) for e in extents)
             continue
-        if kind not in LAYER_KINDS:
-            raise SpecError(f"line {lineno}: unknown layer kind {kind!r}")
         try:
             params = {k: int(v) for k, v in params.items()}
         except ValueError as exc:
@@ -288,12 +362,8 @@ BATCH_BYTES = 3 << 20
 
 def batch_size(spec):
     """Images per batched forward that keep within BATCH_BYTES, at least 1."""
-    shapes = spec.shapes()
-    sizes = [int(np.prod(spec.input_shape))] + [int(np.prod(s)) for s in shapes.values()]
-    for name, group in spec.parameter_shapes().items():
-        if spec.layer(name).kind == "conv":
-            sizes.append(int(np.prod(group["weights"][1:])) * int(np.prod(shapes[name][1:])))
-    return max(1, BATCH_BYTES // (8 * max(sizes)))
+    per_image = max([int(np.prod(spec.input_shape))] + [s.buffer for s in spec._plan])
+    return max(1, BATCH_BYTES // (8 * per_image))
 
 
 def _run_layers(spec, weights, x, dtype, batched, records=None):
@@ -306,30 +376,14 @@ def _run_layers(spec, weights, x, dtype, batched, records=None):
         raise ops.DimensionError(
             f"image shape {x.shape[batched:]} != spec input {tuple(spec.input_shape)}")
     weights.check_against(spec)
-    for layer in spec.layers:
-        p = layer.params
-        params, extras = {}, {}
-        if layer.kind in ("conv", "dense"):
-            group = weights.params[layer.name]
-            params = {key: group[key].astype(dtype, copy=False)
-                      for key in ("weights", "bias")}
-        if layer.kind == "conv":
-            extras = {"stride": p.get("stride", 1), "padding": p.get("pad", 0)}
-            y = ops.conv2d(x, params["weights"], params["bias"],
-                           extras["stride"], extras["padding"])
-        elif layer.kind == "relu":
-            y = ops.relu(x)
-        elif layer.kind == "maxpool":
-            y, extras["argmax"] = ops.maxpool2d(x, p["window"],
-                                                p.get("stride", p["window"]))
-        elif layer.kind == "gap":
-            y = ops.global_avg_pool(x)
-        elif layer.kind == "flatten":
-            y = x.reshape(x.shape[:batched] + (-1,))
-        elif layer.kind == "dense":
-            y = ops.dense(x, params["weights"], params["bias"])
+    for step in spec._plan:
+        name = step.layer.name
+        params = {key: weights.params[name][key].astype(dtype, copy=False)
+                  for key in step.param_shapes}
+        y, extras = step.kind.forward(x, step.params, params, batched)
         if records is not None:
-            records.append(LayerRecord(layer.name, layer.kind, x, y, params, extras))
+            records.append(LayerRecord(name, step.layer.kind, x, y, step.kind.backward,
+                                       params, extras))
         x = y
     return x
 

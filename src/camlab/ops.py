@@ -14,7 +14,6 @@ operations take one example.
 import numpy as np
 
 __all__ = [
-    "as_tensor",
     "conv2d",
     "conv2d_input_grad",
     "conv2d_param_grad",
@@ -29,14 +28,6 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-def as_tensor(x, dtype=np.float32):
-    """Coerce to a contiguous array of the working dtype."""
-    a = np.ascontiguousarray(x, dtype=dtype)
-    if a.size == 0:
-        raise DimensionError("empty tensor (all extents must be >= 1)")
-    return a
 
 
 def _out_extent(size, k, stride, padding):

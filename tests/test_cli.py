@@ -75,6 +75,28 @@ def test_cam_on_fc_architecture_is_domain_error(workspace):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec_text,extra,message", [
+    # conv without filters: a KeyError traceback before the spec schema
+    ("img input shape=1x48x48\nc1 conv kernel=3\nr1 relu\ngap gap\n"
+     "head dense units=3\n", [], "c1 conv: needs filters"),
+    # an unknown checkpoint: an uncaught CheckpointError before
+    (None, ["--layer", "nope"], "no checkpoint named 'nope'"),
+])
+def test_bad_spec_or_layer_is_named_domain_error(workspace, capsys, spec_text, extra,
+                                                 message):
+    args = gap_args(workspace)
+    if spec_text is not None:
+        (workspace / "bad.spec").write_text(spec_text, encoding="ascii")
+        args[1] = str(workspace / "bad.spec")
+    code = main(["explain", *args, "--image", first_image(workspace),
+                 "--category", "0", "--method", "gradcam", *extra,
+                 "--out-heat", str(workspace / "bad.fmap")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_modified_pointing_requires_calibration_split(workspace):
     code = main(["point", *gap_args(workspace),
                  "--data", str(workspace / "data"), "--modified",

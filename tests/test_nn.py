@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import camlab
 from camlab import nn, ops
@@ -45,6 +47,34 @@ def test_parse_ignores_comments_and_blank_lines():
     ("img input shape=1x8x8\nc1 conv filters=1 kernel=9\nfl flatten\n"
      "head dense units=2\n", "kernel"),
     ("img input shape=1x8x8\nhead dense units=2\nr1 relu\n", "dense"),
+    ("img input shape=1x8x8\nc1 conv kernel=3\nfl flatten\nhead dense units=2\n",
+     "c1 conv: needs filters"),
+    ("img input shape=1x8x8\np1 maxpool stride=2\nfl flatten\nhead dense units=2\n",
+     "p1 maxpool: needs window"),
+    ("img input shape=1x8x8\nc1 conv filters=1 kernel=3 stride=0\nfl flatten\n"
+     "head dense units=2\n", "c1 conv: stride=0 is below its minimum 1"),
+    ("img input shape=1x8x8\np1 maxpool window=2 stride=0\nfl flatten\n"
+     "head dense units=2\n", "p1 maxpool: stride=0 is below its minimum 1"),
+    ("img input shape=1x8x8\nc1 conv filters=1 kernel=0\nfl flatten\n"
+     "head dense units=2\n", "c1 conv: kernel=0 is below its minimum 1"),
+    ("img input shape=1x8x8\nc1 conv filters=0 kernel=3\nfl flatten\n"
+     "head dense units=2\n", "c1 conv: filters=0 is below its minimum 1"),
+    ("img input shape=1x8x8\nfl flatten\nhead dense units=0\n",
+     "head dense: units=0 is below its minimum 1"),
+    ("img input shape=1x8x8\nc1 conv filters=1 kernel=3 pad=-1\nfl flatten\n"
+     "head dense units=2\n", "c1 conv: pad=-1 is below its minimum 0"),
+    ("img input shape=1x8x8\nc1 conv filters=1 kernel=3 strid=2\nfl flatten\n"
+     "head dense units=2\n", "c1 conv: takes no parameter strid"),
+    ("img input shape=1x8x8\nfl flatten\nr1 relu slope=1\nhead dense units=2\n",
+     "r1 relu: takes no parameter slope"),
+    ("img input shape=1x8x8\nc1 conv filters=1 kernel=3 kernel=5\nfl flatten\n"
+     "head dense units=2\n", "c1: duplicate parameter kernel"),
+    ("img input shape=1x8x8\nimg2 input shape=1x4x4\nfl flatten\nhead dense units=2\n",
+     "img2: a second input line"),
+    ("img input shape=1x8\nfl flatten\nhead dense units=2\n", "img: input takes only"),
+    ("img input shape=0x8x8\nfl flatten\nhead dense units=2\n", "img: input takes only"),
+    ("img input shape=1x8x8\ninput flatten\nhead dense units=2\n",
+     "layer name 'input' is reserved"),
 ])
 def test_spec_errors(text, fragment):
     with pytest.raises(nn.SpecError) as err:
@@ -60,6 +90,55 @@ def test_shapes_chain_matches_forward(gap_spec, fc_spec):
         static = spec.shapes()
         for rec in tape.records:
             assert tuple(rec.y.shape) == tuple(static[rec.name]), rec.name
+
+
+def spec_line(name, kind, **params):
+    return f"{name} {kind}" + "".join(f" {k}={v}" for k, v in params.items()
+                                      if v is not None)
+
+
+@st.composite
+def valid_spec_texts(draw):
+    """A valid chain: conv, relu, maybe maxpool, gap or flatten, dense layers.
+
+    Optional params are left out at random, so the defaults are drawn too.
+    """
+    side = draw(st.integers(3, 12))
+    lines = [f"img input shape={draw(st.integers(1, 2))}x{side}x{side}"]
+    stride, pad = draw(st.none() | st.integers(1, 3)), draw(st.none() | st.integers(0, 2))
+    padded = side + 2 * (pad or 0)
+    kernel = draw(st.integers(1, min(5, padded)))
+    lines.append(spec_line("c1", "conv", filters=draw(st.integers(1, 3)), kernel=kernel,
+                           stride=stride, pad=pad))
+    side = (padded - kernel) // (stride or 1) + 1
+    lines.append("r1 relu")
+    if draw(st.booleans()):
+        lines.append(spec_line("p1", "maxpool", window=draw(st.integers(1, side)),
+                               stride=draw(st.none() | st.integers(1, 3))))
+    lines.append(draw(st.sampled_from(["gap gap", "fl flatten"])))
+    if draw(st.booleans()):
+        lines += [f"fc1 dense units={draw(st.integers(1, 4))}", "r2 relu"]
+    lines.append(f"head dense units={draw(st.integers(1, 4))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(valid_spec_texts())
+def test_layer_table_agrees_with_forward_backward_and_init(text):
+    spec = nn.parse_model_spec(text)
+    assert nn.format_model_spec(spec) == text
+    weights = nn.init_weights(spec, rng_seed=0)
+    want = spec.parameter_shapes()
+    assert {name: {key: arr.shape for key, arr in group.items()}
+            for name, group in weights.params.items()} == want
+    image = np.linspace(-1, 1, int(np.prod(spec.input_shape)), dtype=np.float32)
+    scores, tape = nn.forward(spec, weights, image.reshape(spec.input_shape))
+    assert {rec.name: rec.y.shape for rec in tape.records} == spec.shapes()
+    grads = {}
+    g = camlab.autodiff.backward_from_cotangent(tape, np.ones_like(scores),
+                                                param_grads=grads)
+    assert g.shape == spec.input_shape
+    assert {name: {key: arr.shape for key, arr in group.items()}
+            for name, group in grads.items()} == want
 
 
 def test_fixture_specs_share_target_layer(gap_spec, fc_spec):
