@@ -8,12 +8,11 @@ computes the Spearman rank correlation of several methods against it.
     python3 demos/method_comparison.py
 """
 
-import numpy as np
-
 import camlab
-from camlab import evaluation, explain, occlusion
+from camlab import evaluation, occlusion
 
 N_IMAGES = 15
+METHODS = ("gradcam", "guided-gradcam", "guided-backprop", "backprop")
 
 
 def main():
@@ -24,32 +23,15 @@ def main():
     weights = camlab.train_fixture(spec, train, epochs=30,
                                    learning_rate=0.05, rng_seed=0)
 
-    occ_cfg = occlusion.OcclusionConfig(patch=9, stride=2)
-    rhos = {"gradcam": [], "guided-gradcam": [], "guided-backprop": [],
-            "backprop": []}
     print(f"scoring {N_IMAGES} images against occlusion maps...")
-    for ex in test[:N_IMAGES]:
-        _, tape = camlab.forward(spec, weights, ex.image)
-        occ = occlusion.occlusion_map(spec, weights, ex.image, ex.label,
-                                      occ_cfg)
-        heat = explain.gradcam(tape, ex.label, "r2")
-        guided = explain.pixel_saliency(tape, ex.label, "guided")
-        std = explain.pixel_saliency(tape, ex.label, "standard")
-        maps = {
-            "gradcam": heat,
-            "guided-gradcam": explain.saliency_to_heatmap(
-                explain.guided_gradcam(guided, heat)),
-            "guided-backprop": explain.saliency_to_heatmap(guided),
-            "backprop": explain.saliency_to_heatmap(std),
-        }
-        for name, m in maps.items():
-            rho = evaluation.rank_correlation(m, occ)
-            if not np.isnan(rho):
-                rhos[name].append(rho)
+    metrics, _ = evaluation.faithfulness(
+        spec, weights, test[:N_IMAGES], METHODS,
+        occlusion.OcclusionConfig(patch=9, stride=2), layer="r2")
+    means = {m: metrics[f"mean_rank_correlation.{m}"] for m in METHODS}
 
     print("\nmean Spearman rank correlation vs occlusion:")
-    for name, values in sorted(rhos.items(), key=lambda kv: -np.mean(kv[1])):
-        print(f"  {name:16s} {np.mean(values):+.3f}")
+    for name in sorted(METHODS, key=lambda m: -means[m]):
+        print(f"  {name:16s} {means[name]:+.3f}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ class CheckpointError(KeyError):
     """Unknown checkpoint name."""
 
 
+class CategoryError(ValueError):
+    """Category index outside [0, number of categories)."""
+
+
 class SeedError(ValueError):
     """Backward seed is not a one-hot vector over the score vector."""
 
@@ -107,7 +111,14 @@ def backward(tape, seed, policy="standard", stop_at="input"):
     return backward_from_cotangent(tape, seed, policy=policy, stop_at=stop_at)
 
 
+def check_category(category, n):
+    """Raise CategoryError unless 0 <= category < n; a negative index is an error."""
+    if not 0 <= category < n:
+        raise CategoryError(f"category {category} out of range for {n} categories")
+
+
 def one_hot(category, n, dtype=np.float32):
+    check_category(category, n)
     seed = np.zeros(n, dtype=dtype)
     seed[category] = 1
     return seed
@@ -124,6 +135,7 @@ def grad_at_layer(tape, category, layer, policy="standard", score_point="pre_sof
         raise ops.DimensionError(
             f"checkpoint {layer!r} is not spatial (shape {target.shape})")
     n = tape.scores.shape[0]
+    check_category(category, n)
     if score_point == "post_softmax":
         p = ops.softmax(tape.scores)
         cot = (-p[category] * p).astype(tape.scores.dtype)

@@ -6,7 +6,6 @@ All outputs are deterministic given flags and seeds.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -16,10 +15,8 @@ from . import autodiff, evaluation, explain, fixtures, imaging, nn, occlusion
 DOMAIN_ERRORS = (explain.CamIncompatibleError, evaluation.NoSegmentError,
                  evaluation.ProtocolError, nn.SpecError, nn.WeightStoreError,
                  nn.TrainingError, imaging.ImageFormatError,
-                 autodiff.CheckpointError, FileNotFoundError, ValueError)
-
-METHODS = ("gradcam", "cam", "counterfactual", "guided-backprop", "deconv",
-           "guided-gradcam", "backprop")
+                 autodiff.CheckpointError, autodiff.CategoryError, FileNotFoundError,
+                 ValueError)
 
 
 class AttackFailed(RuntimeError):
@@ -45,27 +42,6 @@ def _config_from(args):
         relu_policy=args.relu_policy,
         score_point={"pre": "pre_softmax", "post": "post_softmax"}[args.score],
     )
-
-
-def method_heatmap(method, spec, tape, category, layer, config):
-    """Scalar heatmap for one method; feature-res for CAM-family methods,
-    image-res for pixel-saliency methods."""
-    if method == "gradcam":
-        return explain.gradcam(tape, category, layer, config)
-    if method == "cam":
-        return explain.cam(tape, category)
-    if method == "counterfactual":
-        return explain.counterfactual(tape, category, layer, config)
-    if method in ("guided-backprop", "deconv", "backprop"):
-        policy = {"guided-backprop": "guided", "deconv": "deconv",
-                  "backprop": "standard"}[method]
-        return explain.saliency_to_heatmap(
-            explain.pixel_saliency(tape, category, policy))
-    if method == "guided-gradcam":
-        heat = explain.gradcam(tape, category, layer, config)
-        sal = explain.pixel_saliency(tape, category, "guided")
-        return explain.saliency_to_heatmap(explain.guided_gradcam(sal, heat))
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _emit(heat, image, args, suffix=""):
@@ -114,11 +90,10 @@ def cmd_explain(args):
     if args.category is not None:
         categories = [args.category]
     else:
-        order = np.argsort(-tape.scores, kind="stable")
-        categories = [int(c) for c in order[:args.top_k]]
+        categories = evaluation.top_k(tape.scores, args.top_k)
     multi = len(categories) > 1
     for category in categories:
-        heat = method_heatmap(args.method, spec, tape, category, layer, config)
+        heat = explain.METHODS[args.method](tape, category, layer, config)
         _emit(heat, image, args, suffix=f".c{category}" if multi else "")
     return 0
 
@@ -134,120 +109,39 @@ def cmd_occlude(args):
     return 0
 
 
-def _predictions(spec, tape, k=5):
-    order = np.argsort(-tape.scores, kind="stable")
-    return [int(c) for c in order[:k]]
-
-
-def cmd_localize(args):
-    spec, weights = _load_model(args)
-    examples = fixtures.load_dataset(args.data)
-    layer = args.layer or explain.default_target_layer(spec)
-    config = explain.GradCamConfig(apply_relu=not args.no_relu)
-    records = []
-    for ex in examples:
-        _, tape = nn.forward(spec, weights, ex.image)
-        preds = _predictions(spec, tape)
-        boxes = []
-        for category in preds:
-            if args.method == "backprop":
-                heat = explain.saliency_to_heatmap(
-                    explain.pixel_saliency(tape, category, "standard"))
-            else:
-                heat = explain.gradcam(tape, category, layer, config)
-            h, w = ex.gt_mask.shape
-            up = imaging.bilinear_resize(heat, w, h)
-            try:
-                boxes.append(evaluation.extract_bbox(up, args.threshold_frac))
-            except evaluation.NoSegmentError:
-                boxes.append(None)
-        records.append(evaluation.EvalRecord(
-            image_id=ex.image_id, true_category=ex.label, predictions=preds,
-            boxes=boxes, gt_box=ex.gt_box))
-    top1, top5 = evaluation.localization_error(records, args.iou)
-    metrics = {"top1_localization_error": round(top1, 6),
-               "top5_localization_error": round(top5, 6),
-               "n_images": len(records)}
-    evaluation.write_report(metrics, args.report)
+def _report(metrics, path):
+    """Write the metrics, rounded to 6 decimals, to the report and stdout."""
+    metrics = {key: round(value, 6) for key, value in metrics.items()}
+    evaluation.write_report(metrics, path)
     print(evaluation.format_report(metrics))
     return 0
 
 
-def _true_category_heat(spec, weights, ex, layer, category=None):
-    _, tape = nn.forward(spec, weights, ex.image)
-    cat = ex.label if category is None else category
-    return explain.gradcam(tape, cat, layer), tape
+def cmd_localize(args):
+    spec, weights = _load_model(args)
+    config = explain.GradCamConfig(apply_relu=not args.no_relu)
+    return _report(evaluation.localize(
+        spec, weights, fixtures.load_dataset(args.data), args.method, args.layer, config,
+        args.threshold_frac, args.iou), args.report)
 
 
 def cmd_point(args):
     spec, weights = _load_model(args)
     examples = fixtures.load_dataset(args.data)
-    layer = args.layer or explain.default_target_layer(spec)
-    metrics = {}
     if args.modified:
-        calib = fixtures.load_dataset(args.calibrate_split)
-        present, absent = [], []
-        for ex in calib:
-            _, tape = nn.forward(spec, weights, ex.image)
-            gt = {ex.label} | ({ex.label2} if ex.two_object else set())
-            for category in range(spec.num_categories):
-                peak = float(explain.gradcam(tape, category, layer).max())
-                (present if category in gt else absent).append(peak)
-        threshold = evaluation.calibrate_pointing_threshold(present, absent)
-        hits = total = 0
-        for ex in examples:
-            _, tape = nn.forward(spec, weights, ex.image)
-            gt = {ex.label} | ({ex.label2} if ex.two_object else set())
-            masks = {ex.label: ex.gt_mask}
-            if ex.two_object:
-                masks[ex.label2] = ex.gt_mask2
-            heats = [(c, explain.gradcam(tape, c, layer))
-                     for c in _predictions(spec, tape)]
-            outcome = evaluation.modified_pointing(heats, gt, masks, threshold)
-            hits += sum(outcome.values())
-            total += len(outcome)
-        metrics["modified_pointing_accuracy"] = round(hits / total, 6)
-        metrics["threshold"] = round(threshold, 6)
+        metrics = evaluation.modified_point(
+            spec, weights, examples, fixtures.load_dataset(args.calibrate_split), args.layer)
     else:
-        hits = 0
-        for ex in examples:
-            heat, _ = _true_category_heat(spec, weights, ex, layer)
-            hits += evaluation.pointing_game(heat, ex.gt_mask)
-        metrics["pointing_accuracy"] = round(hits / len(examples), 6)
-    metrics["n_images"] = len(examples)
-    evaluation.write_report(metrics, args.report)
-    print(evaluation.format_report(metrics))
-    return 0
+        metrics = evaluation.point(spec, weights, examples, args.layer)
+    return _report(metrics, args.report)
 
 
 def cmd_faithfulness(args):
     spec, weights = _load_model(args)
-    examples = fixtures.load_dataset(args.data)
-    layer = args.layer or explain.default_target_layer(spec)
-    methods = args.methods.split(",")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method in --methods: {m!r}")
     occ_cfg = occlusion.OcclusionConfig(patch=args.patch, stride=args.stride)
-    sums = {m: [] for m in methods}
-    config = explain.GradCamConfig()
-    for ex in examples:
-        _, tape = nn.forward(spec, weights, ex.image)
-        occ = occlusion.occlusion_map(spec, weights, ex.image, ex.label, occ_cfg)
-        for m in methods:
-            heat = method_heatmap(m, spec, tape, ex.label, layer, config)
-            rho = evaluation.rank_correlation(heat, occ)
-            if not np.isnan(rho):
-                sums[m].append(rho)
-    metrics = {}
-    for m in methods:
-        # every rho of the method undefined: report nan, with no empty-mean warning
-        mean = float(np.mean(sums[m])) if sums[m] else math.nan
-        metrics[f"mean_rank_correlation.{m}"] = round(mean, 6)
-        metrics[f"n_defined.{m}"] = len(sums[m])
-    evaluation.write_report(metrics, args.report)
-    print(evaluation.format_report(metrics))
-    return 0
+    metrics, _ = evaluation.faithfulness(spec, weights, fixtures.load_dataset(args.data),
+                                         args.methods.split(","), occ_cfg, args.layer)
+    return _report(metrics, args.report)
 
 
 def cmd_attack(args):
@@ -268,6 +162,13 @@ def cmd_attack(args):
 def _add_model_flags(p):
     p.add_argument("--spec", required=True, help="model spec file")
     p.add_argument("--weights", required=True, help="weight store path (no extension)")
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -296,9 +197,9 @@ def build_parser():
     p.add_argument("--image", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--category", type=int)
-    group.add_argument("--top-k", type=int)
+    group.add_argument("--top-k", type=_positive_int)
     p.add_argument("--layer", default=None)
-    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--method", choices=explain.METHODS, required=True)
     p.add_argument("--pool", choices=("avg", "max"), default="avg")
     p.add_argument("--no-relu", action="store_true")
     p.add_argument("--abs-grads", action="store_true")
@@ -344,7 +245,7 @@ def build_parser():
     _add_model_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--methods", required=True,
-                   help="comma-separated subset of " + ",".join(METHODS))
+                   help="comma-separated subset of " + ",".join(explain.METHODS))
     p.add_argument("--patch", type=int, default=5)
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--layer", default=None)

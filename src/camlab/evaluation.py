@@ -5,6 +5,10 @@ largest 8-connected segment, and scores its tight bounding box against the
 ground truth by IoU.  The pointing game checks whether the heatmap argmax
 falls inside the ground-truth mask.  Faithfulness is Spearman rank
 correlation between an explanation map and the occlusion map.
+
+`localize`, `point`, `modified_point` and `faithfulness` run a protocol
+over a split of ShapesExamples and return its metrics; the CLI and the
+acceptance suite both call them.
 """
 
 import math
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from . import explain, nn, occlusion
 from .imaging import bilinear_resize
 
 
@@ -179,6 +184,112 @@ def rank_correlation(a, b):
         return math.nan
     cov = ((ra - ra.mean()) * (rb - rb.mean())).mean()
     return float(cov / (sa * sb))
+
+
+def top_k(scores, k):
+    """The k highest-scoring categories, best first; ties go to the lower index."""
+    return [int(c) for c in np.argsort(-scores, kind="stable")[:k]]
+
+
+def _target_layer(spec, examples, layer, methods=()):
+    """Check a protocol's split and methods; `layer` or the default target."""
+    if not examples:
+        raise ProtocolError("the split has no examples")
+    for method in methods:
+        if method not in explain.METHODS:
+            raise ProtocolError(f"unknown method {method!r}; choose from "
+                                + ", ".join(explain.METHODS))
+    return layer or explain.default_target_layer(spec)
+
+
+def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
+             threshold_frac=0.15, iou_threshold=0.5):
+    """Top-1 and top-5 localization error of `method`'s maps over a split.
+
+    Only a box of the true category can score (see localization_error), so
+    only its map is computed, and only when it is among the top 5.
+    """
+    layer = _target_layer(spec, examples, layer, [method])
+    records = []
+    for ex in examples:
+        _, tape = nn.forward(spec, weights, ex.image)
+        preds = top_k(tape.scores, 5)
+        boxes = [None] * len(preds)
+        if ex.label in preds:
+            heat = explain.METHODS[method](tape, ex.label, layer, config)
+            h, w = ex.gt_mask.shape
+            try:
+                boxes[preds.index(ex.label)] = extract_bbox(bilinear_resize(heat, w, h),
+                                                            threshold_frac)
+            except NoSegmentError:
+                pass
+        records.append(EvalRecord(ex.image_id, ex.label, preds, boxes, ex.gt_box))
+    top1, top5 = localization_error(records, iou_threshold)
+    return {"top1_localization_error": top1, "top5_localization_error": top5,
+            "n_images": len(examples)}
+
+
+def point(spec, weights, examples, layer=None):
+    """Pointing game on the Grad-CAM map of each image's true category."""
+    layer = _target_layer(spec, examples, layer)
+    hits = 0
+    for ex in examples:
+        _, tape = nn.forward(spec, weights, ex.image)
+        hits += pointing_game(explain.gradcam(tape, ex.label, layer), ex.gt_mask)
+    return {"pointing_accuracy": hits / len(examples), "n_images": len(examples)}
+
+
+def _gt_masks(ex):
+    masks = {ex.label: ex.gt_mask}
+    if ex.two_object:
+        masks[ex.label2] = ex.gt_mask2
+    return masks
+
+
+def modified_point(spec, weights, examples, calibration, layer=None):
+    """Modified pointing game over each image's top-5 Grad-CAM maps, with the
+    threshold calibrated on every category's map over `calibration`."""
+    layer = _target_layer(spec, examples, layer)
+    present, absent = [], []
+    for ex in calibration:
+        _, tape = nn.forward(spec, weights, ex.image)
+        gt = _gt_masks(ex)
+        for category in range(spec.num_categories):
+            peak = float(explain.gradcam(tape, category, layer).max())
+            (present if category in gt else absent).append(peak)
+    threshold = calibrate_pointing_threshold(present, absent)
+    outcomes = []
+    for ex in examples:
+        _, tape = nn.forward(spec, weights, ex.image)
+        masks = _gt_masks(ex)
+        heats = [(c, explain.gradcam(tape, c, layer)) for c in top_k(tape.scores, 5)]
+        outcomes += modified_pointing(heats, masks, masks, threshold).values()
+    return {"modified_pointing_accuracy": sum(outcomes) / len(outcomes),
+            "threshold": threshold, "n_images": len(examples)}
+
+
+def faithfulness(spec, weights, examples, methods, occlusion_config, layer=None):
+    """Rank correlation of each method's map with the occlusion map, both for
+    the true category.
+
+    Returns (metrics, rhos): rhos[method] lists the per-image rho, NaN where
+    undefined; the metrics hold each method's mean over its defined rhos
+    (NaN, without numpy's empty-mean warning, when there are none) and
+    their count.
+    """
+    layer = _target_layer(spec, examples, layer, methods)
+    rhos = {m: [] for m in methods}
+    for ex in examples:
+        _, tape = nn.forward(spec, weights, ex.image)
+        occ = occlusion.occlusion_map(spec, weights, ex.image, ex.label, occlusion_config)
+        for m in methods:
+            rhos[m].append(rank_correlation(explain.METHODS[m](tape, ex.label, layer, None), occ))
+    metrics = {}
+    for m, values in rhos.items():
+        defined = [rho for rho in values if not math.isnan(rho)]
+        metrics[f"mean_rank_correlation.{m}"] = float(np.mean(defined)) if defined else math.nan
+        metrics[f"n_defined.{m}"] = len(defined)
+    return metrics, rhos
 
 
 def write_report(metrics, path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .autodiff import backward, grad_at_layer, one_hot
+from .autodiff import backward, check_category, grad_at_layer, one_hot
 from .imaging import bilinear_resize
 
 
@@ -94,6 +94,7 @@ def cam(tape, category, head_weights=None):
             or recs[-3].y.ndim != 3):
         raise CamIncompatibleError(
             "CAM needs spatial maps -> global average pooling -> dense scores")
+    check_category(category, tape.scores.shape[0])
     amaps = recs[-3].y.astype(np.float64)
     if head_weights is None:
         head_weights = recs[-1].params["weights"]
@@ -153,3 +154,22 @@ def saliency_to_heatmap(saliency):
     if s.ndim == 3:
         s = s.max(axis=0)
     return s
+
+
+# Scalar heatmap of each method, called as (tape, category, layer, config):
+# feature resolution for the CAM family, image resolution for pixel saliency.
+# The entries look the functions up by name at call time, so rebinding a
+# module attribute (a tracer, a test) also reaches calls made through here.
+METHODS = {
+    "gradcam": lambda tape, c, layer, config: gradcam(tape, c, layer, config),
+    "cam": lambda tape, c, layer, config: cam(tape, c),
+    "counterfactual": lambda tape, c, layer, config: counterfactual(tape, c, layer, config),
+    "guided-backprop": lambda tape, c, layer, config: saliency_to_heatmap(
+        pixel_saliency(tape, c, "guided")),
+    "deconv": lambda tape, c, layer, config: saliency_to_heatmap(
+        pixel_saliency(tape, c, "deconv")),
+    "guided-gradcam": lambda tape, c, layer, config: saliency_to_heatmap(
+        guided_gradcam(pixel_saliency(tape, c, "guided"), gradcam(tape, c, layer, config))),
+    "backprop": lambda tape, c, layer, config: saliency_to_heatmap(
+        pixel_saliency(tape, c, "standard")),
+}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import backward, one_hot
+from .autodiff import backward, check_category, one_hot
 from .evaluation import BBox
 from .imaging import (bilinear_resize, image_to_tensor, read_image,
                       tensor_to_image, write_image)
@@ -188,6 +188,7 @@ def adversarial_attack(spec, weights, image, target_category, epsilon,
     and to the valid pixel range.  Stops early once the target probability
     exceeds 0.9999; `success` reflects the 0.99 criterion.
     """
+    check_category(target_category, spec.num_categories)
     image = np.asarray(image, dtype=np.float32)
     if step_size is None:
         step_size = epsilon / 4

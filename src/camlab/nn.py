@@ -17,6 +17,7 @@ manifest plus a little-endian float32 blob.
 
 import io
 import logging
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -96,7 +97,7 @@ class _Kind:
     rank: int = 0           # rank of the per-image input it needs, 0 for any
     param_shapes: object = lambda p, shape: {}
     # float64 values per image of its largest buffer, which batch_size budgets for
-    buffer: object = lambda p, shape, out: int(np.prod(out))
+    buffer: object = lambda p, shape, out: math.prod(out)
     scores: bool = False    # whether its output can be the score vector
 
 
@@ -175,7 +176,7 @@ _KINDS = {
             "weights": (p["filters"], shape[0], p["kernel"], p["kernel"]),
             "bias": (p["filters"],)},
         # the im2col matrix, C*kh*kw rows by h_out*w_out columns
-        buffer=lambda p, shape, out: max(int(np.prod(out)),
+        buffer=lambda p, shape, out: max(math.prod(out),
                                          shape[0] * p["kernel"] ** 2 * out[1] * out[2])),
     "relu": _Kind(
         out_shape=lambda p, shape: shape,
@@ -196,7 +197,7 @@ _KINDS = {
             (g / (rec.x.shape[1] * rec.x.shape[2]))[:, None, None],
             rec.x.shape).astype(g.dtype)),
     "flatten": _Kind(
-        out_shape=lambda p, shape: (int(np.prod(shape)),),
+        out_shape=lambda p, shape: (math.prod(shape),),
         forward=lambda x, p, params, batched: (x.reshape(x.shape[:batched] + (-1,)), {}),
         backward=lambda rec, g, policy, grads: g.reshape(rec.x.shape)),
     "dense": _Kind(
@@ -241,10 +242,12 @@ def parse_model_spec(text):
                                 "shape=CxHxW, each extent at least 1")
             input_shape = tuple(int(e) for e in extents)
             continue
-        try:
-            params = {k: int(v) for k, v in params.items()}
-        except ValueError as exc:
-            raise SpecError(f"line {lineno}: non-integer parameter") from exc
+        for key, val in params.items():
+            try:
+                params[key] = int(val)
+            except ValueError:
+                raise SpecError(f"line {lineno}: {name}: non-integer parameter "
+                                f"{key}={val}") from None
         layers.append(LayerSpec(name, kind, params))
     if input_shape is None:
         raise SpecError("missing 'input' line")
@@ -362,7 +365,7 @@ BATCH_BYTES = 3 << 20
 
 def batch_size(spec):
     """Images per batched forward that keep within BATCH_BYTES, at least 1."""
-    per_image = max([int(np.prod(spec.input_shape))] + [s.buffer for s in spec._plan])
+    per_image = max([math.prod(spec.input_shape)] + [s.buffer for s in spec._plan])
     return max(1, BATCH_BYTES // (8 * per_image))
 
 

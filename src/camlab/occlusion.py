@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .autodiff import check_category
 from .ops import softmax
 
 
@@ -47,8 +48,7 @@ def occlusion_map(spec, weights, image, category, config):
     The masked images are scored in batches of `nn.batch_size(spec)`.
     """
     image = np.asarray(image, dtype=np.float32)
-    if not 0 <= category < spec.num_categories:
-        raise ValueError(f"category {category} out of range")
+    check_category(category, spec.num_categories)
     c, h, w = image.shape
     fill = config.fill
     if fill is None:

@@ -5,7 +5,6 @@ the measured values.  All randomness is seeded, so every number here is
 exactly reproducible.
 """
 
-import math
 import time
 
 import numpy as np
@@ -23,23 +22,6 @@ def _upsampled(heat, side=SIDE):
     if heat.shape == (side, side):
         return heat
     return imaging.bilinear_resize(heat, side, side)
-
-
-def _loc_hit(heat, pred, ex, iou_threshold=0.5):
-    try:
-        box = evaluation.extract_bbox(_upsampled(heat), 0.15)
-    except evaluation.NoSegmentError:
-        return False
-    return pred == ex.label and evaluation.iou(box, ex.gt_box) >= iou_threshold
-
-
-def _localization_error(spec, weights, test_set, heat_fn):
-    errors = 0
-    for ex in test_set:
-        scores, tape = camlab.forward(spec, weights, ex.image)
-        pred = int(np.argmax(scores))
-        errors += not _loc_hit(heat_fn(tape, pred), pred, ex)
-    return errors / len(test_set)
 
 
 # --------------------------------------------------------------- 1. oracle
@@ -120,19 +102,20 @@ def test_criterion_2_cam_equivalence(gap_spec, gap_weights, test_set):
 
 # --------------------------------------------------------- 3. localization
 
+def _top1_error(spec, weights, test_set, **kwargs):
+    metrics = evaluation.localize(spec, weights, test_set, layer="r2", **kwargs)
+    return metrics["top1_localization_error"]
+
+
 @pytest.fixture(scope="module")
 def gradcam_loc_error(gap_spec, gap_weights, test_set):
-    return _localization_error(
-        gap_spec, gap_weights, test_set,
-        lambda tape, c: explain.gradcam(tape, c, "r2"))
+    return _top1_error(gap_spec, gap_weights, test_set)
 
 
 def test_criterion_3_localization_error(gap_spec, gap_weights, test_set,
                                         gradcam_loc_error):
-    backprop_error = _localization_error(
-        gap_spec, gap_weights, test_set,
-        lambda tape, c: explain.saliency_to_heatmap(
-            explain.pixel_saliency(tape, c, "standard")))
+    backprop_error = _top1_error(gap_spec, gap_weights, test_set,
+                                 method="backprop")
     assert gradcam_loc_error <= 0.30
     assert gradcam_loc_error <= backprop_error
     print(f"\n[criterion 3] PASS localization: top-1 error "
@@ -144,10 +127,8 @@ def test_criterion_3_localization_error(gap_spec, gap_weights, test_set,
 
 def test_criterion_4_no_relu_is_strictly_worse(gap_spec, gap_weights,
                                                test_set, gradcam_loc_error):
-    no_relu = _localization_error(
-        gap_spec, gap_weights, test_set,
-        lambda tape, c: explain.gradcam(
-            tape, c, "r2", explain.GradCamConfig(apply_relu=False)))
+    no_relu = _top1_error(gap_spec, gap_weights, test_set,
+                          config=explain.GradCamConfig(apply_relu=False))
     assert no_relu > gradcam_loc_error
     print(f"\n[criterion 4] PASS rectification ablation: no-relu error "
           f"{no_relu:.3f} > default {gradcam_loc_error:.3f}")
@@ -156,14 +137,10 @@ def test_criterion_4_no_relu_is_strictly_worse(gap_spec, gap_weights,
 # -------------------------------------------------------- 5. pointing game
 
 def test_criterion_5_pointing_game(gap_spec, gap_weights, test_set):
-    hits = center_hits = 0
-    for ex in test_set:
-        scores, tape = camlab.forward(gap_spec, gap_weights, ex.image)
-        heat = explain.gradcam(tape, int(np.argmax(scores)), "r2")
-        hits += evaluation.pointing_game(heat, ex.gt_mask)
-        center_hits += bool(ex.gt_mask[SIDE // 2, SIDE // 2])
-    accuracy = hits / len(test_set)
-    center = center_hits / len(test_set)
+    accuracy = evaluation.point(gap_spec, gap_weights, test_set,
+                                layer="r2")["pointing_accuracy"]
+    center = sum(bool(ex.gt_mask[SIDE // 2, SIDE // 2])
+                 for ex in test_set) / len(test_set)
     assert accuracy >= 0.80
     assert accuracy >= center + 0.15
     # Appendix-style calibration rule on a hand-built 4-map example
@@ -178,19 +155,11 @@ def test_criterion_5_pointing_game(gap_spec, gap_weights, test_set):
 # -------------------------------------------------------- 6. faithfulness
 
 def test_criterion_6_faithfulness(gap_spec, gap_weights, test_set):
-    occ_cfg = occlusion.OcclusionConfig(patch=9, stride=2)
-    rho_gradcam, rho_guided = [], []
-    for ex in test_set[:30]:
-        _, tape = camlab.forward(gap_spec, gap_weights, ex.image)
-        occ = occlusion.occlusion_map(gap_spec, gap_weights, ex.image,
-                                      ex.label, occ_cfg)
-        rho_gradcam.append(evaluation.rank_correlation(
-            explain.gradcam(tape, ex.label, "r2"), occ))
-        rho_guided.append(evaluation.rank_correlation(
-            explain.saliency_to_heatmap(
-                explain.pixel_saliency(tape, ex.label, "guided")), occ))
-    rho_gradcam = np.array(rho_gradcam)
-    rho_guided = np.array(rho_guided)
+    _, rhos = evaluation.faithfulness(
+        gap_spec, gap_weights, test_set[:30], ["gradcam", "guided-backprop"],
+        occlusion.OcclusionConfig(patch=9, stride=2), layer="r2")
+    rho_gradcam = np.array(rhos["gradcam"])
+    rho_guided = np.array(rhos["guided-backprop"])
     positive_frac = float(np.mean(rho_gradcam > 0))
     mean_gc = float(np.nanmean(rho_gradcam))
     mean_gb = float(np.nanmean(rho_guided))

@@ -97,6 +97,35 @@ def test_bad_spec_or_layer_is_named_domain_error(workspace, capsys, spec_text, e
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["explain", "--category", "5"], 3),
+    (["explain", "--category", "-1"], 3),    # explained category 2 before
+    (["explain", "--category", "5", "--score", "post"], 3),
+    (["attack", "--target", "5"], 3),
+    (["attack", "--target", "-1"], 3),       # attacked category 2 before
+    (["explain", "--top-k", "0"], 2),        # wrote nothing and exited 0 before
+    (["explain", "--top-k", "-1"], 2),       # explained 2 of the 3 categories before
+])
+def test_bad_category_or_top_k_is_rejected(workspace, tmp_path, capsys, argv, code):
+    rest = (["--method", "gradcam", "--out-heat", str(tmp_path / "h.fmap")]
+            if argv[0] == "explain" else ["--epsilon", "0.1", "--out", str(tmp_path / "a.pgm")])
+    assert main([argv[0], *gap_args(workspace), "--image", first_image(workspace),
+                 *argv[1:], *rest]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err == f"error: category {argv[2]} out of range for 3 categories\n"
+
+
+@pytest.mark.parametrize("argv", [["localize"], ["point"],
+                                  ["faithfulness", "--methods", "gradcam"]])
+def test_empty_split_is_protocol_error(workspace, tmp_path, capsys, argv):
+    camlab.fixtures.save_dataset([], tmp_path / "empty")
+    assert main([argv[0], *gap_args(workspace), "--data", str(tmp_path / "empty"),
+                 *argv[1:], "--report", str(tmp_path / "r.txt")]) == 3
+    assert capsys.readouterr().err == "error: the split has no examples\n"
+
+
 def test_modified_pointing_requires_calibration_split(workspace):
     code = main(["point", *gap_args(workspace),
                  "--data", str(workspace / "data"), "--modified",

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from camlab import evaluation
+from camlab import evaluation, explain, imaging, nn
 from camlab.evaluation import (BBox, EvalRecord, NoSegmentError, ProtocolError,
                                calibrate_pointing_threshold, extract_bbox,
                                heatmap_argmax, iou, localization_error,
@@ -81,6 +81,44 @@ def test_localization_error_top1_top5():
     top1, top5 = localization_error(records)
     assert top1 == pytest.approx(2 / 3)
     assert top5 == pytest.approx(1 / 3)
+
+
+def _reference_localization_error(spec, weights, examples, config):
+    """The localization protocol as first written: a box for every top-5 map."""
+    records = []
+    for ex in examples:
+        _, tape = nn.forward(spec, weights, ex.image)
+        preds = [int(c) for c in np.argsort(-tape.scores, kind="stable")[:5]]
+        boxes = []
+        for c in preds:
+            heat = explain.gradcam(tape, c, "r2", config)
+            try:
+                boxes.append(extract_bbox(imaging.bilinear_resize(heat, 48, 48)))
+            except NoSegmentError:
+                boxes.append(None)
+        records.append(EvalRecord(ex.image_id, ex.label, preds, boxes, ex.gt_box))
+    return localization_error(records)
+
+
+@pytest.mark.parametrize("trained", [True, False])
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_localize_matches_reference_over_all_top5_maps(request, monkeypatch, test_set,
+                                                       arch, relu, trained):
+    # untrained weights misclassify most images, so the true category's map
+    # often ranks below 1 and only its top-5 credit is at stake
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = (request.getfixturevalue(f"{arch}_weights") if trained
+               else nn.init_weights(spec, rng_seed=0))
+    config = explain.GradCamConfig(apply_relu=relu)
+    want = _reference_localization_error(spec, weights, test_set[:40], config)
+    # one map per image, each seen through the module name explain.gradcam
+    calls, gradcam = [], explain.gradcam
+    monkeypatch.setattr(explain, "gradcam",
+                        lambda tape, c, *rest: calls.append(c) or gradcam(tape, c, *rest))
+    metrics = evaluation.localize(spec, weights, test_set[:40], config=config)
+    assert (metrics["top1_localization_error"], metrics["top5_localization_error"]) == want
+    assert calls == [ex.label for ex in test_set[:40]]
 
 
 # -------------------------------------------------------------- pointing

@@ -42,7 +42,7 @@ def test_parse_ignores_comments_and_blank_lines():
     ("img input shape=1x8x8\nfl flatten\nfl flatten\nhead dense units=2\n",
      "duplicate"),
     ("img input shape=1x8x8\nc1 conv filters=two kernel=3\n"
-     "fl flatten\nhead dense units=2\n", "non-integer"),
+     "fl flatten\nhead dense units=2\n", "c1: non-integer parameter filters=two"),
     ("img input shape=1x8x8\nfl flatten\n", "dense"),
     ("img input shape=1x8x8\nc1 conv filters=1 kernel=9\nfl flatten\n"
      "head dense units=2\n", "kernel"),
