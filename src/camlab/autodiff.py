@@ -37,9 +37,10 @@ class LayerRecord:
     kind: str  # conv | relu | maxpool | gap | flatten | dense
     x: np.ndarray
     y: np.ndarray
-    backward: object  # (record, cotangent, relu policy, param_grads) -> input cotangent
+    backward: object  # (record, cotangent, relu policy) -> input cotangent
     params: dict = field(default_factory=dict)   # weights/bias for conv, dense
-    extras: dict = field(default_factory=dict)   # maxpool argmax, conv stride and pad
+    extras: dict = field(default_factory=dict)   # maxpool argmax; conv stride, pad, im2col
+    param_backward: object = None  # (record, cotangent) -> {param: gradient}; conv, dense
 
 
 @dataclass
@@ -78,21 +79,36 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
                             param_grads=None):
     """Propagate an arbitrary score-vector cotangent down to `stop_at`.
 
+    With `param_grads`, a dict, also fills it with {layer: {param: gradient}}
+    for every layer with parameters that the walk passes.  stop_at=None
+    asks for those gradients only: the walk ends at the lowest layer with
+    parameters, once its parameter gradients are in, without computing its
+    input cotangent, and returns None.
+
     Used internally by the trainer (softmax cross-entropy) and by the
     post-softmax scoring mode; the public explanation path goes through
     `backward`, which enforces a one-hot seed.
     """
-    if not tape.has_checkpoint(stop_at):
+    records = tape.records
+    if stop_at is None:
+        if param_grads is None:
+            raise ValueError("stop_at=None computes only param_grads, which is None")
+        records = records[next(i for i, r in enumerate(records) if r.param_backward):]
+    elif not tape.has_checkpoint(stop_at):
         raise CheckpointError(f"no checkpoint named {stop_at!r}")
     if policy not in RELU_POLICIES:
         raise ValueError(f"unknown relu policy {policy!r}")
     g = np.asarray(cotangent, dtype=tape.scores.dtype)
     if g.shape != tape.scores.shape:
         raise SeedError(f"seed shape {g.shape} != score shape {tape.scores.shape}")
-    for rec in reversed(tape.records):
+    for rec in reversed(records):
         if rec.name == stop_at:
             return g
-        g = rec.backward(rec, g, policy, param_grads)
+        if param_grads is not None and rec.param_backward:
+            param_grads[rec.name] = rec.param_backward(rec, g)
+        if stop_at is None and rec is records[0]:
+            return None
+        g = rec.backward(rec, g, policy)
     return g  # stop_at == "input"
 
 

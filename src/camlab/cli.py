@@ -10,13 +10,15 @@ import sys
 
 import numpy as np
 
-from . import autodiff, evaluation, explain, fixtures, imaging, nn, occlusion
+from . import autodiff, evaluation, explain, fixtures, imaging, nn, occlusion, ops
 
-DOMAIN_ERRORS = (explain.CamIncompatibleError, evaluation.NoSegmentError,
-                 evaluation.ProtocolError, nn.SpecError, nn.WeightStoreError,
-                 nn.TrainingError, imaging.ImageFormatError,
-                 autodiff.CheckpointError, autodiff.CategoryError, FileNotFoundError,
-                 ValueError)
+# Errors a user's input can cause; anything else is a bug and keeps its traceback
+DOMAIN_ERRORS = (explain.CamIncompatibleError, explain.GradCamConfigError,
+                 evaluation.NoSegmentError, evaluation.ProtocolError, nn.SpecError,
+                 nn.WeightStoreError, nn.TrainingError, nn.DatasetError,
+                 occlusion.OcclusionConfigError, ops.DimensionError,
+                 imaging.ImageFormatError, autodiff.CheckpointError,
+                 autodiff.CategoryError, FileNotFoundError)
 
 
 class AttackFailed(RuntimeError):
@@ -101,9 +103,8 @@ def cmd_explain(args):
 def cmd_occlude(args):
     spec, weights = _load_model(args)
     image = _load_image(args.image)
-    fill = None if args.fill == "auto" else float(args.fill)
     patch = args.patch or occlusion.default_patch(image.shape[-1])
-    config = occlusion.OcclusionConfig(patch=patch, stride=args.stride, fill=fill)
+    config = occlusion.OcclusionConfig(patch=patch, stride=args.stride, fill=args.fill)
     heat = occlusion.occlusion_map(spec, weights, image, args.category, config)
     _emit(heat, image, args)
     return 0
@@ -164,6 +165,16 @@ def _add_model_flags(p):
     p.add_argument("--weights", required=True, help="weight store path (no extension)")
 
 
+def _fill(text):
+    """--fill: a pixel value, or auto (None) for the image's channel means."""
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or auto, got {text!r}") from None
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -216,7 +227,7 @@ def build_parser():
     p.add_argument("--category", type=int, required=True)
     p.add_argument("--patch", type=int, default=None)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--fill", default="auto")
+    p.add_argument("--fill", type=_fill, default="auto")
     p.add_argument("--out-heat", default=None)
     p.add_argument("--out-png", default=None)
     p.set_defaults(func=cmd_occlude)

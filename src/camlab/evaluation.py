@@ -199,6 +199,8 @@ def _target_layer(spec, examples, layer, methods=()):
         if method not in explain.METHODS:
             raise ProtocolError(f"unknown method {method!r}; choose from "
                                 + ", ".join(explain.METHODS))
+        if methods.count(method) > 1:
+            raise ProtocolError(f"method {method!r} is named more than once")
     return layer or explain.default_target_layer(spec)
 
 

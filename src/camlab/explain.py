@@ -13,12 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .autodiff import backward, check_category, grad_at_layer, one_hot
+from .autodiff import CheckpointError, backward, check_category, grad_at_layer, one_hot
 from .imaging import bilinear_resize
 
 
 class CamIncompatibleError(ValueError):
     """CAM requested on a model without a GAP -> dense scoring head."""
+
+
+class GradCamConfigError(ValueError):
+    """GradCamConfig field outside its choices."""
 
 
 @dataclass
@@ -32,11 +36,12 @@ class GradCamConfig:
 
     def __post_init__(self):
         if self.weight_pooling not in ("avg", "max"):
-            raise ValueError(f"weight_pooling must be avg or max, got {self.weight_pooling!r}")
+            raise GradCamConfigError(
+                f"weight_pooling must be avg or max, got {self.weight_pooling!r}")
         if self.gradient_sign not in (1, -1):
-            raise ValueError("gradient_sign must be +1 or -1")
+            raise GradCamConfigError("gradient_sign must be +1 or -1")
         if self.score_point not in ("pre_softmax", "post_softmax"):
-            raise ValueError(f"bad score_point {self.score_point!r}")
+            raise GradCamConfigError(f"bad score_point {self.score_point!r}")
 
 
 def default_target_layer(spec):
@@ -52,7 +57,7 @@ def default_target_layer(spec):
             if layer.kind == "conv":
                 best = layer.name
     if best is None:
-        raise ValueError("model has no convolutional checkpoint")
+        raise CheckpointError("model has no convolutional checkpoint")
     return best
 
 

@@ -73,7 +73,7 @@ def make_shapes_dataset(n, image_side=48, rng_seed=0, two_object_fraction=0.0):
     label and the second is recorded alongside it.
     """
     if image_side < 16:
-        raise ValueError("image_side must be >= 16")
+        raise nn.DatasetError(f"image side must be >= 16, got {image_side}")
     rng = np.random.default_rng(rng_seed)
     side = image_side
     out = []
@@ -144,18 +144,20 @@ def save_dataset(examples, directory):
 
 def load_dataset(directory):
     import os
-    with open(os.path.join(directory, "index.txt"), "r", encoding="ascii") as fh:
-        lines = [l for l in fh.read().splitlines() if l.strip()]
+    index = nn._read_ascii(os.path.join(directory, "index.txt"), nn.DatasetError)
+    lines = [l for l in index.splitlines() if l.strip()]
     grouped = {}
     order = []
-    for line in lines:
-        image_id, label, x0, y0, x1, y1, mask_name = line.split()
+    for lineno, line in enumerate(lines, 1):
+        try:
+            image_id, label, x0, y0, x1, y1, mask_name = line.split()
+            obj = (int(label), BBox(int(x0), int(y0), int(x1), int(y1)), mask_name)
+        except ValueError as exc:
+            raise nn.DatasetError(f"index line {lineno}: {line!r}: {exc}") from None
         if image_id not in grouped:
             grouped[image_id] = []
             order.append(image_id)
-        grouped[image_id].append((int(label),
-                                  BBox(int(x0), int(y0), int(x1), int(y1)),
-                                  mask_name))
+        grouped[image_id].append(obj)
     out = []
     for image_id in order:
         img = image_to_tensor(read_image(os.path.join(directory, f"{image_id}.pgm")))

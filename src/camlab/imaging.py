@@ -48,6 +48,8 @@ def decode_netpbm(data):
         except ValueError:
             raise ImageFormatError(f"non-numeric header token {tok!r} near byte {pos}")
     w, h, maxval = vals
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"image extent {w}x{h} must be at least 1x1")
     if maxval != 255:
         raise ImageFormatError(f"maxval {maxval} unsupported (must be 255)")
     pos += 1  # exactly one whitespace byte after maxval

@@ -41,6 +41,11 @@ class TrainingError(RuntimeError):
     """Training diverged (non-finite loss)."""
 
 
+class DatasetError(ValueError):
+    """Unusable dataset: empty for training, a label outside the model's
+    categories, a malformed index line, or too small an image side."""
+
+
 @dataclass
 class LayerSpec:
     name: str
@@ -90,7 +95,8 @@ class _Kind:
     """Everything that depends on a layer kind; `_KINDS` maps names to these."""
     out_shape: object       # (params, input shape) -> output shape
     forward: object         # (x, params, weight arrays, batched) -> (y, record extras)
-    backward: object        # (record, cotangent, relu policy, param_grads) -> input cotangent
+    backward: object        # (record, cotangent, relu policy) -> input cotangent
+    param_backward: object = None   # (record, cotangent) -> {param: gradient}
     # key -> (minimum, default); the default None marks a required key, and
     # a string default takes the value of that earlier key
     schema: dict = field(default_factory=dict)
@@ -140,12 +146,21 @@ def _slide(shape, k, stride, pad):
     return tuple((n + 2 * pad - k) // stride + 1 for n in shape[1:])
 
 
-def _conv_backward(rec, g, policy, param_grads):
-    w, stride, pad = rec.params["weights"], rec.extras["stride"], rec.extras["pad"]
-    if param_grads is not None:
-        dk, db = ops.conv2d_param_grad(g, rec.x, w.shape, stride, pad)
-        param_grads[rec.name] = {"weights": dk, "bias": db}
-    return ops.conv2d_input_grad(g, rec.x.shape, w, stride, pad)
+def _conv_forward(x, p, params, batched):
+    conv = (x, params["weights"], params["bias"], p["stride"], p["pad"])
+    if batched:  # score_batch records no tape
+        return ops.conv2d(*conv), {}
+    y, cols = ops.conv2d(*conv, return_cols=True)
+    # the record keeps the resolved params, for stride and pad, and the
+    # im2col matrix, which the parameter gradient reuses
+    return y, dict(p, cols=cols)
+
+
+def _conv_param_backward(rec, g):
+    dk, db = ops.conv2d_param_grad(g, rec.x, rec.params["weights"].shape,
+                                   rec.extras["stride"], rec.extras["pad"],
+                                   cols=rec.extras["cols"])
+    return {"weights": dk, "bias": db}
 
 
 def _maxpool_forward(x, p, params, batched):
@@ -153,11 +168,8 @@ def _maxpool_forward(x, p, params, batched):
     return y, {"argmax": argmax}
 
 
-def _dense_backward(rec, g, policy, param_grads):
+def _dense_backward(rec, g, policy):
     w = rec.params["weights"]
-    if param_grads is not None:
-        param_grads[rec.name] = {"weights": np.outer(g, rec.x).astype(g.dtype),
-                                 "bias": g.copy()}
     return (w.astype(np.float64).T @ g.astype(np.float64)).astype(g.dtype)
 
 
@@ -168,10 +180,10 @@ _KINDS = {
         rank=3,
         out_shape=lambda p, shape: (p["filters"],) + _slide(shape, p["kernel"], p["stride"],
                                                             p["pad"]),
-        # the record keeps the resolved params, stride and pad for the backward
-        forward=lambda x, p, params, batched: (
-            ops.conv2d(x, params["weights"], params["bias"], p["stride"], p["pad"]), p),
-        backward=_conv_backward,
+        forward=_conv_forward,
+        backward=lambda rec, g, policy: ops.conv2d_input_grad(
+            g, rec.x.shape, rec.params["weights"], rec.extras["stride"], rec.extras["pad"]),
+        param_backward=_conv_param_backward,
         param_shapes=lambda p, shape: {
             "weights": (p["filters"], shape[0], p["kernel"], p["kernel"]),
             "bias": (p["filters"],)},
@@ -181,31 +193,33 @@ _KINDS = {
     "relu": _Kind(
         out_shape=lambda p, shape: shape,
         forward=lambda x, p, params, batched: (ops.relu(x), {}),
-        backward=lambda rec, g, policy, grads: autodiff._relu_backward(g, rec.x, policy)),
+        backward=lambda rec, g, policy: autodiff._relu_backward(g, rec.x, policy)),
     "maxpool": _Kind(
         schema={"window": (1, None), "stride": (1, "window")},
         rank=3,
         out_shape=lambda p, shape: (shape[0],) + _slide(shape, p["window"], p["stride"], 0),
         forward=_maxpool_forward,
-        backward=lambda rec, g, policy, grads: ops.maxpool2d_grad(
+        backward=lambda rec, g, policy: ops.maxpool2d_grad(
             g, rec.extras["argmax"], rec.x.shape)),
     "gap": _Kind(
         rank=3,
         out_shape=lambda p, shape: (shape[0],),
         forward=lambda x, p, params, batched: (ops.global_avg_pool(x), {}),
-        backward=lambda rec, g, policy, grads: np.broadcast_to(
+        backward=lambda rec, g, policy: np.broadcast_to(
             (g / (rec.x.shape[1] * rec.x.shape[2]))[:, None, None],
             rec.x.shape).astype(g.dtype)),
     "flatten": _Kind(
         out_shape=lambda p, shape: (math.prod(shape),),
         forward=lambda x, p, params, batched: (x.reshape(x.shape[:batched] + (-1,)), {}),
-        backward=lambda rec, g, policy, grads: g.reshape(rec.x.shape)),
+        backward=lambda rec, g, policy: g.reshape(rec.x.shape)),
     "dense": _Kind(
         schema={"units": (1, None)}, rank=1,
         out_shape=lambda p, shape: (p["units"],),
         forward=lambda x, p, params, batched: (
             ops.dense(x, params["weights"], params["bias"]), {}),
         backward=_dense_backward,
+        param_backward=lambda rec, g: {"weights": np.outer(g, rec.x).astype(g.dtype),
+                                       "bias": g.copy()},
         param_shapes=lambda p, shape: {"weights": (p["units"], shape[0]),
                                        "bias": (p["units"],)},
         scores=True),
@@ -264,9 +278,18 @@ def format_model_spec(spec):
     return "\n".join(lines) + "\n"
 
 
+def _read_ascii(path, error):
+    """The text of an ASCII file; a byte outside ASCII raises `error`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not ASCII") from None
+
+
 def load_model_spec(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_model_spec(fh.read())
+    return parse_model_spec(_read_ascii(path, SpecError))
 
 
 def save_model_spec(spec, path):
@@ -325,8 +348,7 @@ class WeightStore:
 
     @classmethod
     def load(cls, path):
-        with open(str(path) + ".manifest", "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        lines = _read_ascii(str(path) + ".manifest", WeightStoreError).splitlines()
         with open(str(path) + ".bin", "rb") as fh:
             blob = fh.read()
         params = {}
@@ -338,6 +360,8 @@ class WeightStore:
                 name, key, shape_s, offset_s = line.split()
                 shape = tuple(int(e) for e in shape_s.split(","))
                 offset = int(offset_s)
+                if offset < 0 or min(shape) < 0:
+                    raise ValueError("negative offset or extent")
             except ValueError as exc:
                 raise WeightStoreError(f"manifest line {lineno}: {line!r}") from exc
             nbytes = int(np.prod(shape)) * 4
@@ -386,7 +410,7 @@ def _run_layers(spec, weights, x, dtype, batched, records=None):
         y, extras = step.kind.forward(x, step.params, params, batched)
         if records is not None:
             records.append(LayerRecord(name, step.layer.kind, x, y, step.kind.backward,
-                                       params, extras))
+                                       params, extras, step.kind.param_backward))
         x = y
     return x
 
@@ -396,7 +420,10 @@ def forward(spec, weights, image, dtype=np.float32):
 
     Where the weights already have `dtype`, the tape's conv and dense params
     are the WeightStore arrays themselves, so do not update those in place
-    while the tape is still in use.
+    while the tape is still in use.  Each conv record holds the layer's
+    float64 im2col matrix in its extras ("cols"), for the parameter
+    gradient; that is C*kh*kw x h_out*w_out values, 0.8 MB per tape on
+    the fixture specs.
     """
     image = np.asarray(image, dtype=dtype)
     records = []
@@ -455,12 +482,12 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
     if the loss goes non-finite.
     """
     if not dataset:
-        raise ValueError("dataset is empty")
+        raise DatasetError("dataset is empty")
     ncat = spec.num_categories
     pairs = [_as_pair(ex) for ex in dataset]
     for _, label in pairs:
         if not 0 <= label < ncat:
-            raise ValueError(f"label {label} out of range for {ncat} categories")
+            raise DatasetError(f"label {label} out of range for {ncat} categories")
     rng = np.random.default_rng(rng_seed)
     weights = init_weights(spec, rng_seed)
     lr = np.float32(learning_rate)
@@ -478,7 +505,7 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
             cot = probs.astype(np.float32)
             cot[label] -= 1
             grads = {}
-            backward_from_cotangent(tape, cot, param_grads=grads)
+            backward_from_cotangent(tape, cot, stop_at=None, param_grads=grads)
             for name, group in grads.items():
                 for key, g in group.items():
                     weights.params[name][key] -= lr * g

@@ -16,6 +16,10 @@ from .autodiff import check_category
 from .ops import softmax
 
 
+class OcclusionConfigError(ValueError):
+    """OcclusionConfig field outside its range."""
+
+
 @dataclass
 class OcclusionConfig:
     patch: int            # odd side length in pixels
@@ -25,11 +29,11 @@ class OcclusionConfig:
 
     def __post_init__(self):
         if self.patch < 1 or self.patch % 2 == 0:
-            raise ValueError(f"patch must be odd and >= 1, got {self.patch}")
+            raise OcclusionConfigError(f"patch must be odd and >= 1, got {self.patch}")
         if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+            raise OcclusionConfigError(f"stride must be >= 1, got {self.stride}")
         if self.score_point not in ("pre_softmax", "post_softmax"):
-            raise ValueError(f"bad score_point {self.score_point!r}")
+            raise OcclusionConfigError(f"bad score_point {self.score_point!r}")
 
 
 def default_patch(image_side):

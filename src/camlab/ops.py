@@ -8,7 +8,9 @@ in float64, which the finite-difference tests rely on.
 
 The forward operations also take a batch with a leading N axis; a single
 example is run as the batch of one, through the same code.  The backward
-operations take one example.
+operations take one example.  `conv2d` can hand back the float64 im2col
+matrix it built, and `conv2d_param_grad` can reuse it instead of building
+the same matrix again; the gradient is the same, bit for bit.
 """
 
 import numpy as np
@@ -78,14 +80,15 @@ def _col2im(cols, c, hp, wp, kh, kw, stride, h_out, w_out):
     return xp
 
 
-def conv2d(x, kernels, bias, stride=1, padding=0):
+def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
     """Cross-correlation of [C,H,W] with [K,C,kh,kw] kernels (no flip).
 
     Zero padding; output extent floor((H + 2p - kh)/stride) + 1.  A batch
     [N,C,H,W] gives [N,K,h_out,w_out] from one float64 im2col matrix of
     N*h_out*w_out columns and one GEMM.  The BLAS sums each output column
     in the same order whatever N is, so a batch equals its examples run one
-    by one, bit for bit (the tests check this).
+    by one, bit for bit (the tests check this).  With `return_cols`,
+    returns (output, im2col matrix [C*kh*kw, N*h_out*w_out]).
     """
     xb, single = _batched(x, 3, "conv2d")
     kernels = np.asarray(kernels)
@@ -104,7 +107,8 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
     wmat = kernels.reshape(k, c * kh * kw).astype(np.float64)
     out = (wmat @ cols + bias.astype(np.float64)[:, None]).reshape(k, n, h_out, w_out)
     out = np.ascontiguousarray(out.swapaxes(0, 1), dtype=xb.dtype)
-    return out[0] if single else out
+    out = out[0] if single else out
+    return (out, cols) if return_cols else out
 
 
 def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
@@ -121,11 +125,22 @@ def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
     return xp.astype(grad_out.dtype)
 
 
-def conv2d_param_grad(grad_out, x, kernel_shape, stride=1, padding=0):
-    """Gradients of conv2d w.r.t. kernels and bias."""
+def conv2d_param_grad(grad_out, x, kernel_shape, stride=1, padding=0, cols=None):
+    """Gradients of conv2d w.r.t. kernels and bias.
+
+    `cols` is the im2col matrix of `x` that `conv2d(..., return_cols=True)`
+    gave; without it the matrix is built again.
+    """
     k, c, kh, kw = kernel_shape
     h_out, w_out = grad_out.shape[1], grad_out.shape[2]
-    cols = _im2col(_padded(x[:, None], padding), kh, kw, stride, h_out, w_out)
+    if cols is None:
+        cols = _im2col(_padded(x[:, None], padding), kh, kw, stride, h_out, w_out)
+    else:
+        want = (c * kh * kw, _out_extent(x.shape[1], kh, stride, padding)
+                * _out_extent(x.shape[2], kw, stride, padding))
+        if cols.shape != want:
+            raise DimensionError(f"im2col matrix {cols.shape} != {want} for input "
+                                 f"{x.shape} and kernels {tuple(kernel_shape)}")
     g = grad_out.reshape(k, -1).astype(np.float64)
     dk = (g @ cols.T).reshape(k, c, kh, kw)
     db = g.sum(axis=1)
@@ -163,9 +178,12 @@ def maxpool2d(x, window, stride):
 def maxpool2d_grad(grad_out, argmax, x_shape):
     """Route the output cotangent to the recorded argmax positions."""
     c, h, w = x_shape
-    gx = np.zeros((c, h * w), dtype=np.float64)
-    chan = np.repeat(np.arange(c), argmax[0].size)
-    np.add.at(gx, (chan, argmax.reshape(c, -1).ravel()), grad_out.reshape(c, -1).ravel())
+    # channel c's positions are offset by c*H*W; bincount adds the weights
+    # into their bins in input order, as np.add.at does, so the sums agree
+    # bit for bit
+    flat = (argmax.reshape(c, -1) + np.arange(c)[:, None] * (h * w)).ravel()
+    gx = np.bincount(flat, weights=grad_out.reshape(-1).astype(np.float64),
+                     minlength=c * h * w)
     return gx.reshape(c, h, w).astype(grad_out.dtype)
 
 

@@ -126,6 +126,110 @@ def test_empty_split_is_protocol_error(workspace, tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: the split has no examples\n"
 
 
+def _no_conv_model(ws, tmp):
+    spec = nn.parse_model_spec("img input shape=1x48x48\nfl flatten\nhead dense units=3\n")
+    nn.save_model_spec(spec, tmp / "flat.spec")
+    nn.init_weights(spec).save(tmp / "flat_w")
+    return ["--spec", str(tmp / "flat.spec"), "--weights", str(tmp / "flat_w")]
+
+
+def _negative_offset_weights(ws, tmp):
+    manifest = (ws / "gap_w.manifest").read_text().replace(" 0\n", " -4\n", 1)
+    (tmp / "neg_w.manifest").write_text(manifest)
+    (tmp / "neg_w.bin").write_bytes((ws / "gap_w.bin").read_bytes())
+    return ["--spec", str(ws / "gap.spec"), "--weights", str(tmp / "neg_w")]
+
+
+def _two_category_spec(ws, tmp):
+    nn.save_model_spec(camlab.fix_gap_spec(categories=2), tmp / "two.spec")
+    return str(tmp / "two.spec")
+
+
+def _bad_index(ws, tmp):
+    camlab.fixtures.save_dataset([], tmp / "bad")
+    (tmp / "bad" / "index.txt").write_text("00000 0 5 5 1 1 00000_mask.pgm\n")
+    return str(tmp / "bad")
+
+
+def _non_ascii(tmp, name):
+    (tmp / name).parent.mkdir(exist_ok=True)
+    (tmp / name).write_bytes(b"img input shape=1x48x48\n\xff\n")
+    return str(tmp / name)
+
+
+def _small_image(ws, tmp):
+    imaging.write_image(np.zeros((32, 32), np.uint8), tmp / "small.pgm")
+    return str(tmp / "small.pgm")
+
+
+def _empty_split(ws, tmp):
+    camlab.fixtures.save_dataset([], tmp / "empty")
+    return str(tmp / "empty")
+
+
+# Each of these ended in exit 3 only because cli.DOMAIN_ERRORS held bare
+# ValueError, which also turned internal bugs into exit 3; the
+# faithfulness row counted every image twice and exited 0.
+@pytest.mark.parametrize("argv,message", [
+    (lambda ws, tmp: ["train", "--spec", str(ws / "gap.spec"), "--data", _empty_split(ws, tmp),
+                      "--out", str(tmp / "w")], "dataset is empty"),
+    (lambda ws, tmp: ["train", "--spec", _two_category_spec(ws, tmp), "--data",
+                      str(ws / "data"), "--out", str(tmp / "w")],
+     "out of range for 2 categories"),
+    (lambda ws, tmp: ["localize", *gap_args(ws), "--data", _bad_index(ws, tmp),
+                      "--report", str(tmp / "r.txt")], "index line 1"),
+    (lambda ws, tmp: ["make-dataset", "--out", str(tmp / "d"), "--n", "2", "--side", "8"],
+     "image side must be >= 16"),
+    (lambda ws, tmp: ["occlude", *gap_args(ws), "--image", first_image(ws), "--category", "0",
+                      "--patch", "4"], "patch must be odd"),
+    (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", str(ws / "data"),
+                      "--methods", "gradcam", "--patch", "4", "--report", str(tmp / "r.txt")],
+     "patch must be odd"),
+    (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", str(ws / "data"),
+                      "--methods", "gradcam,backprop,gradcam", "--report", str(tmp / "r.txt")],
+     "method 'gradcam' is named more than once"),
+    (lambda ws, tmp: ["explain", *gap_args(ws), "--image", _small_image(ws, tmp),
+                      "--category", "0", "--method", "gradcam"], "image shape (1, 32, 32)"),
+    (lambda ws, tmp: ["explain", *_no_conv_model(ws, tmp), "--image", first_image(ws),
+                      "--category", "0", "--method", "gradcam"], "no convolutional checkpoint"),
+    (lambda ws, tmp: ["explain", *_negative_offset_weights(ws, tmp), "--image",
+                      first_image(ws), "--category", "0", "--method", "gradcam"],
+     "manifest line 1"),
+    # a non-ASCII spec, manifest or index was a UnicodeDecodeError, a ValueError
+    (lambda ws, tmp: ["explain", "--spec", _non_ascii(tmp, "x.spec"), "--weights",
+                      str(ws / "gap_w"), "--image", first_image(ws), "--category", "0",
+                      "--method", "gradcam"], "x.spec: byte 24 is not ASCII"),
+    (lambda ws, tmp: ["explain", *gap_args(ws)[:3],
+                      _non_ascii(tmp, "x.manifest").removesuffix(".manifest"),
+                      "--image", first_image(ws), "--category", "0", "--method", "gradcam"],
+     "x.manifest: byte 24 is not ASCII"),
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data",
+                      _non_ascii(tmp, "d/index.txt").removesuffix("/index.txt"),
+                      "--report", str(tmp / "r.txt")], "index.txt: byte 24 is not ASCII"),
+])
+def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
+    assert main(argv(workspace, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_bad_fill_is_usage_error(workspace, capsys):
+    assert main(["occlude", *gap_args(workspace), "--image", first_image(workspace),
+                 "--category", "0", "--fill", "grey"]) == 2
+    assert "expected a number or auto, got 'grey'" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_domain_error(workspace, monkeypatch):
+    def broken(*args):
+        raise ValueError("a bug")
+    monkeypatch.setitem(explain.METHODS, "gradcam", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["explain", *gap_args(workspace), "--image", first_image(workspace),
+              "--category", "0", "--method", "gradcam"])
+
+
 def test_modified_pointing_requires_calibration_split(workspace):
     code = main(["point", *gap_args(workspace),
                  "--data", str(workspace / "data"), "--modified",

@@ -20,6 +20,12 @@ def test_config_validation():
         GradCamConfig(score_point="mid")
 
 
+def test_config_errors_are_named():
+    for bad in (dict(weight_pooling="median"), dict(gradient_sign=0), dict(score_point="mid")):
+        with pytest.raises(explain.GradCamConfigError):
+            GradCamConfig(**bad)
+
+
 def test_default_target_layer_is_last_rectified_conv(gap_spec, fc_spec):
     assert default_target_layer(gap_spec) == "r2"
     assert default_target_layer(fc_spec) == "r2"

@@ -22,6 +22,8 @@ def test_generator_is_deterministic():
 def test_generator_rejects_tiny_images():
     with pytest.raises(ValueError):
         make_shapes_dataset(1, image_side=8)
+    with pytest.raises(nn.DatasetError, match="image side must be >= 16, got 8"):
+        make_shapes_dataset(1, image_side=8)
 
 
 def test_ground_truth_consistency():

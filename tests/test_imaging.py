@@ -42,6 +42,9 @@ def test_netpbm_header_comments_are_skipped():
     (b"P5\nx 1\n255\n\xff", "non-numeric"),
     (b"P5\n2 2\n255\n\x00" * 1, "truncated"),
     (b"P5\n2 2", "end of header"),
+    (b"P5\n-2 2\n255\n", "extent -2x2"),   # decoded to a (2, 0) array before
+    (b"P5\n2 -2\n255\n", "extent 2x-2"),   # decoded to a (0, 2) array before
+    (b"P6\n0 3\n255\n", "extent 0x3"),
 ])
 def test_netpbm_decode_errors(data, fragment):
     with pytest.raises(ImageFormatError) as err:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import camlab
-from camlab import nn, ops
+from camlab import autodiff, fixtures, nn, ops
 
 
 SPEC_TEXT = """\
@@ -297,6 +297,15 @@ def test_trainer_rejects_bad_labels():
         nn.train_fixture(spec, [], epochs=1, learning_rate=0.1)
 
 
+def test_trainer_dataset_errors_are_named():
+    spec = nn.parse_model_spec(TOY_SPEC)
+    with pytest.raises(nn.DatasetError, match="label 5 out of range for 2"):
+        nn.train_fixture(spec, [(np.zeros((1, 8, 8), np.float32), 5)],
+                         epochs=1, learning_rate=0.1)
+    with pytest.raises(nn.DatasetError, match="empty"):
+        nn.train_fixture(spec, [], epochs=1, learning_rate=0.1)
+
+
 def test_trainer_raises_on_divergence():
     # two stacked dense layers: an absurd learning rate makes the layer
     # product overflow float32 within a couple of updates
@@ -316,3 +325,80 @@ def test_fixture_models_reach_high_held_out_accuracy(
         gap_spec, fc_spec, gap_weights, fc_weights, test_set):
     assert nn.accuracy(gap_spec, gap_weights, test_set) >= 0.95
     assert nn.accuracy(fc_spec, fc_weights, test_set) >= 0.95
+
+
+def reference_sgd(spec, dataset, epochs, learning_rate, rng_seed):
+    """train_fixture's SGD, with the backward walked down to the input and
+    each conv kernel gradient taken from a fresh im2col matrix."""
+    pairs = [(ex.image, ex.label) for ex in dataset]
+    rng = np.random.default_rng(rng_seed)
+    weights = nn.init_weights(spec, rng_seed)
+    lr = np.float32(learning_rate)
+    for _ in range(epochs):
+        for idx in rng.permutation(len(pairs)):
+            image, label = pairs[idx]
+            scores, tape = nn.forward(spec, weights, image)
+            cot = ops.softmax(scores).astype(np.float32)
+            cot[label] -= 1
+            grads = {}
+            g = autodiff.backward_from_cotangent(tape, cot, stop_at="input", param_grads=grads)
+            assert g.shape == image.shape
+            for rec in tape.records:
+                if rec.kind == "conv":
+                    g = autodiff.backward_from_cotangent(tape, cot, stop_at=rec.name)
+                    dk, db = ops.conv2d_param_grad(g, rec.x, rec.params["weights"].shape,
+                                                   rec.extras["stride"], rec.extras["pad"])
+                    grads[rec.name] = {"weights": dk, "bias": db}
+            for name, group in grads.items():
+                for key, grad in group.items():
+                    weights.params[name][key] -= lr * grad
+    return weights
+
+
+@pytest.mark.parametrize("make_spec", [camlab.fix_gap_spec, camlab.fix_fc_spec])
+def test_trainer_equals_full_backward_reference_byte_for_byte(make_spec):
+    spec = make_spec()
+    data = fixtures.make_shapes_dataset(16, 48, rng_seed=7)
+    got = nn.train_fixture(spec, data, epochs=2, learning_rate=0.05, rng_seed=3)
+    want = reference_sgd(spec, data, epochs=2, learning_rate=0.05, rng_seed=3)
+    assert got == want
+    assert got != nn.init_weights(spec, 3)
+
+
+@pytest.mark.parametrize("make_spec", [camlab.fix_gap_spec, camlab.fix_fc_spec])
+def test_params_only_backward_skips_the_input_cotangent(make_spec, rng, monkeypatch):
+    spec = make_spec()
+    weights = nn.init_weights(spec, rng_seed=0)
+    image = rng.random(spec.input_shape).astype(np.float32)
+    scores, tape = nn.forward(spec, weights, image)
+    cot = rng.standard_normal(scores.shape).astype(np.float32)
+    input_grads = []
+    conv2d_input_grad = ops.conv2d_input_grad
+    monkeypatch.setattr(ops, "conv2d_input_grad",
+                        lambda g, x_shape, *a: input_grads.append(x_shape)
+                        or conv2d_input_grad(g, x_shape, *a))
+    full, only = {}, {}
+    g = autodiff.backward_from_cotangent(tape, cot, param_grads=full)
+    assert g.shape == image.shape
+    assert input_grads == [(6, 24, 24), spec.input_shape]
+    del input_grads[:]
+    assert autodiff.backward_from_cotangent(tape, cot, stop_at=None, param_grads=only) is None
+    assert input_grads == [(6, 24, 24)]   # c2's only: the walk ends at c1
+    assert list(only) == list(full) and set(only) == set(spec.parameter_shapes())
+    for name, group in full.items():
+        assert group.keys() == only[name].keys()
+        for key, arr in group.items():
+            assert arr.tobytes() == only[name][key].tobytes()
+    with pytest.raises(ValueError, match="param_grads"):
+        autodiff.backward_from_cotangent(tape, cot, stop_at=None)
+
+
+def test_forward_conv_records_keep_their_im2col_matrix(gap_spec, rng):
+    weights = nn.init_weights(gap_spec, rng_seed=0)
+    _, tape = nn.forward(gap_spec, weights, rng.random(gap_spec.input_shape))
+    convs = [rec for rec in tape.records if rec.kind == "conv"]
+    assert [rec.extras["cols"].shape for rec in convs] == [(1 * 25, 24 * 24),
+                                                          (6 * 25, 24 * 24)]
+    assert all(rec.extras["cols"].dtype == np.float64 for rec in convs)
+    # the records' extras are their own, not the spec's layer plan
+    assert all("cols" not in step.params for step in gap_spec._plan)

@@ -93,6 +93,12 @@ def test_stride_fills_by_nearest_grid_point(rng):
     assert coarse[1, 0] in (coarse[0, 0], coarse[2, 0])
 
 
+def test_config_errors_are_named():
+    for bad in (dict(patch=4), dict(patch=3, stride=0), dict(patch=3, score_point="argmax")):
+        with pytest.raises(occlusion.OcclusionConfigError):
+            OcclusionConfig(**bad)
+
+
 def test_category_range_checked(rng):
     spec, weights = small_model()
     img = rng.random(spec.input_shape).astype(np.float32)

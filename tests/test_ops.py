@@ -299,3 +299,102 @@ def test_conv2d_batch_property(case):
         assert gi.tobytes() == ops.conv2d(xi, kern, bias, case["stride"], case["pad"]).tobytes()
         np.testing.assert_allclose(gi, conv2d_loop(xi, kern, bias, case["stride"], case["pad"]),
                                    rtol=1e-5, atol=1e-5)
+
+
+# ---------------------------------------------------- backward oracles
+
+def conv2d_grads_loop(g_out, x, kernels, stride, padding):
+    """float64 loop: (input cotangent, kernel gradient, bias gradient)."""
+    c, h, w = x.shape
+    kh, kw = kernels.shape[2:]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros(kernels.shape)
+    g = g_out.astype(np.float64)
+    for f in range(g.shape[0]):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                win = (slice(None), slice(i * stride, i * stride + kh),
+                       slice(j * stride, j * stride + kw))
+                gxp[win] += g[f, i, j] * kernels[f].astype(np.float64)
+                gk[f] += g[f, i, j] * xp[win]
+    return gxp[:, padding:padding + h, padding:padding + w], gk, g.sum(axis=(1, 2))
+
+
+def conv_operands(case, dtype):
+    rng = np.random.default_rng(case["seed"])
+    x = rng.standard_normal((case["c"], case["h"], case["w"])).astype(dtype)
+    kern = rng.standard_normal((case["k"], case["c"], case["kh"], case["kh"])).astype(dtype)
+    bias = rng.standard_normal(case["k"]).astype(dtype)
+    y = ops.conv2d(x, kern, bias, case["stride"], case["pad"])
+    return x, kern, bias, rng.standard_normal(y.shape).astype(dtype)
+
+
+@given(conv_cases())
+def test_conv2d_grads_match_loop_reference(case):
+    x, kern, _, g = conv_operands(case, np.float64)
+    stride, pad = case["stride"], case["pad"]
+    want_x, want_k, want_b = conv2d_grads_loop(g, x, kern, stride, pad)
+    np.testing.assert_allclose(ops.conv2d_input_grad(g, x.shape, kern, stride, pad),
+                               want_x, rtol=1e-10, atol=1e-10)
+    gk, gb = ops.conv2d_param_grad(g, x, kern.shape, stride, pad)
+    np.testing.assert_allclose(gk, want_k, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(gb, want_b, rtol=1e-10, atol=1e-10)
+
+
+@given(conv_cases())
+def test_conv2d_param_grad_with_forward_cols_is_byte_identical(case):
+    x, kern, bias, g = conv_operands(case, np.float32)
+    stride, pad = case["stride"], case["pad"]
+    y, cols = ops.conv2d(x, kern, bias, stride, pad, return_cols=True)
+    assert y.tobytes() == ops.conv2d(x, kern, bias, stride, pad).tobytes()
+    assert cols.dtype == np.float64
+    reused = ops.conv2d_param_grad(g, x, kern.shape, stride, pad, cols=cols)
+    rebuilt = ops.conv2d_param_grad(g, x, kern.shape, stride, pad)
+    for a, b in zip(reused, rebuilt):
+        assert a.dtype == b.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
+
+
+def test_conv2d_param_grad_rejects_cols_of_the_wrong_shape(rng):
+    x = rng.standard_normal((2, 6, 6)).astype(np.float32)
+    kern = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+    y, cols = ops.conv2d(x, kern, np.zeros(3), 1, 1, return_cols=True)
+    assert cols.shape == (2 * 3 * 3, 6 * 6)
+    g = np.ones_like(y)
+    for bad in (cols[:-1], cols[:, :-1], cols.T, cols.reshape(-1)):
+        with pytest.raises(ops.DimensionError, match="im2col"):
+            ops.conv2d_param_grad(g, x, kern.shape, 1, 1, cols=bad)
+    with pytest.raises(ops.DimensionError):   # the columns of another padding
+        ops.conv2d_param_grad(g, x, kern.shape, 1, 0, cols=cols)
+
+
+def maxpool2d_grad_add_at(g, argmax, x_shape):
+    """Scatter-add through np.add.at, in float64."""
+    c, h, w = x_shape
+    gx = np.zeros((c, h * w))
+    chan = np.repeat(np.arange(c), argmax[0].size)
+    np.add.at(gx, (chan, argmax.reshape(c, -1).ravel()), g.reshape(c, -1).ravel())
+    return gx.reshape(c, h, w).astype(g.dtype)
+
+
+@st.composite
+def pool_cases(draw):
+    window = draw(st.integers(1, 4))
+    return dict(c=draw(st.integers(1, 4)), h=draw(st.integers(window, 10)),
+                w=draw(st.integers(window, 10)), window=window,
+                stride=draw(st.integers(1, 3)), levels=draw(st.integers(1, 4)),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(pool_cases())
+def test_maxpool2d_grad_equals_add_at_reference_byte_for_byte(case):
+    rng = np.random.default_rng(case["seed"])
+    # few distinct levels give ties and, with stride < window, one input
+    # position that wins several overlapping windows
+    x = rng.integers(0, case["levels"], (case["c"], case["h"], case["w"])).astype(np.float32)
+    out, arg = ops.maxpool2d(x, case["window"], case["stride"])
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    got = ops.maxpool2d_grad(g, arg, x.shape)
+    want = maxpool2d_grad_add_at(g, arg, x.shape)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
