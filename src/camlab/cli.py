@@ -18,7 +18,7 @@ DOMAIN_ERRORS = (explain.CamIncompatibleError, explain.GradCamConfigError,
                  nn.WeightStoreError, nn.TrainingError, nn.DatasetError,
                  occlusion.OcclusionConfigError, ops.DimensionError,
                  imaging.ImageFormatError, autodiff.CheckpointError,
-                 autodiff.CategoryError, FileNotFoundError)
+                 autodiff.CategoryError, OSError)
 
 
 class AttackFailed(RuntimeError):
@@ -175,11 +175,15 @@ def _fill(text):
         raise argparse.ArgumentTypeError(f"expected a number or auto, got {text!r}") from None
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(kind, minimum):
+    """An argparse type: a `kind` number of at least `minimum`."""
+    def parse(text):
+        value = kind(text)
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
 
 
 def build_parser():
@@ -208,7 +212,7 @@ def build_parser():
     p.add_argument("--image", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--category", type=int)
-    group.add_argument("--top-k", type=_positive_int)
+    group.add_argument("--top-k", type=_at_least(int, 1))
     p.add_argument("--layer", default=None)
     p.add_argument("--method", choices=explain.METHODS, required=True)
     p.add_argument("--pool", choices=("avg", "max"), default="avg")
@@ -267,8 +271,8 @@ def build_parser():
     _add_model_flags(p)
     p.add_argument("--image", required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--epsilon", type=_at_least(float, 0), required=True)
+    p.add_argument("--steps", type=_at_least(int, 0), default=50)
     p.add_argument("--step-size", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)

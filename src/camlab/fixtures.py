@@ -164,6 +164,9 @@ def load_dataset(directory):
         objs = []
         for label, box, mask_name in grouped[image_id]:
             mask = read_image(os.path.join(directory, mask_name)) > 127
+            if mask.shape != img.shape[1:]:
+                raise nn.DatasetError(f"{mask_name}: mask shape {mask.shape} != image "
+                                      f"{image_id} shape {img.shape[1:]}")
             objs.append((label, box, mask))
         first = objs[0]
         second = objs[1] if len(objs) > 1 else (None, None, None)

@@ -43,7 +43,8 @@ class TrainingError(RuntimeError):
 
 class DatasetError(ValueError):
     """Unusable dataset: empty for training, a label outside the model's
-    categories, a malformed index line, or too small an image side."""
+    categories, a malformed index line, a mask of another shape than its
+    image, or too small an image side."""
 
 
 @dataclass
@@ -105,6 +106,9 @@ class _Kind:
     # float64 values per image of its largest buffer, which batch_size budgets for
     buffer: object = lambda p, shape, out: math.prod(out)
     scores: bool = False    # whether its output can be the score vector
+    # params -> (kernel, stride, pad) of a layer whose output at (i, j) reads
+    # only a window of its input; None marks a global layer
+    window: object = None
 
 
 # One layer of a resolved spec: its params with the defaults filled in, its
@@ -189,18 +193,21 @@ _KINDS = {
             "bias": (p["filters"],)},
         # the im2col matrix, C*kh*kw rows by h_out*w_out columns
         buffer=lambda p, shape, out: max(math.prod(out),
-                                         shape[0] * p["kernel"] ** 2 * out[1] * out[2])),
+                                         shape[0] * p["kernel"] ** 2 * out[1] * out[2]),
+        window=lambda p: (p["kernel"], p["stride"], p["pad"])),
     "relu": _Kind(
         out_shape=lambda p, shape: shape,
         forward=lambda x, p, params, batched: (ops.relu(x), {}),
-        backward=lambda rec, g, policy: autodiff._relu_backward(g, rec.x, policy)),
+        backward=lambda rec, g, policy: autodiff._relu_backward(g, rec.x, policy),
+        window=lambda p: (1, 1, 0)),
     "maxpool": _Kind(
         schema={"window": (1, None), "stride": (1, "window")},
         rank=3,
         out_shape=lambda p, shape: (shape[0],) + _slide(shape, p["window"], p["stride"], 0),
         forward=_maxpool_forward,
         backward=lambda rec, g, policy: ops.maxpool2d_grad(
-            g, rec.extras["argmax"], rec.x.shape)),
+            g, rec.extras["argmax"], rec.x.shape),
+        window=lambda p: (p["window"], p["stride"], 0)),
     "gap": _Kind(
         rank=3,
         out_shape=lambda p, shape: (shape[0],),
@@ -382,8 +389,9 @@ class WeightStore:
 # Byte budget of one batched forward.  Each image in a batch costs its
 # largest float64 buffer, an im2col matrix or an activation; both fixture
 # specs need 691 200 bytes per image for the c2 im2col matrix, so a batch
-# holds 4 images.  Larger batches scored occlusion maps no faster and took
-# more memory.
+# holds 4 images.  `score_occluded` budgets a box for its largest window
+# buffer plus the whole map at the first global layer: at patch 5 that is
+# the c2 window im2col matrix and r2 (GAP, 20 boxes a batch) or p2 (FC, 28).
 BATCH_BYTES = 3 << 20
 
 
@@ -439,6 +447,112 @@ def score_batch(spec, weights, images):
     """
     return _run_layers(spec, weights, np.asarray(images, dtype=np.float32),
                        np.float32, True)
+
+
+def _blocks(x, size):
+    """Writeable view [N, C, H - h + 1, W - w + 1, h, w] of the h x w blocks
+    of x [N, C, H, W]; [n, :, i, j] is the block of image n at row i, column j."""
+    return np.lib.stride_tricks.sliding_window_view(x, tuple(size), axis=(2, 3),
+                                                    writeable=True)
+
+
+class _Canvas:
+    """Copies of a base map [C, H, W], each with a window of one box pasted
+    in, and the blocks read back from them.  The first batch of boxes, the
+    largest, sizes the copies; later batches reuse them."""
+
+    def __init__(self, base, win_size, crop_size):
+        self.base, self.win_size, self.crop_size = base, win_size, crop_size
+        self.x = None
+
+    def paste(self, win, origin):
+        """Copies [N, C, H, W] of the base, copy n with win[n] at origin[n]."""
+        n = len(win)
+        if self.x is None:
+            self.x = np.empty((n,) + self.base.shape, dtype=self.base.dtype)
+            self.write = _blocks(self.x, self.win_size)
+            self.read = _blocks(self.x, self.crop_size)
+        self.x[:n] = self.base
+        self.write[np.arange(n), :, origin[:, 0], origin[:, 1]] = win
+        return self.x[:n]
+
+    def crops(self, origin):
+        """Blocks [N, C, *crop_size] of the last N pasted copies at origin [N, 2]."""
+        return self.read[np.arange(len(origin)), :, origin[:, 0], origin[:, 1]]
+
+
+def score_occluded(spec, weights, image, boxes, fill):
+    """Float32 pre-softmax scores [len(boxes), K] of `image` [C, H, W] with
+    the box boxes[n] = (y0, y1, x0, x1), rows [y0, y1) and columns [x0, x1),
+    set to `fill` (one value per channel).
+
+    Row n equals, byte for byte, the `score_batch` row of the image masked
+    by box n.  A box changes only a window of each spatially local layer's
+    output (a kind with a `window`), so only that window is computed again:
+    from a crop of the layer's zero-padded base input, with the previous
+    layer's window pasted in, through the kind's forward with pad 0.  A
+    window has one size per layer, the most a box can reach, and its origin
+    is clamped into the map; where it is wider than the change it recomputes
+    values equal to the base.  At the first global layer the window is
+    pasted into a copy of the whole base map, and the rest of the chain runs
+    in full.  Boxes run in batches that keep the largest window buffer plus
+    that whole map within BATCH_BYTES.
+    """
+    image = np.asarray(image, dtype=np.float32)
+    records = []
+    _run_layers(spec, weights, image[None], np.float32, True, records)
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 2, 2)
+    box_lo, box_hi = boxes[:, :, 0], boxes[:, :, 1]
+    # a window is a size (rows, columns) and an origin [N, 2] on a layer's
+    # output; the first one is the image window that holds the box
+    extent = np.array(image.shape[1:])
+    size = image_size = np.minimum(extent, (box_hi - box_lo).max(axis=0, initial=1))
+    origin = image_origin = np.clip(box_lo, 0, extent - size)
+    local, buffer = [], 0     # local: (step, params, canvas, window origin, crop origin)
+    for step, rec in zip(spec._plan, records):
+        if step.kind.window is None:
+            break
+        k, s, pad = step.kind.window(step.params)
+        extent = np.array(step.out_shape[1:])
+        out = np.minimum(extent, (size + k - 2) // s + 1)
+        # the first output whose input window meets the previous window,
+        # ceil((origin + pad - k + 1) / s), clamped into the map
+        out_origin = np.clip(-((k - 1 - pad - origin) // s), 0, extent - out)
+        crop = (out - 1) * s + k
+        # a pointwise layer (a 1 x 1 window, stride 1) reads just the
+        # previous window; any other reads crops of its padded base input
+        canvas = None if (k, s, pad) == (1, 1, 0) else _Canvas(
+            np.pad(rec.x[0], ((0, 0), (pad, pad), (pad, pad))), size, crop)
+        local.append((step, rec.params, canvas, origin + pad, out_origin * s))
+        buffer = max(buffer, step.kind.buffer(step.params, (rec.x.shape[1], *crop),
+                                              (step.out_shape[0], *out)))
+        size, origin = out, out_origin
+    rest = list(zip(spec._plan, records))[len(local):]
+    whole = _Canvas(records[len(local)].x[0], size, size)
+    per_box = buffer + max([whole.base.size] + [step.buffer for step, _ in rest])
+    batch = max(1, BATCH_BYTES // (8 * per_box))
+    image_blocks = _blocks(image[None], image_size)[0]
+    fill = np.asarray(fill, dtype=np.float32).reshape(1, -1, 1, 1)
+    scores = np.empty((len(boxes), spec.num_categories), dtype=np.float32)
+    for start in range(0, len(boxes), batch):
+        at = slice(start, start + batch)
+        rows = image_origin[at, :1] + np.arange(image_size[0])
+        cols = image_origin[at, 1:] + np.arange(image_size[1])
+        boxed = (((rows >= box_lo[at, :1]) & (rows < box_hi[at, :1]))[:, None, :, None]
+                 & ((cols >= box_lo[at, 1:]) & (cols < box_hi[at, 1:]))[:, None, None, :])
+        win = image_blocks[:, image_origin[at, 0], image_origin[at, 1]].swapaxes(0, 1)
+        win = np.where(boxed, fill, win)
+        for step, params, canvas, win_origin, crop_origin in local:
+            if canvas is not None:
+                canvas.paste(win, win_origin[at])
+                win = canvas.crops(crop_origin[at])
+            # the crops hold their padding already
+            win = step.kind.forward(win, dict(step.params, pad=0), params, True)[0]
+        x = whole.paste(win, origin[at])
+        for step, rec in rest:
+            x = step.kind.forward(x, step.params, rec.params, True)[0]
+        scores[at] = x
+    return scores
 
 
 def init_weights(spec, rng_seed=0):

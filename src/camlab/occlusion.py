@@ -5,8 +5,17 @@ fill value and the image is re-scored.  The map stores the drop in the
 class score, so positive values mark evidence for the class.  The image is
 conceptually zero-padded: patches centered near the border are cropped, and
 the map always has the input's spatial size.
+
+The masked images are scored by `nn.score_occluded`, which never builds
+them: a patch changes only a window of each convolution, ReLU and max-pool
+output, so only that window is computed again, and the layers from the
+first global one (GAP, flatten, dense) run on the whole patched map.  Each
+score equals, byte for byte, the score of the masked image through
+`nn.score_batch`, so the map is the one that re-scoring each masked image
+gives; the tests hold it to that.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +41,8 @@ class OcclusionConfig:
             raise OcclusionConfigError(f"patch must be odd and >= 1, got {self.patch}")
         if self.stride < 1:
             raise OcclusionConfigError(f"stride must be >= 1, got {self.stride}")
+        if self.fill is not None and not math.isfinite(self.fill):
+            raise OcclusionConfigError(f"fill must be finite, got {self.fill}")
         if self.score_point not in ("pre_softmax", "post_softmax"):
             raise OcclusionConfigError(f"bad score_point {self.score_point!r}")
 
@@ -49,7 +60,8 @@ def grid_positions(extent, stride):
 def occlusion_map(spec, weights, image, category, config):
     """Signed heatmap [H,W]: score(original) - score(masked at p).
 
-    The masked images are scored in batches of `nn.batch_size(spec)`.
+    The masked images are scored by `nn.score_occluded`, which recomputes
+    only the window of each layer that a patch reaches.
     """
     image = np.asarray(image, dtype=np.float32)
     check_category(category, spec.num_categories)
@@ -60,27 +72,19 @@ def occlusion_map(spec, weights, image, category, config):
     else:
         fill_vec = np.full(c, fill, dtype=np.float32)
 
-    def score(batch):
-        s = nn.score_batch(spec, weights, batch)
+    def score(scores):
         if config.score_point == "post_softmax":
-            s = softmax(s)
-        return s[:, category].astype(np.float64)
+            scores = softmax(scores)
+        return scores[:, category].astype(np.float64)
 
-    base = score(image[None])[0]
+    base = score(nn.score_batch(spec, weights, image[None]))[0]
     half = config.patch // 2
     rows = grid_positions(h, config.stride)
     cols = grid_positions(w, config.stride)
     boxes = [(max(0, i - half), min(h, i + half + 1), max(0, j - half), min(w, j + half + 1))
              for i in rows for j in cols]
-    step = nn.batch_size(spec)
-    drops = np.empty(len(boxes), dtype=np.float32)
-    for start in range(0, len(boxes), step):
-        chunk = boxes[start:start + step]
-        masked = np.repeat(image[None], len(chunk), axis=0)
-        for img, (y0, y1, x0, x1) in zip(masked, chunk):
-            img[:, y0:y1, x0:x1] = fill_vec[:, None, None]
-        drops[start:start + len(chunk)] = base - score(masked)
-    coarse = drops.reshape(len(rows), len(cols))
+    drops = base - score(nn.score_occluded(spec, weights, image, boxes, fill_vec))
+    coarse = drops.astype(np.float32).reshape(len(rows), len(cols))
     if config.stride == 1:
         return coarse
     # nearest-neighbor fill between grid points

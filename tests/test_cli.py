@@ -167,6 +167,17 @@ def _empty_split(ws, tmp):
     return str(tmp / "empty")
 
 
+def _small_mask(ws, tmp):
+    camlab.fixtures.save_dataset(camlab.fixtures.make_shapes_dataset(1, 48, 0), tmp / "m")
+    imaging.write_image(np.zeros((20, 20), np.uint8), tmp / "m" / "00000_mask.pgm")
+    return str(tmp / "m")
+
+
+def _directory(tmp, name):
+    (tmp / name).mkdir()
+    return str(tmp / name)
+
+
 # Each of these ended in exit 3 only because cli.DOMAIN_ERRORS held bare
 # ValueError, which also turned internal bugs into exit 3; the
 # faithfulness row counted every image twice and exited 0.
@@ -206,6 +217,25 @@ def _empty_split(ws, tmp):
     (lambda ws, tmp: ["point", *gap_args(ws), "--data",
                       _non_ascii(tmp, "d/index.txt").removesuffix("/index.txt"),
                       "--report", str(tmp / "r.txt")], "index.txt: byte 24 is not ASCII"),
+    # ran to exit 0: a map of NaN, and boxes on the scale of a 20 x 20 mask
+    (lambda ws, tmp: ["occlude", *gap_args(ws), "--image", first_image(ws), "--category", "0",
+                      "--fill", "nan", "--out-heat", str(tmp / "h.fmap")],
+     "fill must be finite, got nan"),
+    (lambda ws, tmp: ["localize", *gap_args(ws), "--data", _small_mask(ws, tmp),
+                      "--report", str(tmp / "r.txt")],
+     "mask shape (20, 20) != image 00000 shape (48, 48)"),
+    # a directory, or a file where a directory belongs: tracebacks before
+    (lambda ws, tmp: ["explain", "--spec", _directory(tmp, "s"), "--weights", str(ws / "gap_w"),
+                      "--image", first_image(ws), "--category", "0", "--method", "gradcam"],
+     "Is a directory"),
+    (lambda ws, tmp: ["explain", *gap_args(ws)[:3],
+                      _directory(tmp, "w.manifest").removesuffix(".manifest"),
+                      "--image", first_image(ws), "--category", "0", "--method", "gradcam"],
+     "Is a directory"),
+    (lambda ws, tmp: ["explain", *gap_args(ws), "--image", _directory(tmp, "i.pgm"),
+                      "--category", "0", "--method", "gradcam"], "Is a directory"),
+    (lambda ws, tmp: ["localize", *gap_args(ws), "--data", first_image(ws),
+                      "--report", str(tmp / "r.txt")], "Not a directory"),
 ])
 def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
     assert main(argv(workspace, tmp_path)) == 3
@@ -219,6 +249,19 @@ def test_bad_fill_is_usage_error(workspace, capsys):
     assert main(["occlude", *gap_args(workspace), "--image", first_image(workspace),
                  "--category", "0", "--fill", "grey"]) == 2
     assert "expected a number or auto, got 'grey'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--steps", "-1"), ("--epsilon", "-0.1"),
+                                        ("--epsilon", "nan")])
+def test_negative_attack_budget_is_usage_error(workspace, tmp_path, capsys, flag, value):
+    # --steps -1 reported a failed attack "after -1 steps"; --epsilon -0.1
+    # ran 50 steps with an empty clipping box
+    argv = {"--epsilon": "0.1", flag: value}
+    assert main(["attack", *gap_args(workspace), "--image", first_image(workspace),
+                 "--target", "0", *(x for kv in argv.items() for x in kv),
+                 "--out", str(tmp_path / "a.pgm")]) == 2
+    assert f"must be at least 0, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "a.pgm").exists()
 
 
 def test_internal_value_error_is_not_a_domain_error(workspace, monkeypatch):

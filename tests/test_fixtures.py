@@ -84,6 +84,16 @@ def test_dataset_save_load_round_trip(tmp_path):
             np.testing.assert_array_equal(ea.gt_mask2, eb.gt_mask2)
 
 
+def test_mask_of_another_shape_is_dataset_error(tmp_path):
+    # localize used to score boxes on the mask's scale and report them
+    examples = make_shapes_dataset(2, 48, rng_seed=4, two_object_fraction=1.0)
+    save_dataset(examples, tmp_path / "data")
+    camlab.imaging.write_image(np.zeros((48, 40), np.uint8),
+                               tmp_path / "data" / "00001_maskb.pgm")
+    with pytest.raises(nn.DatasetError, match=r"00001_maskb.pgm: mask shape \(48, 40\)"):
+        load_dataset(tmp_path / "data")
+
+
 # ---------------------------------------------------------------- attack
 
 def test_attack_with_zero_budget_returns_input(fc_spec, fc_weights, test_set):

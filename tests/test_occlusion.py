@@ -1,7 +1,11 @@
 """Occlusion-sensitivity maps against direct re-scoring."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import camlab
 from camlab import nn, occlusion, ops
@@ -94,7 +98,8 @@ def test_stride_fills_by_nearest_grid_point(rng):
 
 
 def test_config_errors_are_named():
-    for bad in (dict(patch=4), dict(patch=3, stride=0), dict(patch=3, score_point="argmax")):
+    for bad in (dict(patch=4), dict(patch=3, stride=0), dict(patch=3, score_point="argmax"),
+                dict(patch=3, fill=float("nan")), dict(patch=3, fill=float("-inf"))):
         with pytest.raises(occlusion.OcclusionConfigError):
             OcclusionConfig(**bad)
 
@@ -145,13 +150,139 @@ def test_batched_map_equals_rescoring_loop_with_a_partial_last_batch(
         monkeypatch, rng, score_point):
     spec = nn.fix_gap_spec()
     weights = nn.init_weights(spec, rng_seed=5)
-    # 7 masked images per batch: the 24 x 24 = 576 grid points of a 48 x 48
-    # image at stride 2 end in a batch of 2
-    monkeypatch.setattr(nn, "BATCH_BYTES", 7 * 691_200)
-    assert nn.batch_size(spec) == 7
+    # 25 boxes per batch, each budgeted for the c2 window's im2col matrix
+    # (12 150 float64 values) plus the whole r2 map (6 912): the 24 x 24 = 576
+    # grid points of a 48 x 48 image at stride 2 end in a batch of 1
+    monkeypatch.setattr(nn, "BATCH_BYTES", 25 * 8 * (12_150 + 6_912))
     img = rng.random(spec.input_shape).astype(np.float32)
     cfg = OcclusionConfig(patch=5, stride=2, score_point=score_point)
     heat = occlusion_map(spec, weights, img, 2, cfg)
     want = rescoring_loop(spec, weights, img, 2, cfg)
     assert want.shape == (24, 24)
     assert heat[::2, ::2].tobytes() == want.tobytes()
+
+
+# -------------------------------------- windowed scoring against re-masking
+
+def remasked_map(spec, weights, image, category, cfg):
+    """The reference map from whole masked images: every patch position
+    masks a copy of the image, and the copies are scored through
+    nn.score_batch in batches of nn.batch_size."""
+    c, h, w = image.shape
+    fill = (image.mean(axis=(1, 2)) if cfg.fill is None
+            else np.full(c, cfg.fill, dtype=np.float32))
+
+    def score(batch):
+        s = nn.score_batch(spec, weights, batch)
+        if cfg.score_point == "post_softmax":
+            s = ops.softmax(s)
+        return s[:, category].astype(np.float64)
+
+    base = score(image[None])[0]
+    half = cfg.patch // 2
+    rows = occlusion.grid_positions(h, cfg.stride)
+    cols = occlusion.grid_positions(w, cfg.stride)
+    masked = np.repeat(image[None], len(rows) * len(cols), axis=0)
+    for img, (i, j) in zip(masked, [(i, j) for i in rows for j in cols]):
+        img[:, max(0, i - half):i + half + 1, max(0, j - half):j + half + 1] = \
+            fill[:, None, None]
+    step = nn.batch_size(spec)
+    drops = np.concatenate([base - score(masked[k:k + step])
+                            for k in range(0, len(masked), step)]).astype(np.float32)
+    coarse = drops.reshape(len(rows), len(cols))
+    ridx = np.clip(np.round(np.arange(h) / cfg.stride).astype(int), 0, len(rows) - 1)
+    cidx = np.clip(np.round(np.arange(w) / cfg.stride).astype(int), 0, len(cols) - 1)
+    return coarse[np.ix_(ridx, cidx)]
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+@pytest.mark.parametrize("patch,stride", [(5, 2), (9, 4)])
+@pytest.mark.parametrize("score_point", ["pre_softmax", "post_softmax"])
+def test_fixture_maps_equal_remasking_byte_for_byte(request, test_set, arch, patch, stride,
+                                                   score_point):
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    cfg = OcclusionConfig(patch=patch, stride=stride, score_point=score_point)
+    for ex in test_set[:2]:
+        heat = occlusion_map(spec, weights, ex.image, ex.label, cfg)
+        assert heat.tobytes() == remasked_map(spec, weights, ex.image, ex.label, cfg).tobytes()
+
+
+def test_spec_without_a_local_layer_equals_remasking(rng):
+    # the first layer is global: the patched image itself goes to flatten
+    spec = nn.parse_model_spec("img input shape=2x9x7\nfl flatten\nhead dense units=3\n")
+    weights = nn.init_weights(spec, rng_seed=3)
+    img = rng.random(spec.input_shape).astype(np.float32)
+    for cfg in (OcclusionConfig(patch=3, fill=0.5), OcclusionConfig(patch=5, stride=2)):
+        heat = occlusion_map(spec, weights, img, 1, cfg)
+        assert heat.tobytes() == remasked_map(spec, weights, img, 1, cfg).tobytes()
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_patch_covering_the_whole_image_equals_remasking(rng, arch):
+    spec = getattr(nn, f"fix_{arch}_spec")()
+    weights = nn.init_weights(spec, rng_seed=8)
+    img = rng.random(spec.input_shape).astype(np.float32)
+    cfg = OcclusionConfig(patch=97, stride=8, fill=0.25, score_point="post_softmax")
+    heat = occlusion_map(spec, weights, img, 0, cfg)
+    assert heat.tobytes() == remasked_map(spec, weights, img, 0, cfg).tobytes()
+    assert np.unique(heat).size == 1
+
+
+@st.composite
+def chain_cases(draw):
+    """A small chain spec (1-2 convs with optional ReLUs, an optional
+    max-pool, a GAP or flatten + dense head), its image and weights seed,
+    and an occlusion config."""
+    c, h, w = draw(st.integers(1, 2)), draw(st.integers(5, 13)), draw(st.integers(5, 13))
+    lines = [f"img input shape={c}x{h}x{w}"]
+    for i in range(draw(st.integers(1, 2))):
+        k, stride, pad = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        lines.append(f"c{i} conv filters={draw(st.integers(1, 3))} kernel={k} "
+                     f"stride={stride} pad={pad}")
+        if draw(st.booleans()):
+            lines.append(f"r{i} relu")
+    if draw(st.booleans()):
+        lines.append(f"p maxpool window={draw(st.integers(1, 3))} stride={draw(st.integers(1, 3))}")
+    lines += (["g gap"] if draw(st.booleans()) else ["fl flatten", "fc dense units=4", "rf relu"])
+    lines.append("head dense units=3")
+    try:
+        spec = nn.parse_model_spec("\n".join(lines))
+    except nn.SpecError:  # a window larger than its input: no local layer then
+        spec = nn.parse_model_spec("\n".join(lines[:1] + ["fl flatten", "head dense units=3"]))
+    patch = draw(st.integers(0, 4)) * 2 + 1
+    cfg = OcclusionConfig(patch=patch, stride=draw(st.integers(1, 4)),
+                          fill=draw(st.none() | st.floats(-1, 2)),
+                          score_point=draw(st.sampled_from(["pre_softmax", "post_softmax"])))
+    return spec, draw(st.integers(0, 2 ** 32 - 1)), cfg, draw(st.integers(0, 2))
+
+
+@given(chain_cases())
+def test_windowed_map_equals_remasking_on_random_chains(case):
+    spec, seed, cfg, category = case
+    weights = nn.init_weights(spec, rng_seed=seed % 1000)
+    img = np.random.default_rng(seed).random(spec.input_shape).astype(np.float32)
+    heat = occlusion_map(spec, weights, img, category, cfg)
+    np.testing.assert_allclose(heat, remasked_map(spec, weights, img, category, cfg),
+                               rtol=0, atol=1e-6)
+
+
+@given(chain_cases(), st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+                                         st.floats(0, 1)), min_size=1, max_size=9))
+def test_score_occluded_rows_equal_masked_scores(case, corners):
+    # boxes of any size and place, a few to a batch
+    spec, seed, _, _ = case
+    weights = nn.init_weights(spec, rng_seed=seed % 1000)
+    img = np.random.default_rng(seed).random(spec.input_shape).astype(np.float32)
+    c, h, w = img.shape
+    boxes = []
+    for a, b, d, e in corners:
+        y0, x0 = int(a * (h - 1)), int(d * (w - 1))
+        boxes.append((y0, y0 + 1 + int(b * (h - 1 - y0)), x0, x0 + 1 + int(e * (w - 1 - x0))))
+    fill = np.linspace(-1, 1, c).astype(np.float32)
+    masked = np.repeat(img[None], len(boxes), axis=0)
+    for m, (y0, y1, x0, x1) in zip(masked, boxes):
+        m[:, y0:y1, x0:x1] = fill[:, None, None]
+    with mock.patch.object(nn, "BATCH_BYTES", 8 * 10_000):
+        got = nn.score_occluded(spec, weights, img, boxes, fill)
+    np.testing.assert_allclose(got, nn.score_batch(spec, weights, masked), rtol=0, atol=1e-6)
