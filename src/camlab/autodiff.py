@@ -75,19 +75,29 @@ def _relu_backward(g, x, policy):
     raise ValueError(f"unknown relu policy {policy!r}")
 
 
+def _check_seed_shape(tape, seed):
+    k = tape.scores.shape[0]
+    if seed.ndim not in (1, 2) or seed.shape[-1:] != (k,) or seed.size == 0:
+        raise SeedError(f"seed shape {seed.shape} is neither the score shape ({k},) "
+                        f"nor [S, {k}] with S >= 1")
+
+
 def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
                             param_grads=None):
-    """Propagate an arbitrary score-vector cotangent down to `stop_at`.
+    """Propagate a score-vector cotangent [K], or S of them [S, K], down to
+    `stop_at` in one walk of the tape.
 
-    With `param_grads`, a dict, also fills it with {layer: {param: gradient}}
-    for every layer with parameters that the walk passes.  stop_at=None
-    asks for those gradients only: the walk ends at the lowest layer with
-    parameters, once its parameter gradients are in, without computing its
-    input cotangent, and returns None.
+    S cotangents give a stack [S, ...] of the checkpoint's cotangents; one
+    cotangent runs as S=1 and gives the checkpoint's shape.  With
+    `param_grads`, a dict, and one cotangent, also fills the dict with
+    {layer: {param: gradient}} for every layer with parameters that the
+    walk passes.  stop_at=None asks for those gradients only: the walk ends
+    at the lowest layer with parameters, once its parameter gradients are
+    in, without computing its input cotangent, and returns None.
 
     Used internally by the trainer (softmax cross-entropy) and by the
     post-softmax scoring mode; the public explanation path goes through
-    `backward`, which enforces a one-hot seed.
+    `backward`, which enforces one-hot seeds.
     """
     records = tape.records
     if stop_at is None:
@@ -99,63 +109,76 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     if policy not in RELU_POLICIES:
         raise ValueError(f"unknown relu policy {policy!r}")
     g = np.asarray(cotangent, dtype=tape.scores.dtype)
-    if g.shape != tape.scores.shape:
-        raise SeedError(f"seed shape {g.shape} != score shape {tape.scores.shape}")
+    _check_seed_shape(tape, g)
+    single = g.ndim == 1
+    if param_grads is not None and not single:
+        raise SeedError("parameter gradients take one cotangent, not a stack")
+    g = g[None] if single else g
     for rec in reversed(records):
         if rec.name == stop_at:
-            return g
+            break
         if param_grads is not None and rec.param_backward:
-            param_grads[rec.name] = rec.param_backward(rec, g)
+            param_grads[rec.name] = rec.param_backward(rec, g[0])
         if stop_at is None and rec is records[0]:
             return None
         g = rec.backward(rec, g, policy)
-    return g  # stop_at == "input"
+    return g[0] if single else g
 
 
 def backward(tape, seed, policy="standard", stop_at="input"):
-    """Gradient of one pre-softmax class score at the named checkpoint.
+    """Gradient of one pre-softmax class score at the named checkpoint, or
+    of S scores in one walk.
 
-    The seed must be one-hot: explanations are always per-category, all
-    other score gradients are held at zero.
+    The seed must be one-hot [K], or S one-hot rows [S, K]: explanations
+    are always per-category, all other score gradients are held at zero.
     """
     seed = np.asarray(seed)
-    if seed.ndim != 1 or seed.shape != tape.scores.shape:
-        raise SeedError(f"seed shape {seed.shape} != score shape {tape.scores.shape}")
-    hot = np.flatnonzero(seed)
-    if hot.size != 1 or seed[hot[0]] != 1:
-        raise SeedError("seed must be one-hot over the score vector")
+    _check_seed_shape(tape, seed)
+    rows = seed.reshape(-1, seed.shape[-1])
+    if not (((rows != 0).sum(axis=1) == 1) & (rows.sum(axis=1) == 1)).all():
+        raise SeedError("each seed must be one-hot over the score vector")
     return backward_from_cotangent(tape, seed, policy=policy, stop_at=stop_at)
 
 
-def check_category(category, n):
-    """Raise CategoryError unless 0 <= category < n; a negative index is an error."""
-    if not 0 <= category < n:
-        raise CategoryError(f"category {category} out of range for {n} categories")
+def check_category(categories, n):
+    """Raise CategoryError unless 0 <= category < n for the category, or for
+    each of a list of them; a negative index is an error."""
+    for category in np.ravel(categories):
+        if not 0 <= category < n:
+            raise CategoryError(f"category {category} out of range for {n} categories")
 
 
-def one_hot(category, n, dtype=np.float32):
-    check_category(category, n)
-    seed = np.zeros(n, dtype=dtype)
-    seed[category] = 1
-    return seed
+def one_hot(categories, n, dtype=np.float32):
+    """One-hot seed [n] of a category, or rows [S, n] of a list of S."""
+    check_category(categories, n)
+    return (np.arange(n) == np.asarray(categories)[..., None]).astype(dtype)
 
 
-def grad_at_layer(tape, category, layer, policy="standard", score_point="pre_softmax"):
-    """Full gradient of the class score w.r.t. a spatial feature-map checkpoint.
+def _cotangents(tape, categories, score_point):
+    """Score-vector cotangent of a category [K], or of each of a list [S, K]:
+    one-hot for the pre-softmax score, p_c (e_c - p) for the probability."""
+    seeds = one_hot(categories, tape.scores.shape[0], tape.scores.dtype)
+    if score_point != "post_softmax":
+        return seeds
+    p = ops.softmax(tape.scores)
+    rows = np.atleast_1d(categories)
+    cot = (-p[rows][:, None] * p).astype(tape.scores.dtype)
+    cot[np.arange(len(rows)), rows] += p[rows]
+    return cot.reshape(seeds.shape)
+
+
+def grad_at_layer(tape, categories, layer, policy="standard", score_point="pre_softmax"):
+    """Full gradient of a class score w.r.t. a spatial feature-map checkpoint.
 
     `layer` should name the rectified feature maps of a convolutional stage;
-    the result has the feature-map shape [K, u, v].
+    the result has the feature-map shape [K, u, v] for one category, and is
+    a stack [S, K, u, v] from one walk of the tape for a list of S.
     """
     target = tape.checkpoint(layer)
     if target.ndim != 3:
         raise ops.DimensionError(
             f"checkpoint {layer!r} is not spatial (shape {target.shape})")
-    n = tape.scores.shape[0]
-    check_category(category, n)
+    cot = _cotangents(tape, categories, score_point)
     if score_point == "post_softmax":
-        p = ops.softmax(tape.scores)
-        cot = (-p[category] * p).astype(tape.scores.dtype)
-        cot[category] += p[category]
         return backward_from_cotangent(tape, cot, policy=policy, stop_at=layer)
-    return backward(tape, one_hot(category, n, tape.scores.dtype),
-                    policy=policy, stop_at=layer)
+    return backward(tape, cot, policy=policy, stop_at=layer)

@@ -93,9 +93,9 @@ def cmd_explain(args):
         categories = [args.category]
     else:
         categories = evaluation.top_k(tape.scores, args.top_k)
+    heats = explain.METHODS[args.method](tape, categories, layer, config)
     multi = len(categories) > 1
-    for category in categories:
-        heat = explain.METHODS[args.method](tape, category, layer, config)
+    for category, heat in zip(categories, heats):
         _emit(heat, image, args, suffix=f".c{category}" if multi else "")
     return 0
 
@@ -103,7 +103,7 @@ def cmd_explain(args):
 def cmd_occlude(args):
     spec, weights = _load_model(args)
     image = _load_image(args.image)
-    patch = args.patch or occlusion.default_patch(image.shape[-1])
+    patch = args.patch if args.patch is not None else occlusion.default_patch(image.shape[-1])
     config = occlusion.OcclusionConfig(patch=patch, stride=args.stride, fill=args.fill)
     heat = occlusion.occlusion_map(spec, weights, image, args.category, config)
     _emit(heat, image, args)
@@ -175,44 +175,43 @@ def _fill(text):
         raise argparse.ArgumentTypeError(f"expected a number or auto, got {text!r}") from None
 
 
-def _at_least(kind, minimum):
-    """An argparse type: a `kind` number of at least `minimum`."""
+def _bounded(kind, minimum, maximum=None):
+    """An argparse type: a `kind` number of at least `minimum` and, if given,
+    at most `maximum`; NaN is neither."""
     def parse(text):
         value = kind(text)
-        if not value >= minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if not (value >= minimum and (maximum is None or value <= maximum)):
+            bound = (f"at least {minimum}" if maximum is None
+                     else f"between {minimum} and {maximum}")
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="camlab")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("make-dataset", help="generate the synthetic shapes dataset")
+def _make_dataset_flags(p):
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded(int, 1), required=True)
     p.add_argument("--side", type=int, default=48)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--two-object-frac", type=float, default=0.0)
-    p.set_defaults(func=cmd_make_dataset)
+    p.add_argument("--two-object-frac", type=_bounded(float, 0, 1), default=0.0)
 
-    p = sub.add_parser("train", help="train a fixture model")
+
+def _train_flags(p):
     p.add_argument("--spec", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=_bounded(int, 0), default=20)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("explain", help="emit an explanation heatmap")
+
+def _explain_flags(p):
     _add_model_flags(p)
     p.add_argument("--image", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--category", type=int)
-    group.add_argument("--top-k", type=_at_least(int, 1))
+    group.add_argument("--top-k", type=_bounded(int, 1))
     p.add_argument("--layer", default=None)
     p.add_argument("--method", choices=explain.METHODS, required=True)
     p.add_argument("--pool", choices=("avg", "max"), default="avg")
@@ -223,40 +222,40 @@ def build_parser():
     p.add_argument("--score", choices=("pre", "post"), default="pre")
     p.add_argument("--out-heat", default=None)
     p.add_argument("--out-png", default=None)
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("occlude", help="occlusion-sensitivity map")
+
+def _occlude_flags(p):
     _add_model_flags(p)
     p.add_argument("--image", required=True)
     p.add_argument("--category", type=int, required=True)
-    p.add_argument("--patch", type=int, default=None)
+    p.add_argument("--patch", type=_bounded(int, 1), default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--fill", type=_fill, default="auto")
     p.add_argument("--out-heat", default=None)
     p.add_argument("--out-png", default=None)
-    p.set_defaults(func=cmd_occlude)
 
-    p = sub.add_parser("localize", help="weak localization protocol")
+
+def _localize_flags(p):
     _add_model_flags(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold-frac", type=float, default=0.15)
-    p.add_argument("--iou", type=float, default=0.5)
+    p.add_argument("--threshold-frac", type=_bounded(float, 0, 1), default=0.15)
+    p.add_argument("--iou", type=_bounded(float, 0, 1), default=0.5)
     p.add_argument("--layer", default=None)
     p.add_argument("--method", choices=("gradcam", "backprop"), default="gradcam")
     p.add_argument("--no-relu", action="store_true")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("point", help="pointing game protocol")
+
+def _point_flags(p):
     _add_model_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--modified", action="store_true")
     p.add_argument("--calibrate-split", default=None)
     p.add_argument("--layer", default=None)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_point)
 
-    p = sub.add_parser("faithfulness", help="rank correlation vs occlusion maps")
+
+def _faithfulness_flags(p):
     _add_model_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--methods", required=True,
@@ -265,23 +264,57 @@ def build_parser():
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--layer", default=None)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_faithfulness)
 
-    p = sub.add_parser("attack", help="targeted adversarial perturbation")
+
+def _attack_flags(p):
     _add_model_flags(p)
     p.add_argument("--image", required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--epsilon", type=_at_least(float, 0), required=True)
-    p.add_argument("--steps", type=_at_least(int, 0), default=50)
-    p.add_argument("--step-size", type=float, default=None)
+    p.add_argument("--epsilon", type=_bounded(float, 0), required=True)
+    p.add_argument("--steps", type=_bounded(int, 0), default=50)
+    p.add_argument("--step-size", type=_bounded(float, 0), default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_attack)
 
+
+# command -> (help, function adding its flags); command c runs cmd_<c>
+COMMANDS = {
+    "make-dataset": ("generate the synthetic shapes dataset", _make_dataset_flags),
+    "train": ("train a fixture model", _train_flags),
+    "explain": ("emit an explanation heatmap", _explain_flags),
+    "occlude": ("occlusion-sensitivity map", _occlude_flags),
+    "localize": ("weak localization protocol", _localize_flags),
+    "point": ("pointing game protocol", _point_flags),
+    "faithfulness": ("rank correlation vs occlusion maps", _faithfulness_flags),
+    "attack": ("targeted adversarial perturbation", _attack_flags),
+}
+
+
+def build_parser(command=None):
+    """The camlab argument parser.
+
+    When `command` names one of COMMANDS, only that command's sub-parser is
+    built, which is all that parsing its arguments needs; otherwise (None,
+    an unknown name, --help) every sub-parser is, so usage errors and help
+    list all commands.
+    """
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    parser = argparse.ArgumentParser(prog="camlab")
+    # the usage line names every command even when one sub-parser is built
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(COMMANDS) + "}" if command in COMMANDS else None))
+    for name in names:
+        help_text, add_flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        # looked up by name now, so a rebound module attribute (a tracer, a
+        # test) is the function that runs
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -250,21 +250,23 @@ def _gt_masks(ex):
 
 def modified_point(spec, weights, examples, calibration, layer=None):
     """Modified pointing game over each image's top-5 Grad-CAM maps, with the
-    threshold calibrated on every category's map over `calibration`."""
+    threshold calibrated on every category's map over `calibration`.  Each
+    image's maps come from one backward walk."""
     layer = _target_layer(spec, examples, layer)
     present, absent = [], []
+    categories = list(range(spec.num_categories))
     for ex in calibration:
         _, tape = nn.forward(spec, weights, ex.image)
         gt = _gt_masks(ex)
-        for category in range(spec.num_categories):
-            peak = float(explain.gradcam(tape, category, layer).max())
-            (present if category in gt else absent).append(peak)
+        for category, heat in zip(categories, explain.gradcam(tape, categories, layer)):
+            (present if category in gt else absent).append(float(heat.max()))
     threshold = calibrate_pointing_threshold(present, absent)
     outcomes = []
     for ex in examples:
         _, tape = nn.forward(spec, weights, ex.image)
         masks = _gt_masks(ex)
-        heats = [(c, explain.gradcam(tape, c, layer)) for c in top_k(tape.scores, 5)]
+        top = top_k(tape.scores, 5)
+        heats = zip(top, explain.gradcam(tape, top, layer))
         outcomes += modified_pointing(heats, masks, masks, threshold).values()
     return {"modified_pointing_accuracy": sum(outcomes) / len(outcomes),
             "threshold": threshold, "n_images": len(examples)}

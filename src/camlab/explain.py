@@ -6,6 +6,10 @@ rectifies.  CAM is the special case available only on GAP-head models,
 computed from the learned head weights.  Counterfactual maps negate the
 gradient before pooling.  Guided Grad-CAM fuses the upsampled heatmap with
 a guided-backprop saliency map.
+
+Each explanation takes a category or a list of them.  A list of S gives a
+stack [S, ...] of the maps, from one backward walk of the tape for all S,
+each equal to the map of its category alone.
 """
 
 from dataclasses import dataclass
@@ -62,7 +66,8 @@ def default_target_layer(spec):
 
 
 def neuron_weights(grads, config=None):
-    """Pool a [K,u,v] gradient block into per-map importance weights."""
+    """Pool a [K,u,v] gradient block into per-map importance weights [K];
+    a stack [S,K,u,v] gives [S,K]."""
     config = config or GradCamConfig()
     g = np.asarray(grads, dtype=np.float64)
     if config.gradient_sign == -1:
@@ -70,14 +75,15 @@ def neuron_weights(grads, config=None):
     if config.absolute_gradients:
         g = np.abs(g)
     if config.weight_pooling == "max":
-        return g.max(axis=(1, 2)).astype(np.float32)
-    return g.mean(axis=(1, 2)).astype(np.float32)
+        return g.max(axis=(-2, -1)).astype(np.float32)
+    return g.mean(axis=(-2, -1)).astype(np.float32)
 
 
-def gradcam(tape, category, layer, config=None):
-    """Grad-CAM heatmap [u,v] at the named spatial checkpoint."""
+def gradcam(tape, categories, layer, config=None):
+    """Grad-CAM heatmap [u,v] at the named spatial checkpoint; [S,u,v] for a
+    list of S categories."""
     config = config or GradCamConfig()
-    grads = grad_at_layer(tape, category, layer,
+    grads = grad_at_layer(tape, categories, layer,
                           policy=config.relu_policy,
                           score_point=config.score_point)
     alpha = neuron_weights(grads, config)
@@ -88,8 +94,9 @@ def gradcam(tape, category, layer, config=None):
     return heat.astype(np.float32)
 
 
-def cam(tape, category, head_weights=None):
-    """CAM heatmap from the learned head weights (GAP-head models only).
+def cam(tape, categories, head_weights=None):
+    """CAM heatmap [u,v] from the learned head weights (GAP-head models
+    only); [S,u,v] for a list of S categories.
 
     No ReLU is applied; callers comparing against Grad-CAM rectify both
     sides themselves.
@@ -99,18 +106,18 @@ def cam(tape, category, head_weights=None):
             or recs[-3].y.ndim != 3):
         raise CamIncompatibleError(
             "CAM needs spatial maps -> global average pooling -> dense scores")
-    check_category(category, tape.scores.shape[0])
+    check_category(categories, tape.scores.shape[0])
     amaps = recs[-3].y.astype(np.float64)
     if head_weights is None:
         head_weights = recs[-1].params["weights"]
-    w = np.asarray(head_weights, dtype=np.float64)[category]
-    if w.shape[0] != amaps.shape[0]:
+    w = np.asarray(head_weights, dtype=np.float64)[categories]
+    if w.shape[-1] != amaps.shape[0]:
         raise ops.DimensionError(
-            f"{w.shape[0]} head weights vs {amaps.shape[0]} feature maps")
+            f"{w.shape[-1]} head weights vs {amaps.shape[0]} feature maps")
     return np.tensordot(w, amaps, axes=1).astype(np.float32)
 
 
-def counterfactual(tape, category, layer, config=None):
+def counterfactual(tape, categories, layer, config=None):
     """Regions whose removal would raise the category score."""
     base = config or GradCamConfig()
     cfg = GradCamConfig(weight_pooling=base.weight_pooling,
@@ -119,16 +126,17 @@ def counterfactual(tape, category, layer, config=None):
                         gradient_sign=-1,
                         relu_policy=base.relu_policy,
                         score_point=base.score_point)
-    return gradcam(tape, category, layer, cfg)
+    return gradcam(tape, categories, layer, cfg)
 
 
-def pixel_saliency(tape, category, policy="guided"):
-    """Gradient of the class score w.r.t. input pixels under a ReLU policy.
+def pixel_saliency(tape, categories, policy="guided"):
+    """Gradient of the class score w.r.t. input pixels under a ReLU policy:
+    [C,H,W], or [S,C,H,W] for a list of S categories.
 
     policy "standard" is the plain-backprop baseline; "guided" and "deconv"
     are the sharpened variants used for fusion.
     """
-    seed = one_hot(category, tape.scores.shape[0], tape.scores.dtype)
+    seed = one_hot(categories, tape.scores.shape[0], tape.scores.dtype)
     return backward(tape, seed, policy=policy, stop_at="input")
 
 
@@ -145,8 +153,11 @@ def guided_gradcam(saliency, heat):
     """Fuse pixel saliency with a coarse heatmap by pointwise product.
 
     The heatmap is bilinearly upsampled to the saliency resolution,
-    normalized to [0,1], and multiplied into every saliency channel.
+    normalized to [0,1], and multiplied into every saliency channel.  A
+    stack of saliencies [S,C,H,W] and one of heatmaps [S,u,v] fuse pairwise.
     """
+    if np.ndim(heat) == 3:
+        return np.stack([guided_gradcam(s, h) for s, h in zip(saliency, heat)])
     saliency = np.asarray(saliency, dtype=np.float32)
     h, w = saliency.shape[-2], saliency.shape[-1]
     up = normalize_heatmap(bilinear_resize(heat, w, h))
@@ -154,15 +165,17 @@ def guided_gradcam(saliency, heat):
 
 
 def saliency_to_heatmap(saliency):
-    """Canonical scalar reduction: per-pixel channel-max of absolute values."""
+    """Canonical scalar reduction: per-pixel channel-max of absolute values,
+    [C,H,W] -> [H,W], or a stack [S,C,H,W] -> [S,H,W]."""
     s = np.abs(np.asarray(saliency, dtype=np.float32))
-    if s.ndim == 3:
-        s = s.max(axis=0)
+    if s.ndim >= 3:
+        s = s.max(axis=-3)
     return s
 
 
-# Scalar heatmap of each method, called as (tape, category, layer, config):
-# feature resolution for the CAM family, image resolution for pixel saliency.
+# Scalar heatmap of each method, called as (tape, categories, layer, config)
+# with a category, or a list of them for a stack of maps: feature resolution
+# for the CAM family, image resolution for pixel saliency.
 # The entries look the functions up by name at call time, so rebinding a
 # module attribute (a tracer, a test) also reaches calls made through here.
 METHODS = {

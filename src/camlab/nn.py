@@ -96,7 +96,9 @@ class _Kind:
     """Everything that depends on a layer kind; `_KINDS` maps names to these."""
     out_shape: object       # (params, input shape) -> output shape
     forward: object         # (x, params, weight arrays, batched) -> (y, record extras)
-    backward: object        # (record, cotangent, relu policy) -> input cotangent
+    # (record, cotangent, relu policy) -> input cotangent; the cotangent may
+    # carry a leading seed axis, S cotangents of the one recorded example
+    backward: object
     param_backward: object = None   # (record, cotangent) -> {param: gradient}
     # key -> (minimum, default); the default None marks a required key, and
     # a string default takes the value of that earlier key
@@ -173,8 +175,9 @@ def _maxpool_forward(x, p, params, batched):
 
 
 def _dense_backward(rec, g, policy):
+    # S cotangents [S, U] are one GEMM; numpy runs a single row as a GEMV
     w = rec.params["weights"]
-    return (w.astype(np.float64).T @ g.astype(np.float64)).astype(g.dtype)
+    return (g.astype(np.float64) @ w.astype(np.float64)).astype(g.dtype)
 
 
 _KINDS = {
@@ -213,12 +216,12 @@ _KINDS = {
         out_shape=lambda p, shape: (shape[0],),
         forward=lambda x, p, params, batched: (ops.global_avg_pool(x), {}),
         backward=lambda rec, g, policy: np.broadcast_to(
-            (g / (rec.x.shape[1] * rec.x.shape[2]))[:, None, None],
-            rec.x.shape).astype(g.dtype)),
+            (g / (rec.x.shape[1] * rec.x.shape[2]))[..., None, None],
+            g.shape + rec.x.shape[1:]).astype(g.dtype)),
     "flatten": _Kind(
         out_shape=lambda p, shape: (math.prod(shape),),
         forward=lambda x, p, params, batched: (x.reshape(x.shape[:batched] + (-1,)), {}),
-        backward=lambda rec, g, policy: g.reshape(rec.x.shape)),
+        backward=lambda rec, g, policy: g.reshape(g.shape[:-1] + rec.x.shape)),
     "dense": _Kind(
         schema={"units": (1, None)}, rank=1,
         out_shape=lambda p, shape: (p["units"],),
@@ -482,25 +485,28 @@ class _Canvas:
 
 
 def score_occluded(spec, weights, image, boxes, fill):
-    """Float32 pre-softmax scores [len(boxes), K] of `image` [C, H, W] with
-    the box boxes[n] = (y0, y1, x0, x1), rows [y0, y1) and columns [x0, x1),
-    set to `fill` (one value per channel).
+    """(scores [K] of `image` [C, H, W], scores [len(boxes), K] of the image
+    with the box boxes[n] = (y0, y1, x0, x1), rows [y0, y1) and columns
+    [x0, x1), set to `fill` (one value per channel)), float32 and
+    pre-softmax.
 
-    Row n equals, byte for byte, the `score_batch` row of the image masked
-    by box n.  A box changes only a window of each spatially local layer's
-    output (a kind with a `window`), so only that window is computed again:
-    from a crop of the layer's zero-padded base input, with the previous
-    layer's window pasted in, through the kind's forward with pad 0.  A
-    window has one size per layer, the most a box can reach, and its origin
-    is clamped into the map; where it is wider than the change it recomputes
-    values equal to the base.  At the first global layer the window is
-    pasted into a copy of the whole base map, and the rest of the chain runs
-    in full.  Boxes run in batches that keep the largest window buffer plus
-    that whole map within BATCH_BYTES.
+    The first comes from the base run that the windows below start from;
+    it and row n of the second equal, byte for byte, the `score_batch` rows
+    of the image and of the image masked by box n.  A box changes only a
+    window of each spatially local layer's output (a kind with a `window`),
+    so only that window is computed again: from a crop of the layer's
+    zero-padded base input, with the previous layer's window pasted in,
+    through the kind's forward with pad 0.  A window has one size per
+    layer, the most a box can reach, and its origin is clamped into the
+    map; where it is wider than the change it recomputes values equal to
+    the base.  At the first global layer the window is pasted into a copy
+    of the whole base map, and the rest of the chain runs in full.  Boxes
+    run in batches that keep the largest window buffer plus that whole map
+    within BATCH_BYTES.
     """
     image = np.asarray(image, dtype=np.float32)
     records = []
-    _run_layers(spec, weights, image[None], np.float32, True, records)
+    base = _run_layers(spec, weights, image[None], np.float32, True, records)[0]
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 2, 2)
     box_lo, box_hi = boxes[:, :, 0], boxes[:, :, 1]
     # a window is a size (rows, columns) and an origin [N, 2] on a layer's
@@ -552,7 +558,7 @@ def score_occluded(spec, weights, image, boxes, fill):
         for step, rec in rest:
             x = step.kind.forward(x, step.params, rec.params, True)[0]
         scores[at] = x
-    return scores
+    return base, scores
 
 
 def init_weights(spec, rng_seed=0):

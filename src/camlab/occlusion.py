@@ -61,7 +61,8 @@ def occlusion_map(spec, weights, image, category, config):
     """Signed heatmap [H,W]: score(original) - score(masked at p).
 
     The masked images are scored by `nn.score_occluded`, which recomputes
-    only the window of each layer that a patch reaches.
+    only the window of each layer that a patch reaches, and which scores
+    the original in the same base run.
     """
     image = np.asarray(image, dtype=np.float32)
     check_category(category, spec.num_categories)
@@ -77,13 +78,13 @@ def occlusion_map(spec, weights, image, category, config):
             scores = softmax(scores)
         return scores[:, category].astype(np.float64)
 
-    base = score(nn.score_batch(spec, weights, image[None]))[0]
     half = config.patch // 2
     rows = grid_positions(h, config.stride)
     cols = grid_positions(w, config.stride)
     boxes = [(max(0, i - half), min(h, i + half + 1), max(0, j - half), min(w, j + half + 1))
              for i in rows for j in cols]
-    drops = base - score(nn.score_occluded(spec, weights, image, boxes, fill_vec))
+    base, masked = nn.score_occluded(spec, weights, image, boxes, fill_vec)
+    drops = score(base[None])[0] - score(masked)
     coarse = drops.astype(np.float32).reshape(len(rows), len(cols))
     if config.stride == 1:
         return coarse

@@ -7,10 +7,12 @@ double-precision loop.  Passing float64 inputs keeps the whole computation
 in float64, which the finite-difference tests rely on.
 
 The forward operations also take a batch with a leading N axis; a single
-example is run as the batch of one, through the same code.  The backward
-operations take one example.  `conv2d` can hand back the float64 im2col
-matrix it built, and `conv2d_param_grad` can reuse it instead of building
-the same matrix again; the gradient is the same, bit for bit.
+example is run as the batch of one, through the same code.  The input
+gradients (`conv2d_input_grad`, `maxpool2d_grad`) take a leading seed axis
+S instead: S cotangents of one example's output, from one recorded forward,
+with a single cotangent run as S=1.  `conv2d` can hand back the float64
+im2col matrix it built, and `conv2d_param_grad` can reuse it instead of
+building the same matrix again; the gradient is the same, bit for bit.
 """
 
 import numpy as np
@@ -69,13 +71,13 @@ def _im2col(xp, kh, kw, stride, h_out, w_out):
     return cols.reshape(c * kh * kw, n * h_out * w_out)
 
 
-def _col2im(cols, c, hp, wp, kh, kw, stride, h_out, w_out):
-    # scatter-add the column view back into a padded image
-    xp = np.zeros((c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(c, kh, kw, h_out, w_out)
+def _col2im(cols, c, n, hp, wp, kh, kw, stride, h_out, w_out):
+    # scatter-add [C*kh*kw, N*h_out*w_out] back into padded images [C, N, Hp, Wp]
+    xp = np.zeros((c, n, hp, wp), dtype=cols.dtype)
+    cols = cols.reshape(c, kh, kw, n, h_out, w_out)
     for di in range(kh):
         for dj in range(kw):
-            xp[:, di:di + stride * h_out:stride,
+            xp[:, :, di:di + stride * h_out:stride,
                dj:dj + stride * w_out:stride] += cols[:, di, dj]
     return xp
 
@@ -112,17 +114,25 @@ def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
 
 
 def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
-    """Gradient of conv2d w.r.t. its input, given the output cotangent."""
+    """Gradient of conv2d w.r.t. its input [C,H,W] = x_shape, given the
+    output cotangent [K,h_out,w_out], or S of them [S,K,h_out,w_out].
+
+    S cotangents are one GEMM over S*h_out*w_out columns and one scatter
+    into S padded images.  A float64 GEMM column can round differently in
+    the last bit when the number of columns changes, so a seed matches its
+    own call in float32 except when that bit decides the rounding.
+    """
+    g, single = _batched(grad_out, 3, "conv2d_input_grad")
     c, h, w = x_shape
     k, _, kh, kw = kernels.shape
-    h_out, w_out = grad_out.shape[1], grad_out.shape[2]
+    s, _, h_out, w_out = g.shape
     wmat = kernels.reshape(k, c * kh * kw).astype(np.float64)
-    cols_grad = wmat.T @ grad_out.reshape(k, -1).astype(np.float64)
-    xp = _col2im(cols_grad, c, h + 2 * padding, w + 2 * padding,
+    cols_grad = wmat.T @ g.swapaxes(0, 1).reshape(k, -1).astype(np.float64)
+    xp = _col2im(cols_grad, c, s, h + 2 * padding, w + 2 * padding,
                  kh, kw, stride, h_out, w_out)
-    if padding:
-        xp = xp[:, padding:h + padding, padding:w + padding]
-    return xp.astype(grad_out.dtype)
+    gx = xp[:, :, padding:h + padding, padding:w + padding].swapaxes(0, 1)
+    gx = np.ascontiguousarray(gx, dtype=g.dtype)
+    return gx[0] if single else gx
 
 
 def conv2d_param_grad(grad_out, x, kernel_shape, stride=1, padding=0, cols=None):
@@ -176,15 +186,20 @@ def maxpool2d(x, window, stride):
 
 
 def maxpool2d_grad(grad_out, argmax, x_shape):
-    """Route the output cotangent to the recorded argmax positions."""
+    """Route the output cotangent [C,h,w], or S of them [S,C,h,w], to the
+    argmax positions recorded for one input of x_shape [C,H,W]."""
+    g, single = _batched(grad_out, 3, "maxpool2d_grad")
     c, h, w = x_shape
-    # channel c's positions are offset by c*H*W; bincount adds the weights
-    # into their bins in input order, as np.add.at does, so the sums agree
-    # bit for bit
-    flat = (argmax.reshape(c, -1) + np.arange(c)[:, None] * (h * w)).ravel()
-    gx = np.bincount(flat, weights=grad_out.reshape(-1).astype(np.float64),
-                     minlength=c * h * w)
-    return gx.reshape(c, h, w).astype(grad_out.dtype)
+    s = len(g)
+    # seed s, channel c's positions are offset by (s*C + c)*H*W; bincount
+    # adds the weights into their bins in input order, as np.add.at does, so
+    # the sums agree bit for bit
+    flat = (argmax.reshape(1, c, -1)
+            + (np.arange(s * c) * (h * w)).reshape(s, c, 1)).ravel()
+    gx = np.bincount(flat, weights=g.reshape(-1).astype(np.float64),
+                     minlength=s * c * h * w)
+    gx = gx.reshape(s, c, h, w).astype(g.dtype)
+    return gx[0] if single else gx
 
 
 def global_avg_pool(x):

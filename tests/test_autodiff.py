@@ -4,12 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import camlab
 from camlab import autodiff, nn, ops
 from camlab.autodiff import (ActivationTape, CheckpointError, SeedError,
                              backward, backward_from_cotangent, grad_at_layer,
                              one_hot, _relu_backward)
+from test_occlusion import chain_cases
 
 
 # ---------------------------------------------------------- policy table
@@ -276,3 +279,55 @@ def test_param_grads_match_finite_differences(rng):
                 arr[i] = orig
                 fd = float(((sp - sm) * cot).sum()) / (2 * eps)
                 assert abs(fd - grads[name][key][i]) < 1e-4
+
+
+# ------------------------------------------------------ many seeds, one walk
+
+@given(chain_cases(), st.data())
+def test_stacked_seeds_walk_equals_one_walk_per_category(case, data):
+    """S <= K categories in any order, through one walk of a float32 tape,
+    give the S one-category walks byte for byte: every relu policy, every
+    stop (the input and each checkpoint), pre- and post-softmax seeds."""
+    spec, seed, _, _ = case
+    weights = nn.init_weights(spec, rng_seed=seed % 1000)
+    img = np.random.default_rng(seed).random(spec.input_shape).astype(np.float32)
+    _, tape = nn.forward(spec, weights, img)
+    order = data.draw(st.permutations(range(spec.num_categories)))
+    categories = order[:data.draw(st.integers(1, len(order)))]
+    for point in ("pre_softmax", "post_softmax"):
+        block = autodiff._cotangents(tape, categories, point)
+        assert block.shape == (len(categories), spec.num_categories)
+        for c, row in zip(categories, block):
+            assert row.tobytes() == autodiff._cotangents(tape, c, point).tobytes()
+        for policy in autodiff.RELU_POLICIES:
+            for stop_at in tape.checkpoint_names():
+                got = backward_from_cotangent(tape, block, policy, stop_at)
+                assert got.shape == (len(categories),) + tape.checkpoint(stop_at).shape
+                for row, g in zip(block, got):
+                    want = backward_from_cotangent(tape, row, policy, stop_at)
+                    assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+
+def test_grad_at_layer_of_a_list_is_one_walk(monkeypatch, gap_spec, gap_weights, test_set):
+    _, tape = camlab.forward(gap_spec, gap_weights, test_set[0].image)
+    walks, walk = [], autodiff.backward_from_cotangent
+    monkeypatch.setattr(autodiff, "backward_from_cotangent",
+                        lambda tape, cot, *rest, **kw: walks.append(cot) or walk(tape, cot, *rest, **kw))
+    for point in ("pre_softmax", "post_softmax"):
+        walks.clear()
+        grads = grad_at_layer(tape, [2, 0], "r2", score_point=point)
+        assert len(walks) == 1 and grads.shape == (2, 12, 24, 24)
+        assert grads[1].tobytes() == grad_at_layer(tape, 0, "r2", score_point=point).tobytes()
+
+
+def test_stacked_seeds_are_checked_row_by_row():
+    spec, weights = tiny_dense_model()
+    _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
+    for bad in ([[1, 0, 0], [1, 1, 0]], [[0, 2, 0]], [[0, 0, 0]], np.zeros((0, 3)),
+                np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(SeedError):
+            backward(tape, np.array(bad, np.float32))
+    with pytest.raises(autodiff.CategoryError):
+        grad_at_layer(tape, [0, 3], "input")
+    with pytest.raises(SeedError):    # parameter gradients take one cotangent
+        backward_from_cotangent(tape, one_hot([0, 1], 3), param_grads={})

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, emitted files, reproducibility."""
 
+import argparse
 import dataclasses
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import camlab
-from camlab import explain, imaging, nn
+from camlab import cli, explain, imaging, nn
 from camlab.cli import main
 
 
@@ -252,16 +253,77 @@ def test_bad_fill_is_usage_error(workspace, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--steps", "-1"), ("--epsilon", "-0.1"),
-                                        ("--epsilon", "nan")])
+                                        ("--epsilon", "nan"), ("--step-size", "nan")])
 def test_negative_attack_budget_is_usage_error(workspace, tmp_path, capsys, flag, value):
     # --steps -1 reported a failed attack "after -1 steps"; --epsilon -0.1
-    # ran 50 steps with an empty clipping box
+    # ran 50 steps with an empty clipping box, --step-size nan 50 NaN steps
     argv = {"--epsilon": "0.1", flag: value}
     assert main(["attack", *gap_args(workspace), "--image", first_image(workspace),
                  "--target", "0", *(x for kv in argv.items() for x in kv),
                  "--out", str(tmp_path / "a.pgm")]) == 2
     assert f"must be at least 0, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "a.pgm").exists()
+
+
+# Each of these exited 0 with a wrong or empty result: error rates of 1.0,
+# the default patch in place of 0, an empty split, a NaN object fraction,
+# untrained weights
+@pytest.mark.parametrize("argv,message", [
+    (["localize", "--threshold-frac", "-1"], "must be between 0 and 1, got -1.0"),
+    (["localize", "--threshold-frac", "nan"], "must be between 0 and 1, got nan"),
+    (["localize", "--iou", "2"], "must be between 0 and 1, got 2.0"),
+    (["localize", "--iou", "nan"], "must be between 0 and 1, got nan"),
+    (["occlude", "--patch", "0"], "must be at least 1, got 0"),
+    (["make-dataset", "--n", "0"], "must be at least 1, got 0"),
+    (["make-dataset", "--n", "-2"], "must be at least 1, got -2"),
+    (["make-dataset", "--n", "2", "--two-object-frac", "nan"], "must be between 0 and 1, got nan"),
+    (["train", "--epochs", "-1"], "must be at least 0, got -1"),
+])
+def test_out_of_range_flag_is_usage_error(workspace, tmp_path, capsys, argv, message):
+    ws, command = workspace, argv[0]
+    rest = {"localize": [*gap_args(ws), "--data", str(ws / "data"),
+                         "--report", str(tmp_path / "r.txt")],
+            "occlude": [*gap_args(ws), "--image", first_image(ws), "--category", "0",
+                        "--out-heat", str(tmp_path / "h.fmap")],
+            "make-dataset": ["--out", str(tmp_path / "d")],
+            "train": ["--spec", str(ws / "gap.spec"), "--data", str(ws / "data"),
+                      "--out", str(tmp_path / "w")]}[command]
+    assert main([command, *rest, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_epochs_stays_valid(workspace, tmp_path):
+    # zero epochs save the initial weights, which the benchmark's SGD check uses
+    assert main(["train", "--spec", str(workspace / "gap.spec"), "--data",
+                 str(workspace / "data"), "--epochs", "0", "--out", str(tmp_path / "w")]) == 0
+    assert nn.WeightStore.load(tmp_path / "w") == nn.init_weights(camlab.fix_gap_spec())
+
+
+@pytest.mark.parametrize("argv", [[], ["telepathy"], ["--help"]])
+def test_usage_and_help_list_every_command(capsys, argv):
+    assert main(argv) == (0 if argv == ["--help"] else 2)
+    out = capsys.readouterr()
+    for name in cli.COMMANDS:
+        assert name in out.out + out.err
+    assert len(cli.COMMANDS) == 8
+
+
+def _actions(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.option_strings, a.dest, a.default, a.required, a.choices, a.nargs, a.const,
+             getattr(a.type, "__name__", a.type), a.help)
+            for a in sub.choices[command]._actions]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_parser_is_the_same_alone_or_with_the_others(command):
+    alone, full = cli.build_parser(command), cli.build_parser()
+    sub = next(a for a in alone._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [command]
+    assert _actions(alone, command) == _actions(full, command)
+    assert alone.format_usage() == full.format_usage()
 
 
 def test_internal_value_error_is_not_a_domain_error(workspace, monkeypatch):

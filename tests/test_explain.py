@@ -220,3 +220,38 @@ def test_guided_gradcam_masks_out_cold_regions():
 def test_saliency_to_heatmap_channel_max_of_abs():
     sal = np.array([[[1.0, -2.0]], [[-3.0, 0.5]]], np.float32)
     np.testing.assert_allclose(saliency_to_heatmap(sal), [[3.0, 2.0]])
+
+
+# ------------------------------------------------------ lists of categories
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+@pytest.mark.parametrize("method", list(explain.METHODS))
+def test_method_of_a_list_equals_a_loop_byte_for_byte(request, test_set, arch, method):
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    run = explain.METHODS[method]
+    configs = [None, GradCamConfig(score_point="post_softmax", relu_policy="guided"),
+               GradCamConfig(apply_relu=False, weight_pooling="max")]
+    for ex, config in zip(test_set[:3], configs):
+        _, tape = camlab.forward(spec, weights, ex.image)
+        for categories in ([2, 0, 1], [1], [0, 2]):
+            if method == "cam" and arch == "fc":
+                with pytest.raises(CamIncompatibleError):
+                    run(tape, categories, "r2", config)
+                continue
+            stack = run(tape, categories, "r2", config)
+            assert stack.shape[0] == len(categories)
+            for c, heat in zip(categories, stack):
+                alone = run(tape, c, "r2", config)
+                assert heat.dtype == alone.dtype and heat.tobytes() == alone.tobytes()
+
+
+def test_guided_gradcam_fuses_stacks_pairwise(rng):
+    sal = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+    heat = rng.random((2, 2, 2)).astype(np.float32)
+    fused = guided_gradcam(sal, heat)
+    assert fused.shape == sal.shape
+    for s, h, f in zip(sal, heat, fused):
+        assert f.tobytes() == guided_gradcam(s, h).tobytes()
+    assert saliency_to_heatmap(fused).tobytes() == np.stack(
+        [saliency_to_heatmap(f) for f in fused]).tobytes()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from camlab import imaging
 from camlab.imaging import (ImageFormatError, bilinear_resize, colormap_jet,
@@ -181,3 +184,34 @@ def test_tensor_image_round_trip(rng):
     np.testing.assert_array_equal(tensor_to_image(tensor), arr)
     rgb = rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)
     np.testing.assert_array_equal(tensor_to_image(image_to_tensor(rgb)), rgb)
+
+
+# ------------------------------------------------------ property oracles
+
+_EXTENT = st.integers(1, 9)
+_PIXELS = st.one_of(hnp.arrays(np.uint8, st.tuples(_EXTENT, _EXTENT)),
+                    hnp.arrays(np.uint8, st.tuples(_EXTENT, _EXTENT, st.just(3))))
+_HEATS = hnp.arrays(np.dtype("<f4"), st.tuples(_EXTENT, _EXTENT))
+
+
+@given(_PIXELS)
+def test_netpbm_round_trips_arbitrary_pixels(pixels):
+    back = decode_netpbm(encode_netpbm(pixels))
+    assert back.dtype == np.uint8 and back.shape == pixels.shape
+    assert back.tobytes() == pixels.tobytes()
+
+
+@given(_HEATS)
+def test_fmap_round_trips_arbitrary_floats(heat):
+    # NaN payloads and signed zeros included: the bytes come back
+    back = decode_fmap(encode_fmap(heat))
+    assert back.shape == heat.shape and back.tobytes() == heat.tobytes()
+
+
+@given(st.one_of(_PIXELS.map(encode_netpbm).map(lambda d: (decode_netpbm, d)),
+                 _HEATS.map(encode_fmap).map(lambda d: (decode_fmap, d))))
+def test_every_truncation_of_a_valid_file_is_a_format_error(case):
+    decode, data = case
+    for end in range(len(data)):
+        with pytest.raises(ImageFormatError):
+            decode(data[:end])

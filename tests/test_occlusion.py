@@ -284,5 +284,17 @@ def test_score_occluded_rows_equal_masked_scores(case, corners):
     for m, (y0, y1, x0, x1) in zip(masked, boxes):
         m[:, y0:y1, x0:x1] = fill[:, None, None]
     with mock.patch.object(nn, "BATCH_BYTES", 8 * 10_000):
-        got = nn.score_occluded(spec, weights, img, boxes, fill)
+        base, got = nn.score_occluded(spec, weights, img, boxes, fill)
     np.testing.assert_allclose(got, nn.score_batch(spec, weights, masked), rtol=0, atol=1e-6)
+    # the base scores come from the base run, byte for byte those of score_batch
+    assert base.tobytes() == nn.score_batch(spec, weights, img[None])[0].tobytes()
+
+
+def test_occlusion_map_runs_the_base_forward_once(monkeypatch, rng):
+    spec, weights = small_model()
+    img = rng.random(spec.input_shape).astype(np.float32)
+    runs, run_layers = [], nn._run_layers
+    monkeypatch.setattr(nn, "_run_layers", lambda *a, **k: runs.append(a[2].shape)
+                        or run_layers(*a, **k))
+    occlusion_map(spec, weights, img, 1, OcclusionConfig(patch=3, stride=2))
+    assert runs == [(1,) + img.shape]

@@ -398,3 +398,37 @@ def test_maxpool2d_grad_equals_add_at_reference_byte_for_byte(case):
     got = ops.maxpool2d_grad(g, arg, x.shape)
     want = maxpool2d_grad_add_at(g, arg, x.shape)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------- a leading axis of S cotangents
+
+@given(conv_cases())
+def test_conv2d_input_grad_of_stacked_cotangents_equals_each_alone(case):
+    x, kern, _, g = conv_operands(case, np.float32)
+    stride, pad = case["stride"], case["pad"]
+    seeds = np.random.default_rng(case["seed"] + 1).standard_normal(
+        (case["n"],) + g.shape).astype(np.float32)   # n serves as the seed count S
+    got = ops.conv2d_input_grad(seeds, x.shape, kern, stride, pad)
+    assert got.shape == (case["n"],) + x.shape and got.dtype == np.float32
+    for seed, row in zip(seeds, got):
+        assert row.tobytes() == ops.conv2d_input_grad(seed, x.shape, kern, stride, pad).tobytes()
+
+
+@given(pool_cases(), st.integers(1, 4))
+def test_maxpool2d_grad_of_stacked_cotangents_equals_each_alone(case, s):
+    rng = np.random.default_rng(case["seed"])
+    x = rng.integers(0, case["levels"], (case["c"], case["h"], case["w"])).astype(np.float32)
+    out, arg = ops.maxpool2d(x, case["window"], case["stride"])
+    seeds = rng.standard_normal((s,) + out.shape).astype(np.float32)
+    got = ops.maxpool2d_grad(seeds, arg, x.shape)
+    assert got.shape == (s,) + x.shape
+    for seed, row in zip(seeds, got):
+        assert row.tobytes() == maxpool2d_grad_add_at(seed, arg, x.shape).tobytes()
+
+
+def test_backward_ops_reject_a_cotangent_of_the_wrong_rank():
+    with pytest.raises(ops.DimensionError):
+        ops.conv2d_input_grad(np.zeros((1, 1, 1, 2, 2), np.float32), (1, 4, 4),
+                              np.zeros((1, 1, 3, 3), np.float32))
+    with pytest.raises(ops.DimensionError):
+        ops.maxpool2d_grad(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.int64), (1, 4, 4))
