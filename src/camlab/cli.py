@@ -176,14 +176,16 @@ def _fill(text):
 
 
 def _bounded(kind, minimum, maximum=None):
-    """An argparse type: a `kind` number of at least `minimum` and, if given,
-    at most `maximum`; NaN is neither."""
+    """An argparse type: a finite `kind` number of at least `minimum` and, if
+    given, at most `maximum`; NaN is neither."""
     def parse(text):
         value = kind(text)
         if not (value >= minimum and (maximum is None or value <= maximum)):
             bound = (f"at least {minimum}" if maximum is None
                      else f"between {minimum} and {maximum}")
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        if not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
@@ -193,7 +195,7 @@ def _make_dataset_flags(p):
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=_bounded(int, 1), required=True)
     p.add_argument("--side", type=int, default=48)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--two-object-frac", type=_bounded(float, 0, 1), default=0.0)
 
 
@@ -202,8 +204,8 @@ def _train_flags(p):
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=_bounded(int, 0), default=20)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=_bounded(float, 0), default=0.05)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
 
 
 def _explain_flags(p):

@@ -34,7 +34,8 @@ class SpecError(ValueError):
 
 
 class WeightStoreError(ValueError):
-    """Weight store does not parse or does not match its spec."""
+    """Weight store does not parse, holds a non-finite value or does not
+    match its spec."""
 
 
 class TrainingError(RuntimeError):
@@ -381,6 +382,10 @@ class WeightStore:
                     f"[{offset}, {offset + nbytes}) but blob has {len(blob)}")
             arr = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)),
                                 offset=offset).reshape(shape).copy()
+            bad = arr.size - np.count_nonzero(np.isfinite(arr))
+            if bad:
+                raise WeightStoreError(
+                    f"manifest line {lineno}: {name}.{key} holds {bad} non-finite values")
             params.setdefault(name, {})[key] = arr
             total += nbytes
         if total != len(blob):

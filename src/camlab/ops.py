@@ -13,6 +13,17 @@ S instead: S cotangents of one example's output, from one recorded forward,
 with a single cotangent run as S=1.  `conv2d` can hand back the float64
 im2col matrix it built, and `conv2d_param_grad` can reuse it instead of
 building the same matrix again; the gradient is the same, bit for bit.
+
+`conv2d_input_grad` lays the cotangents on a zero grid shaped so that each
+kernel offset (di, dj) lands at one constant offset of the flat padded
+input: one GEMM gives every offset's terms, and kh*kw 1-D adds of stride
+`stride` place them.  Each input pixel sums the same nonzero terms in the
+same order as a scatter over the output windows; the grid's zero cells add
+±0, which changes no sum while the kernels are finite (`nn.WeightStore.load`
+rejects any that are not).  The GEMM has more columns than the output has
+pixels, and a float64 column may round in its last bit with the column
+count, so float64 results may differ from such a scatter by that rounding;
+float32 results match it.
 """
 
 import numpy as np
@@ -71,17 +82,6 @@ def _im2col(xp, kh, kw, stride, h_out, w_out):
     return cols.reshape(c * kh * kw, n * h_out * w_out)
 
 
-def _col2im(cols, c, n, hp, wp, kh, kw, stride, h_out, w_out):
-    # scatter-add [C*kh*kw, N*h_out*w_out] back into padded images [C, N, Hp, Wp]
-    xp = np.zeros((c, n, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(c, kh, kw, n, h_out, w_out)
-    for di in range(kh):
-        for dj in range(kw):
-            xp[:, :, di:di + stride * h_out:stride,
-               dj:dj + stride * w_out:stride] += cols[:, di, dj]
-    return xp
-
-
 def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
     """Cross-correlation of [C,H,W] with [K,C,kh,kw] kernels (no flip).
 
@@ -117,21 +117,44 @@ def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
     """Gradient of conv2d w.r.t. its input [C,H,W] = x_shape, given the
     output cotangent [K,h_out,w_out], or S of them [S,K,h_out,w_out].
 
-    S cotangents are one GEMM over S*h_out*w_out columns and one scatter
-    into S padded images.  A float64 GEMM column can round differently in
-    the last bit when the number of columns changes, so a seed matches its
-    own call in float32 except when that bit decides the rounding.
+    Output (i, j) of kernel offset (di, dj) feeds padded input pixel
+    (i*stride + di, j*stride + dj).  Round the padded extents Hp, Wp up to
+    a multiple of the stride and put the cotangents at the top left of a
+    zero grid [K, S, Hp/stride, Wp].  One GEMM of the kernels, rows ordered
+    (di, dj, c), with that grid gives each offset's terms on a grid
+    [C, S, Hp/stride, Wp].  If q is the flat index of (c, s, i, j) there,
+    the pixel's flat index in the padded images [C, S, Hp, Wp] is
+    stride*q + di*Wp + dj, so each offset is one 1-D add of stride `stride`
+    at the constant offset di*Wp + dj.
+
+    Each input pixel receives the same nonzero terms, in the same
+    row-major (di, dj) order, as a scatter over the output windows would
+    give it, from +0.0.  Every other term is a finite kernel times a zero
+    cell, ±0, and x + ±0 = x, +0 + ±0 = +0, so the float64 sums are those
+    of the scatter.  A float64 GEMM column can round differently in the
+    last bit when the number of columns changes (S, or the grid size), so a
+    seed matches its own call, or the scatter, in float32 except when that
+    bit decides the rounding.
     """
     g, single = _batched(grad_out, 3, "conv2d_input_grad")
     c, h, w = x_shape
     k, _, kh, kw = kernels.shape
     s, _, h_out, w_out = g.shape
-    wmat = kernels.reshape(k, c * kh * kw).astype(np.float64)
-    cols_grad = wmat.T @ g.swapaxes(0, 1).reshape(k, -1).astype(np.float64)
-    xp = _col2im(cols_grad, c, s, h + 2 * padding, w + 2 * padding,
-                 kh, kw, stride, h_out, w_out)
-    gx = xp[:, :, padding:h + padding, padding:w + padding].swapaxes(0, 1)
-    gx = np.ascontiguousarray(gx, dtype=g.dtype)
+    hp = -(-(h + 2 * padding) // stride) * stride
+    wp = -(-(w + 2 * padding) // stride) * stride
+    grid = np.zeros((k, s, hp // stride, wp))
+    grid[:, :, :h_out, :w_out] = g.swapaxes(0, 1)
+    wmat = kernels.transpose(2, 3, 1, 0).reshape(kh * kw * c, k).astype(np.float64)
+    terms = (wmat @ grid.reshape(k, -1)).reshape(kh, kw, -1)
+    n = terms.shape[2]
+    # the zero cells at the end of the last image land past it, in the slack
+    xp = np.zeros(stride * n + (kh - 1) * wp + kw - 1)
+    for di in range(kh):
+        for dj in range(kw):
+            o = di * wp + dj
+            xp[o:o + stride * n:stride] += terms[di, dj]
+    gx = xp[:stride * n].reshape(c, s, hp, wp)[:, :, padding:h + padding, padding:w + padding]
+    gx = np.ascontiguousarray(gx.swapaxes(0, 1), dtype=g.dtype)
     return gx[0] if single else gx
 
 

@@ -141,6 +141,13 @@ def _negative_offset_weights(ws, tmp):
     return ["--spec", str(ws / "gap.spec"), "--weights", str(tmp / "neg_w")]
 
 
+def _non_finite_weights(ws, tmp, layer, value):
+    weights = nn.WeightStore.load(ws / "gap_w")
+    weights.params[layer]["weights"].flat[3] = value
+    weights.save(tmp / "bad_w")
+    return ["--spec", str(ws / "gap.spec"), "--weights", str(tmp / "bad_w")]
+
+
 def _two_category_spec(ws, tmp):
     nn.save_model_spec(camlab.fix_gap_spec(categories=2), tmp / "two.spec")
     return str(tmp / "two.spec")
@@ -237,6 +244,14 @@ def _directory(tmp, name):
                       "--category", "0", "--method", "gradcam"], "Is a directory"),
     (lambda ws, tmp: ["localize", *gap_args(ws), "--data", first_image(ws),
                       "--report", str(tmp / "r.txt")], "Not a directory"),
+    # ran to exit 0: a map of NaN, and an error rate of 1.0
+    (lambda ws, tmp: ["explain", *_non_finite_weights(ws, tmp, "c2", np.inf), "--image",
+                      first_image(ws), "--category", "0", "--method", "guided-backprop",
+                      "--out-heat", str(tmp / "h.fmap")],
+     "c2.weights holds 1 non-finite values"),
+    (lambda ws, tmp: ["localize", *_non_finite_weights(ws, tmp, "head", np.nan), "--data",
+                      str(ws / "data"), "--report", str(tmp / "r.txt")],
+     "head.weights holds 1 non-finite values"),
 ])
 def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
     assert main(argv(workspace, tmp_path)) == 3
@@ -278,6 +293,13 @@ def test_negative_attack_budget_is_usage_error(workspace, tmp_path, capsys, flag
     (["make-dataset", "--n", "-2"], "must be at least 1, got -2"),
     (["make-dataset", "--n", "2", "--two-object-frac", "nan"], "must be between 0 and 1, got nan"),
     (["train", "--epochs", "-1"], "must be at least 0, got -1"),
+    # a bare ValueError traceback from the random generator
+    (["make-dataset", "--n", "2", "--seed", "-1"], "must be at least 0, got -1"),
+    (["train", "--seed", "-1"], "must be at least 0, got -1"),
+    # NaN weights, saved with exit 0; a NaN image and "target probability nan"
+    (["train", "--lr", "nan"], "must be at least 0, got nan"),
+    (["attack", "--epsilon", "inf"], "must be finite, got inf"),
+    (["attack", "--epsilon", "0.1", "--step-size", "inf"], "must be finite, got inf"),
 ])
 def test_out_of_range_flag_is_usage_error(workspace, tmp_path, capsys, argv, message):
     ws, command = workspace, argv[0]
@@ -287,7 +309,9 @@ def test_out_of_range_flag_is_usage_error(workspace, tmp_path, capsys, argv, mes
                         "--out-heat", str(tmp_path / "h.fmap")],
             "make-dataset": ["--out", str(tmp_path / "d")],
             "train": ["--spec", str(ws / "gap.spec"), "--data", str(ws / "data"),
-                      "--out", str(tmp_path / "w")]}[command]
+                      "--out", str(tmp_path / "w")],
+            "attack": [*gap_args(ws), "--image", first_image(ws), "--target", "0",
+                       "--out", str(tmp_path / "a.pgm")]}[command]
     assert main([command, *rest, *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

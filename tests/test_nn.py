@@ -180,6 +180,15 @@ def test_weight_store_detects_bad_manifest(tmp_path, gap_spec):
         nn.WeightStore.load(tmp_path / "w")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_weight_store_rejects_non_finite_values(tmp_path, gap_spec, value):
+    w = nn.init_weights(gap_spec, rng_seed=7)
+    w.params["c2"]["weights"][1, 2, 3, 4] = value
+    w.save(tmp_path / "w")
+    with pytest.raises(nn.WeightStoreError, match="c2.weights holds 1 non-finite values"):
+        nn.WeightStore.load(tmp_path / "w")
+
+
 def test_weight_store_spec_mismatch(gap_spec, fc_spec):
     w = nn.init_weights(gap_spec, rng_seed=0)
     with pytest.raises(nn.WeightStoreError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from camlab import ops
@@ -398,6 +398,57 @@ def test_maxpool2d_grad_equals_add_at_reference_byte_for_byte(case):
     got = ops.maxpool2d_grad(g, arg, x.shape)
     want = maxpool2d_grad_add_at(g, arg, x.shape)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def conv2d_input_grad_col2im(g, x_shape, kernels, stride, padding):
+    """The input cotangent as one GEMM over the output windows and a
+    scatter-add of each kernel offset's [C, S, h_out, w_out] block into the
+    padded images, offsets in row-major order."""
+    c, h, w = x_shape
+    k, _, kh, kw = kernels.shape
+    s, _, h_out, w_out = g.shape
+    wmat = kernels.reshape(k, c * kh * kw).astype(np.float64)
+    cols = (wmat.T @ g.swapaxes(0, 1).reshape(k, -1).astype(np.float64)).reshape(
+        c, kh, kw, s, h_out, w_out)
+    xp = np.zeros((c, s, h + 2 * padding, w + 2 * padding))
+    for di in range(kh):
+        for dj in range(kw):
+            xp[:, :, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += cols[:, di, dj]
+    gx = xp[:, :, padding:h + padding, padding:w + padding].swapaxes(0, 1)
+    return np.ascontiguousarray(gx, dtype=g.dtype)
+
+
+# the convs of the fixture specs: 5x5 kernels, padding 2
+C1 = dict(n=1, c=1, h=48, w=48, k=6, kh=5, stride=2, pad=2, seed=0)
+C2 = dict(n=1, c=6, h=24, w=24, k=12, kh=5, stride=1, pad=2, seed=0)
+
+
+@given(conv_cases(), st.integers(1, 4))   # S stacked cotangents
+@example(C1, 1)
+@example(C1, 3)
+@example(C2, 1)
+@example(C2, 3)
+def test_conv2d_input_grad_equals_the_scatter_reference(case, s):
+    stride, pad = case["stride"], case["pad"]
+    for dtype in (np.float32, np.float64):
+        x, kern, _, g = conv_operands(case, dtype)
+        seeds = np.random.default_rng(case["seed"] + 1).standard_normal(
+            (s,) + g.shape).astype(dtype)
+        got = ops.conv2d_input_grad(seeds, x.shape, kern, stride, pad)
+        want = conv2d_input_grad_col2im(seeds, x.shape, kern, stride, pad)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if dtype == np.float32 or case["k"] == 1:
+            # with one kernel every GEMM term is one rounded product, so the
+            # float64 sums must agree too, which pins their order
+            assert got.tobytes() == want.tobytes()
+        else:
+            # the two GEMMs have different column counts and may round a
+            # term differently in its last bit; under cancellation that is
+            # many ulps of the result, so bound the difference by the
+            # rounding of sums of K products and kh*kw terms instead
+            scale = conv2d_input_grad_col2im(abs(seeds), x.shape, abs(kern), stride, pad)
+            terms = case["k"] + case["kh"] ** 2
+            assert (abs(got - want) <= 2 * terms * np.finfo(np.float64).eps * scale).all()
 
 
 # ------------------------------------------- a leading axis of S cotangents
