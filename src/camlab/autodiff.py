@@ -35,12 +35,11 @@ class SeedError(ValueError):
 class LayerRecord:
     name: str
     kind: str  # conv | relu | maxpool | gap | flatten | dense
+    step: object  # its nn._Step: resolved params, and step.kind's backward rules
     x: np.ndarray
     y: np.ndarray
-    backward: object  # (record, cotangent, relu policy) -> input cotangent
     params: dict = field(default_factory=dict)   # weights/bias for conv, dense
-    extras: dict = field(default_factory=dict)   # maxpool argmax; conv stride, pad, im2col
-    param_backward: object = None  # (record, cotangent) -> {param: gradient}; conv, dense
+    extras: dict = field(default_factory=dict)   # maxpool argmax; conv im2col
 
 
 @dataclass
@@ -103,7 +102,7 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     if stop_at is None:
         if param_grads is None:
             raise ValueError("stop_at=None computes only param_grads, which is None")
-        records = records[next(i for i, r in enumerate(records) if r.param_backward):]
+        records = records[next(i for i, r in enumerate(records) if r.step.kind.param_backward):]
     elif not tape.has_checkpoint(stop_at):
         raise CheckpointError(f"no checkpoint named {stop_at!r}")
     if policy not in RELU_POLICIES:
@@ -117,11 +116,11 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     for rec in reversed(records):
         if rec.name == stop_at:
             break
-        if param_grads is not None and rec.param_backward:
-            param_grads[rec.name] = rec.param_backward(rec, g[0])
+        if param_grads is not None and rec.step.kind.param_backward:
+            param_grads[rec.name] = rec.step.kind.param_backward(rec, g[0])
         if stop_at is None and rec is records[0]:
             return None
-        g = rec.backward(rec, g, policy)
+        g = rec.step.kind.backward(rec, g, policy)
     return g[0] if single else g
 
 

@@ -105,7 +105,7 @@ def cmd_occlude(args):
     image = _load_image(args.image)
     patch = args.patch if args.patch is not None else occlusion.default_patch(image.shape[-1])
     config = occlusion.OcclusionConfig(patch=patch, stride=args.stride, fill=args.fill)
-    heat = occlusion.occlusion_map(spec, weights, image, args.category, config)
+    heat = occlusion.occlusion_map(nn.forward(spec, weights, image)[1], args.category, config)
     _emit(heat, image, args)
     return 0
 
@@ -219,8 +219,7 @@ def _explain_flags(p):
     p.add_argument("--pool", choices=("avg", "max"), default="avg")
     p.add_argument("--no-relu", action="store_true")
     p.add_argument("--abs-grads", action="store_true")
-    p.add_argument("--relu-policy", choices=("standard", "guided", "deconv"),
-                   default="standard")
+    p.add_argument("--relu-policy", choices=autodiff.RELU_POLICIES, default="standard")
     p.add_argument("--score", choices=("pre", "post"), default="pre")
     p.add_argument("--out-heat", default=None)
     p.add_argument("--out-png", default=None)

@@ -195,6 +195,7 @@ def _target_layer(spec, examples, layer, methods=()):
     """Check a protocol's split and methods; `layer` or the default target."""
     if not examples:
         raise ProtocolError("the split has no examples")
+    nn.check_labels(spec, examples)
     for method in methods:
         if method not in explain.METHODS:
             raise ProtocolError(f"unknown method {method!r}; choose from "
@@ -253,6 +254,7 @@ def modified_point(spec, weights, examples, calibration, layer=None):
     threshold calibrated on every category's map over `calibration`.  Each
     image's maps come from one backward walk."""
     layer = _target_layer(spec, examples, layer)
+    nn.check_labels(spec, calibration)
     present, absent = [], []
     categories = list(range(spec.num_categories))
     for ex in calibration:
@@ -285,7 +287,7 @@ def faithfulness(spec, weights, examples, methods, occlusion_config, layer=None)
     rhos = {m: [] for m in methods}
     for ex in examples:
         _, tape = nn.forward(spec, weights, ex.image)
-        occ = occlusion.occlusion_map(spec, weights, ex.image, ex.label, occlusion_config)
+        occ = occlusion.occlusion_map(tape, ex.label, occlusion_config)
         for m in methods:
             rhos[m].append(rank_correlation(explain.METHODS[m](tape, ex.label, layer, None), occ))
     metrics = {}

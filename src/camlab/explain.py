@@ -12,12 +12,13 @@ stack [S, ...] of the maps, from one backward walk of the tape for all S,
 each equal to the map of its category alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ops
-from .autodiff import CheckpointError, backward, check_category, grad_at_layer, one_hot
+from .autodiff import (RELU_POLICIES, CheckpointError, backward, check_category, grad_at_layer,
+                       one_hot)
 from .imaging import bilinear_resize
 
 
@@ -46,6 +47,9 @@ class GradCamConfig:
             raise GradCamConfigError("gradient_sign must be +1 or -1")
         if self.score_point not in ("pre_softmax", "post_softmax"):
             raise GradCamConfigError(f"bad score_point {self.score_point!r}")
+        if self.relu_policy not in RELU_POLICIES:
+            raise GradCamConfigError(f"relu_policy must be one of {', '.join(RELU_POLICIES)}, "
+                                     f"got {self.relu_policy!r}")
 
 
 def default_target_layer(spec):
@@ -119,13 +123,7 @@ def cam(tape, categories, head_weights=None):
 
 def counterfactual(tape, categories, layer, config=None):
     """Regions whose removal would raise the category score."""
-    base = config or GradCamConfig()
-    cfg = GradCamConfig(weight_pooling=base.weight_pooling,
-                        apply_relu=True,
-                        absolute_gradients=base.absolute_gradients,
-                        gradient_sign=-1,
-                        relu_policy=base.relu_policy,
-                        score_point=base.score_point)
+    cfg = replace(config or GradCamConfig(), apply_relu=True, gradient_sign=-1)
     return gradcam(tape, categories, layer, cfg)
 
 

@@ -158,6 +158,9 @@ def load_dataset(directory):
             grouped[image_id] = []
             order.append(image_id)
         grouped[image_id].append(obj)
+        if len(grouped[image_id]) > 2:
+            raise nn.DatasetError(f"index line {lineno}: image {image_id} has "
+                                  f"{len(grouped[image_id])} object lines, at most 2")
     out = []
     for image_id in order:
         img = image_to_tensor(read_image(os.path.join(directory, f"{image_id}.pgm")))

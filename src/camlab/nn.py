@@ -44,8 +44,8 @@ class TrainingError(RuntimeError):
 
 class DatasetError(ValueError):
     """Unusable dataset: empty for training, a label outside the model's
-    categories, a malformed index line, a mask of another shape than its
-    image, or too small an image side."""
+    categories, a malformed index line, a third object line for one image,
+    a mask of another shape than its image, or too small an image side."""
 
 
 @dataclass
@@ -158,14 +158,13 @@ def _conv_forward(x, p, params, batched):
     if batched:  # score_batch records no tape
         return ops.conv2d(*conv), {}
     y, cols = ops.conv2d(*conv, return_cols=True)
-    # the record keeps the resolved params, for stride and pad, and the
-    # im2col matrix, which the parameter gradient reuses
-    return y, dict(p, cols=cols)
+    # the record keeps the im2col matrix, which the parameter gradient reuses
+    return y, {"cols": cols}
 
 
 def _conv_param_backward(rec, g):
     dk, db = ops.conv2d_param_grad(g, rec.x, rec.params["weights"].shape,
-                                   rec.extras["stride"], rec.extras["pad"],
+                                   rec.step.params["stride"], rec.step.params["pad"],
                                    cols=rec.extras["cols"])
     return {"weights": dk, "bias": db}
 
@@ -190,7 +189,8 @@ _KINDS = {
                                                             p["pad"]),
         forward=_conv_forward,
         backward=lambda rec, g, policy: ops.conv2d_input_grad(
-            g, rec.x.shape, rec.params["weights"], rec.extras["stride"], rec.extras["pad"]),
+            g, rec.x.shape, rec.params["weights"], rec.step.params["stride"],
+            rec.step.params["pad"]),
         param_backward=_conv_param_backward,
         param_shapes=lambda p, shape: {
             "weights": (p["filters"], shape[0], p["kernel"], p["kernel"]),
@@ -375,6 +375,12 @@ class WeightStore:
                     raise ValueError("negative offset or extent")
             except ValueError as exc:
                 raise WeightStoreError(f"manifest line {lineno}: {line!r}") from exc
+            # save writes the entries back to back, each pair once
+            if offset != total:
+                raise WeightStoreError(f"manifest line {lineno}: {name}.{key} starts at "
+                                       f"byte {offset}, not {total} where the one before ends")
+            if key in params.get(name, {}):
+                raise WeightStoreError(f"manifest line {lineno}: {name}.{key} appears twice")
             nbytes = int(np.prod(shape)) * 4
             if offset + nbytes > len(blob):
                 raise WeightStoreError(
@@ -409,12 +415,13 @@ def batch_size(spec):
     return max(1, BATCH_BYTES // (8 * per_image))
 
 
-def _run_layers(spec, weights, x, dtype, batched, records=None):
-    """The layer loop over one image [C, H, W] or a batch [N, C, H, W].
+def _run_layers(spec, weights, x, dtype, records=None):
+    """The layer loop over a batch [N, C, H, W], or, with `records`, over one
+    image [C, H, W], appending a LayerRecord per layer to `records`.
 
-    Returns the scores, [K] or [N, K]; the ops run one image as a batch of
-    one.  With `records`, appends a LayerRecord per layer.
+    Returns the scores, [N, K] or [K]; the ops run one image as a batch of one.
     """
+    batched = records is None
     if tuple(x.shape[batched:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
             f"image shape {x.shape[batched:]} != spec input {tuple(spec.input_shape)}")
@@ -424,9 +431,8 @@ def _run_layers(spec, weights, x, dtype, batched, records=None):
         params = {key: weights.params[name][key].astype(dtype, copy=False)
                   for key in step.param_shapes}
         y, extras = step.kind.forward(x, step.params, params, batched)
-        if records is not None:
-            records.append(LayerRecord(name, step.layer.kind, x, y, step.kind.backward,
-                                       params, extras, step.kind.param_backward))
+        if not batched:
+            records.append(LayerRecord(name, step.layer.kind, step, x, y, params, extras))
         x = y
     return x
 
@@ -434,16 +440,17 @@ def _run_layers(spec, weights, x, dtype, batched, records=None):
 def forward(spec, weights, image, dtype=np.float32):
     """Run the chain on one image; returns (pre-softmax scores, activation tape).
 
-    Where the weights already have `dtype`, the tape's conv and dense params
-    are the WeightStore arrays themselves, so do not update those in place
-    while the tape is still in use.  Each conv record holds the layer's
-    float64 im2col matrix in its extras ("cols"), for the parameter
-    gradient; that is C*kh*kw x h_out*w_out values, 0.8 MB per tape on
-    the fixture specs.
+    The tape is all that the explanations and `score_occluded` read; each
+    record carries its layer's `_Step`.  Where the weights already have
+    `dtype`, the tape's conv and dense params are the WeightStore arrays
+    themselves, so do not update those in place while the tape is still in
+    use.  Each conv record holds the layer's float64 im2col matrix in its
+    extras ("cols"), for the parameter gradient; that is C*kh*kw x
+    h_out*w_out values, 0.8 MB per tape on the fixture specs.
     """
     image = np.asarray(image, dtype=dtype)
     records = []
-    scores = _run_layers(spec, weights, image, dtype, False, records)
+    scores = _run_layers(spec, weights, image, dtype, records)
     return scores, ActivationTape(records=records, input=image, scores=scores)
 
 
@@ -453,8 +460,7 @@ def score_batch(spec, weights, images):
     Row i equals the scores `forward` gives for images[i].  The caller
     sizes the batch, for example by `batch_size`.
     """
-    return _run_layers(spec, weights, np.asarray(images, dtype=np.float32),
-                       np.float32, True)
+    return _run_layers(spec, weights, np.asarray(images, dtype=np.float32), np.float32)
 
 
 def _blocks(x, size):
@@ -489,29 +495,25 @@ class _Canvas:
         return self.read[np.arange(len(origin)), :, origin[:, 0], origin[:, 1]]
 
 
-def score_occluded(spec, weights, image, boxes, fill):
-    """(scores [K] of `image` [C, H, W], scores [len(boxes), K] of the image
-    with the box boxes[n] = (y0, y1, x0, x1), rows [y0, y1) and columns
-    [x0, x1), set to `fill` (one value per channel)), float32 and
-    pre-softmax.
+def score_occluded(tape, boxes, fill):
+    """Pre-softmax scores [len(boxes), K] of the tape's image with the box
+    boxes[n] = (y0, y1, x0, x1), rows [y0, y1) and columns [x0, x1), set to
+    `fill` (one value per channel), in the tape's dtype.
 
-    The first comes from the base run that the windows below start from;
-    it and row n of the second equal, byte for byte, the `score_batch` rows
-    of the image and of the image masked by box n.  A box changes only a
-    window of each spatially local layer's output (a kind with a `window`),
-    so only that window is computed again: from a crop of the layer's
-    zero-padded base input, with the previous layer's window pasted in,
-    through the kind's forward with pad 0.  A window has one size per
-    layer, the most a box can reach, and its origin is clamped into the
-    map; where it is wider than the change it recomputes values equal to
-    the base.  At the first global layer the window is pasted into a copy
-    of the whole base map, and the rest of the chain runs in full.  Boxes
-    run in batches that keep the largest window buffer plus that whole map
-    within BATCH_BYTES.
+    Row n equals, byte for byte, the `score_batch` row of the image masked
+    by box n (on a float32 tape).  A box changes only a window of each
+    spatially local layer's output (a kind with a `window`), so only that
+    window is computed again: from a crop of the layer's zero-padded
+    recorded input, with the previous layer's window pasted in, through the
+    kind's forward with pad 0.  A window has one size per layer, the most a
+    box can reach, and its origin is clamped into the map; where it is
+    wider than the change it recomputes values equal to the recorded ones.
+    At the first global layer the window is pasted into a copy of the whole
+    recorded map, and the rest of the chain runs in full.  Boxes run in
+    batches that keep the largest window buffer plus that whole map within
+    BATCH_BYTES.
     """
-    image = np.asarray(image, dtype=np.float32)
-    records = []
-    base = _run_layers(spec, weights, image[None], np.float32, True, records)[0]
+    image = tape.input
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 2, 2)
     box_lo, box_hi = boxes[:, :, 0], boxes[:, :, 1]
     # a window is a size (rows, columns) and an origin [N, 2] on a layer's
@@ -519,8 +521,9 @@ def score_occluded(spec, weights, image, boxes, fill):
     extent = np.array(image.shape[1:])
     size = image_size = np.minimum(extent, (box_hi - box_lo).max(axis=0, initial=1))
     origin = image_origin = np.clip(box_lo, 0, extent - size)
-    local, buffer = [], 0     # local: (step, params, canvas, window origin, crop origin)
-    for step, rec in zip(spec._plan, records):
+    local, buffer = [], 0     # local: (record, canvas, window origin, crop origin)
+    for rec in tape.records:
+        step = rec.step
         if step.kind.window is None:
             break
         k, s, pad = step.kind.window(step.params)
@@ -531,20 +534,20 @@ def score_occluded(spec, weights, image, boxes, fill):
         out_origin = np.clip(-((k - 1 - pad - origin) // s), 0, extent - out)
         crop = (out - 1) * s + k
         # a pointwise layer (a 1 x 1 window, stride 1) reads just the
-        # previous window; any other reads crops of its padded base input
+        # previous window; any other reads crops of its padded recorded input
         canvas = None if (k, s, pad) == (1, 1, 0) else _Canvas(
-            np.pad(rec.x[0], ((0, 0), (pad, pad), (pad, pad))), size, crop)
-        local.append((step, rec.params, canvas, origin + pad, out_origin * s))
-        buffer = max(buffer, step.kind.buffer(step.params, (rec.x.shape[1], *crop),
+            np.pad(rec.x, ((0, 0), (pad, pad), (pad, pad))), size, crop)
+        local.append((rec, canvas, origin + pad, out_origin * s))
+        buffer = max(buffer, step.kind.buffer(step.params, (rec.x.shape[0], *crop),
                                               (step.out_shape[0], *out)))
         size, origin = out, out_origin
-    rest = list(zip(spec._plan, records))[len(local):]
-    whole = _Canvas(records[len(local)].x[0], size, size)
-    per_box = buffer + max([whole.base.size] + [step.buffer for step, _ in rest])
+    rest = tape.records[len(local):]
+    whole = _Canvas(rest[0].x, size, size)
+    per_box = buffer + max([whole.base.size] + [rec.step.buffer for rec in rest])
     batch = max(1, BATCH_BYTES // (8 * per_box))
     image_blocks = _blocks(image[None], image_size)[0]
-    fill = np.asarray(fill, dtype=np.float32).reshape(1, -1, 1, 1)
-    scores = np.empty((len(boxes), spec.num_categories), dtype=np.float32)
+    fill = np.asarray(fill, dtype=image.dtype).reshape(1, -1, 1, 1)
+    scores = np.empty((len(boxes),) + tape.scores.shape, dtype=tape.scores.dtype)
     for start in range(0, len(boxes), batch):
         at = slice(start, start + batch)
         rows = image_origin[at, :1] + np.arange(image_size[0])
@@ -553,17 +556,17 @@ def score_occluded(spec, weights, image, boxes, fill):
                  & ((cols >= box_lo[at, 1:]) & (cols < box_hi[at, 1:]))[:, None, None, :])
         win = image_blocks[:, image_origin[at, 0], image_origin[at, 1]].swapaxes(0, 1)
         win = np.where(boxed, fill, win)
-        for step, params, canvas, win_origin, crop_origin in local:
+        for rec, canvas, win_origin, crop_origin in local:
             if canvas is not None:
                 canvas.paste(win, win_origin[at])
                 win = canvas.crops(crop_origin[at])
             # the crops hold their padding already
-            win = step.kind.forward(win, dict(step.params, pad=0), params, True)[0]
+            win = rec.step.kind.forward(win, dict(rec.step.params, pad=0), rec.params, True)[0]
         x = whole.paste(win, origin[at])
-        for step, rec in rest:
-            x = step.kind.forward(x, step.params, rec.params, True)[0]
+        for rec in rest:
+            x = rec.step.kind.forward(x, rec.step.params, rec.params, True)[0]
         scores[at] = x
-    return base, scores
+    return scores
 
 
 def init_weights(spec, rng_seed=0):
@@ -593,6 +596,16 @@ def accuracy(spec, weights, dataset):
     return correct / len(dataset)
 
 
+def check_labels(spec, examples):
+    """Raise DatasetError unless each label of the examples, (image, label)
+    pairs or ShapesExamples with both objects' labels, is a category of `spec`."""
+    n = spec.num_categories
+    for ex in examples:
+        for label in (ex[1],) if isinstance(ex, tuple) else (ex.label, ex.label2):
+            if label is not None and not 0 <= label < n:
+                raise DatasetError(f"label {label} out of range for {n} categories")
+
+
 def _as_pair(ex):
     if isinstance(ex, tuple):
         return ex
@@ -608,11 +621,8 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
     """
     if not dataset:
         raise DatasetError("dataset is empty")
-    ncat = spec.num_categories
+    check_labels(spec, dataset)
     pairs = [_as_pair(ex) for ex in dataset]
-    for _, label in pairs:
-        if not 0 <= label < ncat:
-            raise DatasetError(f"label {label} out of range for {ncat} categories")
     rng = np.random.default_rng(rng_seed)
     weights = init_weights(spec, rng_seed)
     lr = np.float32(learning_rate)

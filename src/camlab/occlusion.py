@@ -6,13 +6,13 @@ class score, so positive values mark evidence for the class.  The image is
 conceptually zero-padded: patches centered near the border are cropped, and
 the map always has the input's spatial size.
 
-The masked images are scored by `nn.score_occluded`, which never builds
-them: a patch changes only a window of each convolution, ReLU and max-pool
-output, so only that window is computed again, and the layers from the
-first global one (GAP, flatten, dense) run on the whole patched map.  Each
-score equals, byte for byte, the score of the masked image through
-`nn.score_batch`, so the map is the one that re-scoring each masked image
-gives; the tests hold it to that.
+Like every explanation, the map reads the image's activation tape: its
+base score, and the records from which `nn.score_occluded` scores the
+masked images without building them.  A patch changes only a window of each
+convolution, ReLU and max-pool output, so only that window is computed
+again, and the layers from the first global one (GAP, flatten, dense) run
+on the whole patched map.  Each score equals, byte for byte, the score of
+the masked image through `nn.score_batch`; the tests hold the map to that.
 """
 
 import math
@@ -57,21 +57,21 @@ def grid_positions(extent, stride):
     return list(range(0, extent, stride))
 
 
-def occlusion_map(spec, weights, image, category, config):
-    """Signed heatmap [H,W]: score(original) - score(masked at p).
+def occlusion_map(tape, category, config):
+    """Signed heatmap [H,W] of the tape's image: score(original) - score(masked at p).
 
-    The masked images are scored by `nn.score_occluded`, which recomputes
-    only the window of each layer that a patch reaches, and which scores
-    the original in the same base run.
+    The original's score is the tape's; the masked images are scored by
+    `nn.score_occluded`, which recomputes only the window of each layer
+    that a patch reaches.
     """
-    image = np.asarray(image, dtype=np.float32)
-    check_category(category, spec.num_categories)
+    image = tape.input
+    check_category(category, tape.scores.shape[0])
     c, h, w = image.shape
     fill = config.fill
     if fill is None:
         fill_vec = image.mean(axis=(1, 2))
     else:
-        fill_vec = np.full(c, fill, dtype=np.float32)
+        fill_vec = np.full(c, fill, dtype=image.dtype)
 
     def score(scores):
         if config.score_point == "post_softmax":
@@ -83,8 +83,7 @@ def occlusion_map(spec, weights, image, category, config):
     cols = grid_positions(w, config.stride)
     boxes = [(max(0, i - half), min(h, i + half + 1), max(0, j - half), min(w, j + half + 1))
              for i in rows for j in cols]
-    base, masked = nn.score_occluded(spec, weights, image, boxes, fill_vec)
-    drops = score(base[None])[0] - score(masked)
+    drops = score(tape.scores[None])[0] - score(nn.score_occluded(tape, boxes, fill_vec))
     coarse = drops.astype(np.float32).reshape(len(rows), len(cols))
     if config.stride == 1:
         return coarse

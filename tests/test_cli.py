@@ -159,6 +159,20 @@ def _bad_index(ws, tmp):
     return str(tmp / "bad")
 
 
+def _label_7_split(ws, tmp):
+    examples = camlab.fixtures.make_shapes_dataset(2, 48, 0)
+    examples[0].label = 7
+    camlab.fixtures.save_dataset(examples, tmp / "l7")
+    return str(tmp / "l7")
+
+
+def _overlapping_weights(ws, tmp):
+    manifest = (ws / "gap_w.manifest").read_text().replace("c1 bias 6 600", "c1 bias 6 0")
+    (tmp / "ov_w.manifest").write_text(manifest)
+    (tmp / "ov_w.bin").write_bytes((ws / "gap_w.bin").read_bytes())
+    return ["--spec", str(ws / "gap.spec"), "--weights", str(tmp / "ov_w")]
+
+
 def _non_ascii(tmp, name):
     (tmp / name).parent.mkdir(exist_ok=True)
     (tmp / name).write_bytes(b"img input shape=1x48x48\n\xff\n")
@@ -252,6 +266,16 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["localize", *_non_finite_weights(ws, tmp, "head", np.nan), "--data",
                       str(ws / "data"), "--report", str(tmp / "r.txt")],
      "head.weights holds 1 non-finite values"),
+    # ran to exit 0: a label outside the categories counted as a miss, and as
+    # calibration maps of absent categories; the c1 bias read from c1.weights
+    (lambda ws, tmp: ["localize", *gap_args(ws), "--data", _label_7_split(ws, tmp),
+                      "--report", str(tmp / "r.txt")], "label 7 out of range for 3 categories"),
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data", str(ws / "data"), "--modified",
+                      "--calibrate-split", _label_7_split(ws, tmp), "--report", str(tmp / "r.txt")],
+     "label 7 out of range for 3 categories"),
+    (lambda ws, tmp: ["explain", *_overlapping_weights(ws, tmp), "--image", first_image(ws),
+                      "--category", "0", "--method", "gradcam"],
+     "manifest line 2: c1.bias starts at byte 0"),
 ])
 def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
     assert main(argv(workspace, tmp_path)) == 3

@@ -21,7 +21,8 @@ def test_config_validation():
 
 
 def test_config_errors_are_named():
-    for bad in (dict(weight_pooling="median"), dict(gradient_sign=0), dict(score_point="mid")):
+    for bad in (dict(weight_pooling="median"), dict(gradient_sign=0), dict(score_point="mid"),
+                dict(relu_policy="mystery")):
         with pytest.raises(explain.GradCamConfigError):
             GradCamConfig(**bad)
 

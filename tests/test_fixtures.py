@@ -94,6 +94,18 @@ def test_mask_of_another_shape_is_dataset_error(tmp_path):
         load_dataset(tmp_path / "data")
 
 
+def test_third_object_line_is_dataset_error(tmp_path):
+    # the third line of an id was dropped without a word
+    examples = make_shapes_dataset(2, 48, rng_seed=4, two_object_fraction=1.0)
+    save_dataset(examples, tmp_path / "data")
+    index = tmp_path / "data" / "index.txt"
+    lines = index.read_text().splitlines()
+    assert [line.split()[0] for line in lines] == ["00000", "00000", "00001", "00001"]
+    index.write_text("\n".join(lines + [lines[3]]) + "\n")
+    with pytest.raises(nn.DatasetError, match="index line 5: image 00001 has 3 object lines"):
+        load_dataset(tmp_path / "data")
+
+
 # ---------------------------------------------------------------- attack
 
 def test_attack_with_zero_budget_returns_input(fc_spec, fc_weights, test_set):

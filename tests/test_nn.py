@@ -189,6 +189,34 @@ def test_weight_store_rejects_non_finite_values(tmp_path, gap_spec, value):
         nn.WeightStore.load(tmp_path / "w")
 
 
+def _edit_manifest(path, edit):
+    lines = (path / "w.manifest").read_text().splitlines()
+    (path / "w.manifest").write_text("\n".join(edit(lines)) + "\n")
+
+
+def test_weight_store_rejects_overlapping_entries(tmp_path, gap_spec):
+    # an offset that points into another entry loaded those bytes as the
+    # entry's values, and passed check_against
+    nn.init_weights(gap_spec, rng_seed=7).save(tmp_path / "w")
+    _edit_manifest(tmp_path, lambda lines: [
+        line.rsplit(" ", 1)[0] + " 0" if line.startswith("c1 bias") else line
+        for line in lines])
+    with pytest.raises(nn.WeightStoreError,
+                       match="manifest line 2: c1.bias starts at byte 0, not 600"):
+        nn.WeightStore.load(tmp_path / "w")
+
+
+def test_weight_store_rejects_a_repeated_entry(tmp_path, gap_spec):
+    # a second `c1 bias` line, its bytes appended, replaced the first
+    nn.init_weights(gap_spec, rng_seed=7).save(tmp_path / "w")
+    size = (tmp_path / "w.bin").stat().st_size
+    _edit_manifest(tmp_path, lambda lines: lines + [f"c1 bias 6 {size}"])
+    with open(tmp_path / "w.bin", "ab") as fh:
+        fh.write(bytes(24))
+    with pytest.raises(nn.WeightStoreError, match="manifest line 7: c1.bias appears twice"):
+        nn.WeightStore.load(tmp_path / "w")
+
+
 def test_weight_store_spec_mismatch(gap_spec, fc_spec):
     w = nn.init_weights(gap_spec, rng_seed=0)
     with pytest.raises(nn.WeightStoreError):
@@ -356,7 +384,8 @@ def reference_sgd(spec, dataset, epochs, learning_rate, rng_seed):
                 if rec.kind == "conv":
                     g = autodiff.backward_from_cotangent(tape, cot, stop_at=rec.name)
                     dk, db = ops.conv2d_param_grad(g, rec.x, rec.params["weights"].shape,
-                                                   rec.extras["stride"], rec.extras["pad"])
+                                                   rec.step.params["stride"],
+                                                   rec.step.params["pad"])
                     grads[rec.name] = {"weights": dk, "bias": db}
             for name, group in grads.items():
                 for key, grad in group.items():

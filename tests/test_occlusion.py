@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import camlab
-from camlab import nn, occlusion, ops
+from camlab import evaluation, nn, occlusion, ops
 from camlab.occlusion import OcclusionConfig, default_patch, occlusion_map
 
 
@@ -21,6 +21,10 @@ gap gap
 head dense units=2
 """)
     return spec, nn.init_weights(spec, rng_seed=11)
+
+
+def tape_of(spec, weights, image):
+    return nn.forward(spec, weights, image)[1]
 
 
 def test_config_validation():
@@ -48,7 +52,7 @@ def test_map_matches_direct_rescoring(rng):
     img = rng.random(spec.input_shape).astype(np.float32)
     cat = 1
     cfg = OcclusionConfig(patch=3, fill=0.0)
-    heat = occlusion_map(spec, weights, img, cat, cfg)
+    heat = occlusion_map(tape_of(spec, weights, img), cat, cfg)
     base, _ = camlab.forward(spec, weights, img)
     for i, j in [(0, 0), (3, 5), (7, 7), (4, 4)]:
         masked = img.copy()
@@ -62,8 +66,8 @@ def test_map_matches_direct_rescoring(rng):
 def test_auto_fill_uses_per_channel_image_mean(rng):
     spec, weights = small_model()
     img = rng.random(spec.input_shape).astype(np.float32)
-    auto = occlusion_map(spec, weights, img, 0, OcclusionConfig(patch=3))
-    explicit = occlusion_map(spec, weights, img, 0,
+    auto = occlusion_map(tape_of(spec, weights, img), 0, OcclusionConfig(patch=3))
+    explicit = occlusion_map(tape_of(spec, weights, img), 0,
                              OcclusionConfig(patch=3,
                                              fill=float(img.mean())))
     np.testing.assert_allclose(auto, explicit, atol=1e-6)
@@ -72,7 +76,7 @@ def test_auto_fill_uses_per_channel_image_mean(rng):
 def test_patch_covering_whole_image_gives_constant_map(rng):
     spec, weights = small_model()
     img = rng.random(spec.input_shape).astype(np.float32)
-    heat = occlusion_map(spec, weights, img, 0,
+    heat = occlusion_map(tape_of(spec, weights, img), 0,
                          OcclusionConfig(patch=17, fill=0.25))
     # every probe blanks the full image, so all entries equal
     base, _ = camlab.forward(spec, weights, img)
@@ -84,9 +88,9 @@ def test_patch_covering_whole_image_gives_constant_map(rng):
 def test_stride_fills_by_nearest_grid_point(rng):
     spec, weights = small_model()
     img = rng.random(spec.input_shape).astype(np.float32)
-    fine = occlusion_map(spec, weights, img, 0,
+    fine = occlusion_map(tape_of(spec, weights, img), 0,
                          OcclusionConfig(patch=3, fill=0.0))
-    coarse = occlusion_map(spec, weights, img, 0,
+    coarse = occlusion_map(tape_of(spec, weights, img), 0,
                            OcclusionConfig(patch=3, stride=2, fill=0.0))
     assert coarse.shape == (8, 8)
     # grid points carry the exact probe value
@@ -108,13 +112,13 @@ def test_category_range_checked(rng):
     spec, weights = small_model()
     img = rng.random(spec.input_shape).astype(np.float32)
     with pytest.raises(ValueError):
-        occlusion_map(spec, weights, img, 7, OcclusionConfig(patch=3))
+        occlusion_map(tape_of(spec, weights, img), 7, OcclusionConfig(patch=3))
 
 
 def test_signed_map_marks_the_evidence_region(gap_spec, gap_weights,
                                               test_set):
     ex = test_set[0]
-    heat = occlusion_map(gap_spec, gap_weights, ex.image, ex.label,
+    heat = occlusion_map(tape_of(gap_spec, gap_weights, ex.image), ex.label,
                          OcclusionConfig(patch=9, stride=4))
     inside = heat[ex.gt_mask].mean()
     outside = heat[~ex.gt_mask].mean()
@@ -156,10 +160,27 @@ def test_batched_map_equals_rescoring_loop_with_a_partial_last_batch(
     monkeypatch.setattr(nn, "BATCH_BYTES", 25 * 8 * (12_150 + 6_912))
     img = rng.random(spec.input_shape).astype(np.float32)
     cfg = OcclusionConfig(patch=5, stride=2, score_point=score_point)
-    heat = occlusion_map(spec, weights, img, 2, cfg)
+    heat = occlusion_map(tape_of(spec, weights, img), 2, cfg)
     want = rescoring_loop(spec, weights, img, 2, cfg)
     assert want.shape == (24, 24)
     assert heat[::2, ::2].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make_spec,per_batch", [(nn.fix_gap_spec, 20), (nn.fix_fc_spec, 28)])
+def test_boxes_per_batch_fill_the_byte_budget(monkeypatch, rng, make_spec, per_batch):
+    # at patch 5 a box costs the c2 window's im2col matrix plus the whole
+    # map at the first global layer, r2 (GAP) or p2 (FC); see nn.BATCH_BYTES
+    spec = make_spec()
+    tape = tape_of(spec, nn.init_weights(spec, rng_seed=0),
+                   rng.random(spec.input_shape).astype(np.float32))
+    batches, conv2d = [], ops.conv2d
+    monkeypatch.setattr(ops, "conv2d", lambda x, *a, **k: batches.append(len(x))
+                        or conv2d(x, *a, **k))
+    occlusion_map(tape, 0, OcclusionConfig(patch=5, stride=2))
+    # each batch runs the c1 window, then the c2 window
+    assert batches[:-2] == [per_batch] * (len(batches) - 2)
+    assert batches[-2] == batches[-1] == 576 % per_batch
+    assert sum(batches[::2]) == 576
 
 
 # -------------------------------------- windowed scoring against re-masking
@@ -204,7 +225,7 @@ def test_fixture_maps_equal_remasking_byte_for_byte(request, test_set, arch, pat
     weights = request.getfixturevalue(f"{arch}_weights")
     cfg = OcclusionConfig(patch=patch, stride=stride, score_point=score_point)
     for ex in test_set[:2]:
-        heat = occlusion_map(spec, weights, ex.image, ex.label, cfg)
+        heat = occlusion_map(tape_of(spec, weights, ex.image), ex.label, cfg)
         assert heat.tobytes() == remasked_map(spec, weights, ex.image, ex.label, cfg).tobytes()
 
 
@@ -214,7 +235,7 @@ def test_spec_without_a_local_layer_equals_remasking(rng):
     weights = nn.init_weights(spec, rng_seed=3)
     img = rng.random(spec.input_shape).astype(np.float32)
     for cfg in (OcclusionConfig(patch=3, fill=0.5), OcclusionConfig(patch=5, stride=2)):
-        heat = occlusion_map(spec, weights, img, 1, cfg)
+        heat = occlusion_map(tape_of(spec, weights, img), 1, cfg)
         assert heat.tobytes() == remasked_map(spec, weights, img, 1, cfg).tobytes()
 
 
@@ -224,7 +245,7 @@ def test_patch_covering_the_whole_image_equals_remasking(rng, arch):
     weights = nn.init_weights(spec, rng_seed=8)
     img = rng.random(spec.input_shape).astype(np.float32)
     cfg = OcclusionConfig(patch=97, stride=8, fill=0.25, score_point="post_softmax")
-    heat = occlusion_map(spec, weights, img, 0, cfg)
+    heat = occlusion_map(tape_of(spec, weights, img), 0, cfg)
     assert heat.tobytes() == remasked_map(spec, weights, img, 0, cfg).tobytes()
     assert np.unique(heat).size == 1
 
@@ -262,7 +283,7 @@ def test_windowed_map_equals_remasking_on_random_chains(case):
     spec, seed, cfg, category = case
     weights = nn.init_weights(spec, rng_seed=seed % 1000)
     img = np.random.default_rng(seed).random(spec.input_shape).astype(np.float32)
-    heat = occlusion_map(spec, weights, img, category, cfg)
+    heat = occlusion_map(tape_of(spec, weights, img), category, cfg)
     np.testing.assert_allclose(heat, remasked_map(spec, weights, img, category, cfg),
                                rtol=0, atol=1e-6)
 
@@ -283,18 +304,35 @@ def test_score_occluded_rows_equal_masked_scores(case, corners):
     masked = np.repeat(img[None], len(boxes), axis=0)
     for m, (y0, y1, x0, x1) in zip(masked, boxes):
         m[:, y0:y1, x0:x1] = fill[:, None, None]
+    tape = tape_of(spec, weights, img)
     with mock.patch.object(nn, "BATCH_BYTES", 8 * 10_000):
-        base, got = nn.score_occluded(spec, weights, img, boxes, fill)
+        got = nn.score_occluded(tape, boxes, fill)
     np.testing.assert_allclose(got, nn.score_batch(spec, weights, masked), rtol=0, atol=1e-6)
-    # the base scores come from the base run, byte for byte those of score_batch
-    assert base.tobytes() == nn.score_batch(spec, weights, img[None])[0].tobytes()
+    # the windows start from the tape, whose scores are byte for byte those of score_batch
+    assert tape.scores.tobytes() == nn.score_batch(spec, weights, img[None])[0].tobytes()
 
 
-def test_occlusion_map_runs_the_base_forward_once(monkeypatch, rng):
-    spec, weights = small_model()
-    img = rng.random(spec.input_shape).astype(np.float32)
+def count_runs(monkeypatch):
+    """The input shape of each nn._run_layers call from now on."""
     runs, run_layers = [], nn._run_layers
     monkeypatch.setattr(nn, "_run_layers", lambda *a, **k: runs.append(a[2].shape)
                         or run_layers(*a, **k))
-    occlusion_map(spec, weights, img, 1, OcclusionConfig(patch=3, stride=2))
-    assert runs == [(1,) + img.shape]
+    return runs
+
+
+def test_occlusion_map_runs_no_forward_of_its_own(monkeypatch, rng):
+    spec, weights = small_model()
+    img = rng.random(spec.input_shape).astype(np.float32)
+    tape = tape_of(spec, weights, img)
+    runs = count_runs(monkeypatch)
+    occlusion_map(tape, 1, OcclusionConfig(patch=3, stride=2))
+    assert runs == []
+
+
+def test_faithfulness_runs_one_forward_per_image(monkeypatch, test_set):
+    spec = nn.fix_gap_spec()
+    weights = nn.init_weights(spec, rng_seed=4)
+    runs = count_runs(monkeypatch)
+    evaluation.faithfulness(spec, weights, test_set[:3], ["gradcam", "backprop"],
+                            OcclusionConfig(patch=5, stride=4))
+    assert runs == [spec.input_shape] * 3
