@@ -6,7 +6,7 @@ sensitivity, and the evaluation protocols (weak localization, pointing
 game, faithfulness) at desk scale.
 """
 
-from .autodiff import ActivationTape, backward, grad_at_layer, one_hot
+from .autodiff import ActivationTape, grad_at_layer, one_hot
 from .evaluation import (BBox, EvalRecord, extract_bbox, iou,
                          localization_error, modified_pointing,
                          pointing_game, rank_correlation)

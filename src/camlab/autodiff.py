@@ -28,7 +28,8 @@ class CategoryError(ValueError):
 
 
 class SeedError(ValueError):
-    """Backward seed is not a one-hot vector over the score vector."""
+    """Cotangent is neither the score shape [K] nor a stack [S, K], or is a
+    stack given with `param_grads`."""
 
 
 @dataclass
@@ -56,12 +57,6 @@ class ActivationTape:
             if rec.name == name:
                 return rec.y
         raise CheckpointError(f"no checkpoint named {name!r}")
-
-    def checkpoint_names(self):
-        return ["input"] + [rec.name for rec in self.records]
-
-    def has_checkpoint(self, name):
-        return name == "input" or any(r.name == name for r in self.records)
 
 
 def _relu_backward(g, x, policy):
@@ -94,17 +89,16 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     at the lowest layer with parameters, once its parameter gradients are
     in, without computing its input cotangent, and returns None.
 
-    Used internally by the trainer (softmax cross-entropy) and by the
-    post-softmax scoring mode; the public explanation path goes through
-    `backward`, which enforces one-hot seeds.
+    The trainer passes its softmax cross-entropy cotangent; explanations
+    go through `grad_at_layer`, which builds the cotangents of categories.
     """
     records = tape.records
     if stop_at is None:
         if param_grads is None:
             raise ValueError("stop_at=None computes only param_grads, which is None")
         records = records[next(i for i, r in enumerate(records) if r.step.kind.param_backward):]
-    elif not tape.has_checkpoint(stop_at):
-        raise CheckpointError(f"no checkpoint named {stop_at!r}")
+    else:
+        tape.checkpoint(stop_at)  # CheckpointError for an unknown name
     if policy not in RELU_POLICIES:
         raise ValueError(f"unknown relu policy {policy!r}")
     g = np.asarray(cotangent, dtype=tape.scores.dtype)
@@ -122,21 +116,6 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
             return None
         g = rec.step.kind.backward(rec, g, policy)
     return g[0] if single else g
-
-
-def backward(tape, seed, policy="standard", stop_at="input"):
-    """Gradient of one pre-softmax class score at the named checkpoint, or
-    of S scores in one walk.
-
-    The seed must be one-hot [K], or S one-hot rows [S, K]: explanations
-    are always per-category, all other score gradients are held at zero.
-    """
-    seed = np.asarray(seed)
-    _check_seed_shape(tape, seed)
-    rows = seed.reshape(-1, seed.shape[-1])
-    if not (((rows != 0).sum(axis=1) == 1) & (rows.sum(axis=1) == 1)).all():
-        raise SeedError("each seed must be one-hot over the score vector")
-    return backward_from_cotangent(tape, seed, policy=policy, stop_at=stop_at)
 
 
 def check_category(categories, n):
@@ -167,17 +146,16 @@ def _cotangents(tape, categories, score_point):
 
 
 def grad_at_layer(tape, categories, layer, policy="standard", score_point="pre_softmax"):
-    """Full gradient of a class score w.r.t. a spatial feature-map checkpoint.
+    """Full gradient of a class score w.r.t. a spatial checkpoint.
 
-    `layer` should name the rectified feature maps of a convolutional stage;
-    the result has the feature-map shape [K, u, v] for one category, and is
-    a stack [S, K, u, v] from one walk of the tape for a list of S.
+    `layer` names the rectified feature maps of a convolutional stage, or
+    "input" for the pixel gradient; the result has the checkpoint's shape
+    for one category, and is a stack [S, ...] from one walk of the tape for
+    a list of S.
     """
     target = tape.checkpoint(layer)
     if target.ndim != 3:
         raise ops.DimensionError(
             f"checkpoint {layer!r} is not spatial (shape {target.shape})")
-    cot = _cotangents(tape, categories, score_point)
-    if score_point == "post_softmax":
-        return backward_from_cotangent(tape, cot, policy=policy, stop_at=layer)
-    return backward(tape, cot, policy=policy, stop_at=layer)
+    return backward_from_cotangent(tape, _cotangents(tape, categories, score_point),
+                                   policy=policy, stop_at=layer)

@@ -6,6 +6,7 @@ All outputs are deterministic given flags and seeds.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -48,10 +49,8 @@ def _config_from(args):
 
 def _emit(heat, image, args, suffix=""):
     def with_suffix(path):
-        if not suffix:
-            return path
-        stem, dot, ext = path.rpartition(".")
-        return f"{stem}{suffix}{dot}{ext}" if dot else f"{path}{suffix}"
+        stem, ext = os.path.splitext(path)
+        return f"{stem}{suffix}{ext}"
 
     if args.out_heat:
         imaging.write_fmap(np.asarray(heat, np.float32), with_suffix(args.out_heat))
@@ -230,7 +229,7 @@ def _occlude_flags(p):
     p.add_argument("--image", required=True)
     p.add_argument("--category", type=int, required=True)
     p.add_argument("--patch", type=_bounded(int, 1), default=None)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=_bounded(int, 1), default=1)
     p.add_argument("--fill", type=_fill, default="auto")
     p.add_argument("--out-heat", default=None)
     p.add_argument("--out-png", default=None)
@@ -261,8 +260,8 @@ def _faithfulness_flags(p):
     p.add_argument("--data", required=True)
     p.add_argument("--methods", required=True,
                    help="comma-separated subset of " + ",".join(explain.METHODS))
-    p.add_argument("--patch", type=int, default=5)
-    p.add_argument("--stride", type=int, default=2)
+    p.add_argument("--patch", type=_bounded(int, 1), default=5)
+    p.add_argument("--stride", type=_bounded(int, 1), default=2)
     p.add_argument("--layer", default=None)
     p.add_argument("--report", required=True)
 

@@ -16,9 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ops
-from .autodiff import (RELU_POLICIES, CheckpointError, backward, check_category, grad_at_layer,
-                       one_hot)
+from .autodiff import RELU_POLICIES, CheckpointError, check_category, grad_at_layer
 from .imaging import bilinear_resize
 
 
@@ -98,7 +96,7 @@ def gradcam(tape, categories, layer, config=None):
     return heat.astype(np.float32)
 
 
-def cam(tape, categories, head_weights=None):
+def cam(tape, categories):
     """CAM heatmap [u,v] from the learned head weights (GAP-head models
     only); [S,u,v] for a list of S categories.
 
@@ -112,12 +110,7 @@ def cam(tape, categories, head_weights=None):
             "CAM needs spatial maps -> global average pooling -> dense scores")
     check_category(categories, tape.scores.shape[0])
     amaps = recs[-3].y.astype(np.float64)
-    if head_weights is None:
-        head_weights = recs[-1].params["weights"]
-    w = np.asarray(head_weights, dtype=np.float64)[categories]
-    if w.shape[-1] != amaps.shape[0]:
-        raise ops.DimensionError(
-            f"{w.shape[-1]} head weights vs {amaps.shape[0]} feature maps")
+    w = recs[-1].params["weights"].astype(np.float64)[categories]
     return np.tensordot(w, amaps, axes=1).astype(np.float32)
 
 
@@ -134,8 +127,7 @@ def pixel_saliency(tape, categories, policy="guided"):
     policy "standard" is the plain-backprop baseline; "guided" and "deconv"
     are the sharpened variants used for fusion.
     """
-    seed = one_hot(categories, tape.scores.shape[0], tape.scores.dtype)
-    return backward(tape, seed, policy=policy, stop_at="input")
+    return grad_at_layer(tape, categories, "input", policy)
 
 
 def normalize_heatmap(heat):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import backward, check_category, one_hot
+from .autodiff import check_category, grad_at_layer
 from .evaluation import BBox
 from .imaging import (bilinear_resize, image_to_tensor, read_image,
                       tensor_to_image, write_image)
@@ -203,7 +203,6 @@ def adversarial_attack(spec, weights, image, target_category, epsilon,
     adv = image.copy()
     lo = np.clip(image - epsilon, 0, 1)
     hi = np.clip(image + epsilon, 0, 1)
-    ncat = spec.num_categories
     prob = 0.0
     used = 0
     for step in range(steps):
@@ -211,7 +210,7 @@ def adversarial_attack(spec, weights, image, target_category, epsilon,
         prob = float(softmax(scores)[target_category])
         if prob > 0.9999:
             break
-        g = backward(tape, one_hot(target_category, ncat), stop_at="input")
+        g = grad_at_layer(tape, target_category, "input")
         adv = np.clip(adv + np.float32(step_size) * np.sign(g), lo, hi)
         used = step + 1
     scores, _ = nn.forward(spec, weights, adv)

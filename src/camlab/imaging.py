@@ -59,7 +59,7 @@ def decode_netpbm(data):
     if len(payload) < need:
         raise ImageFormatError(
             f"truncated payload: need {need} bytes at offset {pos}, "
-            f"have {len(data) - pos}")
+            f"have {max(0, len(data) - pos)}")
     arr = np.frombuffer(payload, dtype=np.uint8)
     if channels == 3:
         return arr.reshape(h, w, 3).copy()
@@ -100,6 +100,8 @@ def encode_fmap(heat):
     heat = np.asarray(heat, dtype="<f4")
     if heat.ndim != 2:
         raise ImageFormatError(f"FMAP stores 2-D maps, got shape {heat.shape}")
+    if heat.size == 0:
+        raise ImageFormatError(f"FMAP stores maps of at least 1x1, got shape {heat.shape}")
     h, w = heat.shape
     return FMAP_MAGIC + f"{w} {h}\n".encode("ascii") + np.ascontiguousarray(heat).tobytes()
 
@@ -114,6 +116,8 @@ def decode_fmap(data):
         w, h = (int(t) for t in data[len(FMAP_MAGIC):end].split())
     except ValueError:
         raise ImageFormatError(f"bad FMAP size line at byte {len(FMAP_MAGIC)}")
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"FMAP extent {w}x{h} must be at least 1x1")
     need = 4 * w * h
     payload = data[end + 1:]
     if len(payload) != need:

@@ -2,7 +2,7 @@
 
 For each position on a stride grid, a patch of the input is replaced with a
 fill value and the image is re-scored.  The map stores the drop in the
-class score, so positive values mark evidence for the class.  The image is
+pre-softmax class score, so positive values mark evidence for the class.  The image is
 conceptually zero-padded: patches centered near the border are cropped, and
 the map always has the input's spatial size.
 
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import nn
 from .autodiff import check_category
-from .ops import softmax
 
 
 class OcclusionConfigError(ValueError):
@@ -34,7 +33,6 @@ class OcclusionConfig:
     patch: int            # odd side length in pixels
     stride: int = 1
     fill: float = None    # None -> per-channel mean of the image being probed
-    score_point: str = "pre_softmax"
 
     def __post_init__(self):
         if self.patch < 1 or self.patch % 2 == 0:
@@ -43,8 +41,6 @@ class OcclusionConfig:
             raise OcclusionConfigError(f"stride must be >= 1, got {self.stride}")
         if self.fill is not None and not math.isfinite(self.fill):
             raise OcclusionConfigError(f"fill must be finite, got {self.fill}")
-        if self.score_point not in ("pre_softmax", "post_softmax"):
-            raise OcclusionConfigError(f"bad score_point {self.score_point!r}")
 
 
 def default_patch(image_side):
@@ -73,17 +69,13 @@ def occlusion_map(tape, category, config):
     else:
         fill_vec = np.full(c, fill, dtype=image.dtype)
 
-    def score(scores):
-        if config.score_point == "post_softmax":
-            scores = softmax(scores)
-        return scores[:, category].astype(np.float64)
-
     half = config.patch // 2
     rows = grid_positions(h, config.stride)
     cols = grid_positions(w, config.stride)
     boxes = [(max(0, i - half), min(h, i + half + 1), max(0, j - half), min(w, j + half + 1))
              for i in rows for j in cols]
-    drops = score(tape.scores[None])[0] - score(nn.score_occluded(tape, boxes, fill_vec))
+    drops = (np.float64(tape.scores[category])
+             - nn.score_occluded(tape, boxes, fill_vec)[:, category].astype(np.float64))
     coarse = drops.astype(np.float32).reshape(len(rows), len(cols))
     if config.stride == 1:
         return coarse

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import camlab
 from camlab import autodiff, nn, ops
 from camlab.autodiff import (ActivationTape, CheckpointError, SeedError,
-                             backward, backward_from_cotangent, grad_at_layer,
+                             backward_from_cotangent, grad_at_layer,
                              one_hot, _relu_backward)
 from test_occlusion import chain_cases
 
@@ -49,31 +49,20 @@ head dense units=3
     return spec, weights
 
 
-def test_backward_requires_one_hot_seed():
-    spec, weights = tiny_dense_model()
-    _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
-    with pytest.raises(SeedError):
-        backward(tape, np.array([1.0, 1.0, 0.0], np.float32))
-    with pytest.raises(SeedError):
-        backward(tape, np.array([0.0, 2.0, 0.0], np.float32))
-    with pytest.raises(SeedError):
-        backward(tape, np.zeros(4, np.float32))
-
-
 def test_backward_unknown_checkpoint():
     spec, weights = tiny_dense_model()
     _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
     with pytest.raises(CheckpointError):
-        backward(tape, one_hot(0, 3), stop_at="nowhere")
+        backward_from_cotangent(tape, one_hot(0, 3), stop_at="nowhere")
 
 
 def test_checkpoint_lookup():
     spec, weights = tiny_dense_model()
     img = np.ones(spec.input_shape, np.float32)
     _, tape = nn.forward(spec, weights, img)
-    assert tape.checkpoint_names() == ["input", "fl", "fc1", "r1", "head"]
     np.testing.assert_array_equal(tape.checkpoint("input"), img)
-    assert tape.has_checkpoint("r1") and not tape.has_checkpoint("r9")
+    for rec in tape.records:
+        assert tape.checkpoint(rec.name) is rec.y
     with pytest.raises(CheckpointError):
         tape.checkpoint("r9")
 
@@ -81,7 +70,7 @@ def test_checkpoint_lookup():
 def test_stop_at_returns_cotangent_at_that_layer():
     spec, weights = tiny_dense_model()
     _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
-    g = backward(tape, one_hot(1, 3), stop_at="r1")
+    g = backward_from_cotangent(tape, one_hot(1, 3), stop_at="r1")
     # one dense layer above r1: cotangent is its weight row
     np.testing.assert_allclose(g, weights.params["head"]["weights"][1],
                                atol=1e-6)
@@ -98,7 +87,7 @@ def _activation_patterns_match(tape_a, tape_b):
 
 
 def finite_difference_check(spec, weights, img, n_coords, eps, rng, rel_tol):
-    """Compare backward() against central differences on random coordinates.
+    """Compare the pixel gradient against central differences on random coordinates.
 
     The networks are piecewise linear, so coordinates where the +/-eps
     probes change any ReLU mask or maxpool winner are skipped: there the
@@ -107,8 +96,7 @@ def finite_difference_check(spec, weights, img, n_coords, eps, rng, rel_tol):
     """
     scores, tape = camlab.forward(spec, weights, img, dtype=np.float64)
     c = int(np.argmax(scores))
-    g = backward(tape, one_hot(c, spec.num_categories, np.float64),
-                 stop_at="input")
+    g = grad_at_layer(tape, c, "input")
     checked = 0
     worst = 0.0
     while checked < n_coords:
@@ -187,7 +175,7 @@ def test_guided_gradient_support_on_one_relu_net_exhaustively():
             incoming = float(w2[0, u])
             if pre[u] > 0 and incoming > 0:
                 expected += incoming * w1[u].astype(np.float64)
-        got = backward(tape, one_hot(0, 1), policy="guided", stop_at="input")
+        got = grad_at_layer(tape, 0, "input", policy="guided")
         np.testing.assert_allclose(got.reshape(-1), expected, atol=1e-6)
 
 
@@ -199,7 +187,7 @@ head dense units=2
 """)
     weights = nn.init_weights(spec, rng_seed=0)
     _, tape = nn.forward(spec, weights, np.ones((1, 2, 2), np.float32))
-    grads = [backward(tape, one_hot(1, 2), policy=p, stop_at="input")
+    grads = [grad_at_layer(tape, 1, "input", policy=p)
              for p in ("standard", "guided", "deconv")]
     row = weights.params["head"]["weights"][1].reshape(1, 2, 2)
     for g in grads:
@@ -300,7 +288,7 @@ def test_stacked_seeds_walk_equals_one_walk_per_category(case, data):
         for c, row in zip(categories, block):
             assert row.tobytes() == autodiff._cotangents(tape, c, point).tobytes()
         for policy in autodiff.RELU_POLICIES:
-            for stop_at in tape.checkpoint_names():
+            for stop_at in ["input"] + [rec.name for rec in tape.records]:
                 got = backward_from_cotangent(tape, block, policy, stop_at)
                 assert got.shape == (len(categories),) + tape.checkpoint(stop_at).shape
                 for row, g in zip(block, got):
@@ -323,10 +311,9 @@ def test_grad_at_layer_of_a_list_is_one_walk(monkeypatch, gap_spec, gap_weights,
 def test_stacked_seeds_are_checked_row_by_row():
     spec, weights = tiny_dense_model()
     _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
-    for bad in ([[1, 0, 0], [1, 1, 0]], [[0, 2, 0]], [[0, 0, 0]], np.zeros((0, 3)),
-                np.zeros((2, 4)), np.zeros((1, 2, 3))):
+    for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 4)), np.zeros((1, 2, 3))):
         with pytest.raises(SeedError):
-            backward(tape, np.array(bad, np.float32))
+            backward_from_cotangent(tape, np.array(bad, np.float32))
     with pytest.raises(autodiff.CategoryError):
         grad_at_layer(tape, [0, 3], "input")
     with pytest.raises(SeedError):    # parameter gradients take one cotangent

@@ -324,6 +324,10 @@ def test_negative_attack_budget_is_usage_error(workspace, tmp_path, capsys, flag
     (["train", "--lr", "nan"], "must be at least 0, got nan"),
     (["attack", "--epsilon", "inf"], "must be finite, got inf"),
     (["attack", "--epsilon", "0.1", "--step-size", "inf"], "must be finite, got inf"),
+    # zero patch or stride exited 3 with an OcclusionConfigError
+    (["occlude", "--stride", "0"], "must be at least 1, got 0"),
+    (["faithfulness", "--patch", "0"], "must be at least 1, got 0"),
+    (["faithfulness", "--stride", "0"], "must be at least 1, got 0"),
 ])
 def test_out_of_range_flag_is_usage_error(workspace, tmp_path, capsys, argv, message):
     ws, command = workspace, argv[0]
@@ -331,6 +335,8 @@ def test_out_of_range_flag_is_usage_error(workspace, tmp_path, capsys, argv, mes
                          "--report", str(tmp_path / "r.txt")],
             "occlude": [*gap_args(ws), "--image", first_image(ws), "--category", "0",
                         "--out-heat", str(tmp_path / "h.fmap")],
+            "faithfulness": [*gap_args(ws), "--data", str(ws / "data"), "--methods", "gradcam",
+                             "--report", str(tmp_path / "r.txt")],
             "make-dataset": ["--out", str(tmp_path / "d")],
             "train": ["--spec", str(ws / "gap.spec"), "--data", str(ws / "data"),
                       "--out", str(tmp_path / "w")],
@@ -466,6 +472,16 @@ def test_explain_top_k_emits_suffixed_files(workspace, tmp_path):
     for cat in range(3):
         assert (tmp_path / f"multi.c{cat}.fmap").exists()
     assert not out.exists()
+
+
+def test_top_k_suffix_goes_into_the_file_name(workspace, tmp_path):
+    # the suffix went before the last dot of the path, here a directory's
+    (tmp_path / "runs.v1").mkdir()
+    assert main(["explain", *gap_args(workspace), "--image", first_image(workspace),
+                 "--top-k", "3", "--method", "gradcam",
+                 "--out-heat", str(tmp_path / "runs.v1" / "heat")]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs.v1").iterdir()) == [
+        "heat.c0", "heat.c1", "heat.c2"]
 
 
 def test_explain_flag_variants_run(workspace, tmp_path):

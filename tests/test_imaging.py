@@ -48,6 +48,7 @@ def test_netpbm_header_comments_are_skipped():
     (b"P5\n-2 2\n255\n", "extent -2x2"),   # decoded to a (2, 0) array before
     (b"P5\n2 -2\n255\n", "extent 2x-2"),   # decoded to a (0, 2) array before
     (b"P6\n0 3\n255\n", "extent 0x3"),
+    (b"P5 2 2 255", "need 4 bytes at offset 11, have 0"),   # reported have -1 before
 ])
 def test_netpbm_decode_errors(data, fragment):
     with pytest.raises(ImageFormatError) as err:
@@ -95,6 +96,8 @@ def test_fmap_golden_header():
     b"FMAP1\n2 2\n" + b"\x00" * 24,     # oversized payload
     b"FMAP1\ntwo 2\n" + b"\x00" * 16,
     b"FMAP1\n2 2",                      # missing newline
+    b"FMAP1\n-1 -4\n" + b"\x00" * 16,    # a bare ValueError before
+    b"FMAP1\n0 5\n",                    # decoded to a (5, 0) map before
 ])
 def test_fmap_decode_errors(data):
     with pytest.raises(ImageFormatError):
@@ -104,6 +107,13 @@ def test_fmap_decode_errors(data):
 def test_fmap_rejects_non_2d():
     with pytest.raises(ImageFormatError):
         encode_fmap(np.zeros((2, 2, 2), np.float32))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_fmap_rejects_empty_maps(shape):
+    # its bytes would decode to an error
+    with pytest.raises(ImageFormatError, match="at least 1x1"):
+        encode_fmap(np.zeros(shape, np.float32))
 
 
 # -------------------------------------------------------------- bilinear

@@ -34,8 +34,6 @@ def test_config_validation():
         OcclusionConfig(patch=-3)
     with pytest.raises(ValueError):
         OcclusionConfig(patch=3, stride=0)
-    with pytest.raises(ValueError):
-        OcclusionConfig(patch=3, score_point="argmax")
 
 
 def test_default_patch_is_about_a_sixth_and_odd():
@@ -102,8 +100,8 @@ def test_stride_fills_by_nearest_grid_point(rng):
 
 
 def test_config_errors_are_named():
-    for bad in (dict(patch=4), dict(patch=3, stride=0), dict(patch=3, score_point="argmax"),
-                dict(patch=3, fill=float("nan")), dict(patch=3, fill=float("-inf"))):
+    for bad in (dict(patch=4), dict(patch=3, stride=0), dict(patch=3, fill=float("nan")),
+                dict(patch=3, fill=float("-inf"))):
         with pytest.raises(occlusion.OcclusionConfigError):
             OcclusionConfig(**bad)
 
@@ -128,10 +126,7 @@ def test_signed_map_marks_the_evidence_region(gap_spec, gap_weights,
 def rescoring_loop(spec, weights, image, category, cfg):
     """The coarse grid of drops, one nn.forward per masked image."""
     def score(img):
-        s, _ = nn.forward(spec, weights, img)
-        if cfg.score_point == "post_softmax":
-            s = ops.softmax(s)
-        return float(s[category])
+        return float(nn.forward(spec, weights, img)[0][category])
 
     c, h, w = image.shape
     fill = image.mean(axis=(1, 2))
@@ -149,9 +144,7 @@ def rescoring_loop(spec, weights, image, category, cfg):
     return coarse
 
 
-@pytest.mark.parametrize("score_point", ["pre_softmax", "post_softmax"])
-def test_batched_map_equals_rescoring_loop_with_a_partial_last_batch(
-        monkeypatch, rng, score_point):
+def test_batched_map_equals_rescoring_loop_with_a_partial_last_batch(monkeypatch, rng):
     spec = nn.fix_gap_spec()
     weights = nn.init_weights(spec, rng_seed=5)
     # 25 boxes per batch, each budgeted for the c2 window's im2col matrix
@@ -159,7 +152,7 @@ def test_batched_map_equals_rescoring_loop_with_a_partial_last_batch(
     # grid points of a 48 x 48 image at stride 2 end in a batch of 1
     monkeypatch.setattr(nn, "BATCH_BYTES", 25 * 8 * (12_150 + 6_912))
     img = rng.random(spec.input_shape).astype(np.float32)
-    cfg = OcclusionConfig(patch=5, stride=2, score_point=score_point)
+    cfg = OcclusionConfig(patch=5, stride=2)
     heat = occlusion_map(tape_of(spec, weights, img), 2, cfg)
     want = rescoring_loop(spec, weights, img, 2, cfg)
     assert want.shape == (24, 24)
@@ -194,10 +187,7 @@ def remasked_map(spec, weights, image, category, cfg):
             else np.full(c, cfg.fill, dtype=np.float32))
 
     def score(batch):
-        s = nn.score_batch(spec, weights, batch)
-        if cfg.score_point == "post_softmax":
-            s = ops.softmax(s)
-        return s[:, category].astype(np.float64)
+        return nn.score_batch(spec, weights, batch)[:, category].astype(np.float64)
 
     base = score(image[None])[0]
     half = cfg.patch // 2
@@ -218,12 +208,10 @@ def remasked_map(spec, weights, image, category, cfg):
 
 @pytest.mark.parametrize("arch", ["gap", "fc"])
 @pytest.mark.parametrize("patch,stride", [(5, 2), (9, 4)])
-@pytest.mark.parametrize("score_point", ["pre_softmax", "post_softmax"])
-def test_fixture_maps_equal_remasking_byte_for_byte(request, test_set, arch, patch, stride,
-                                                   score_point):
+def test_fixture_maps_equal_remasking_byte_for_byte(request, test_set, arch, patch, stride):
     spec = request.getfixturevalue(f"{arch}_spec")
     weights = request.getfixturevalue(f"{arch}_weights")
-    cfg = OcclusionConfig(patch=patch, stride=stride, score_point=score_point)
+    cfg = OcclusionConfig(patch=patch, stride=stride)
     for ex in test_set[:2]:
         heat = occlusion_map(tape_of(spec, weights, ex.image), ex.label, cfg)
         assert heat.tobytes() == remasked_map(spec, weights, ex.image, ex.label, cfg).tobytes()
@@ -244,7 +232,7 @@ def test_patch_covering_the_whole_image_equals_remasking(rng, arch):
     spec = getattr(nn, f"fix_{arch}_spec")()
     weights = nn.init_weights(spec, rng_seed=8)
     img = rng.random(spec.input_shape).astype(np.float32)
-    cfg = OcclusionConfig(patch=97, stride=8, fill=0.25, score_point="post_softmax")
+    cfg = OcclusionConfig(patch=97, stride=8, fill=0.25)
     heat = occlusion_map(tape_of(spec, weights, img), 0, cfg)
     assert heat.tobytes() == remasked_map(spec, weights, img, 0, cfg).tobytes()
     assert np.unique(heat).size == 1
@@ -273,8 +261,7 @@ def chain_cases(draw):
         spec = nn.parse_model_spec("\n".join(lines[:1] + ["fl flatten", "head dense units=3"]))
     patch = draw(st.integers(0, 4)) * 2 + 1
     cfg = OcclusionConfig(patch=patch, stride=draw(st.integers(1, 4)),
-                          fill=draw(st.none() | st.floats(-1, 2)),
-                          score_point=draw(st.sampled_from(["pre_softmax", "post_softmax"])))
+                          fill=draw(st.none() | st.floats(-1, 2)))
     return spec, draw(st.integers(0, 2 ** 32 - 1)), cfg, draw(st.integers(0, 2))
 
 
