@@ -319,8 +319,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    if args.command == "point" and args.modified and not args.calibrate_split:
-        print("error: --modified requires --calibrate-split", file=sys.stderr)
+    if args.command == "point" and args.modified != bool(args.calibrate_split):
+        print("error: --modified and --calibrate-split must be given together", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -9,13 +9,16 @@ correlation between an explanation map and the occlusion map.
 `localize`, `point`, `modified_point` and `faithfulness` run a protocol
 over a split of ShapesExamples and return its metrics; the CLI and the
 acceptance suite both call them.
+
+scipy is loaded only by `extract_bbox`, on its first call: a process that
+labels no heatmap (training, explaining, the pointing game, faithfulness)
+never imports it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import explain, nn, occlusion
 from .imaging import bilinear_resize
@@ -63,6 +66,8 @@ def extract_bbox(heat, threshold_frac=0.15):
     Threshold is threshold_frac * max(heat); size ties go to the component
     containing the smallest row-major pixel index.
     """
+    from scipy import ndimage  # on first use: scipy is most of camlab's import cost
+
     heat = np.asarray(heat)
     m = float(heat.max(initial=0.0))
     if m <= 0:

@@ -6,6 +6,8 @@ Formats:
     ``FMAP1\\n<w> <h>\\n`` followed by w*h little-endian float32, row-major
 """
 
+import functools
+
 import numpy as np
 
 
@@ -138,10 +140,27 @@ def write_fmap(heat, path):
 
 # ------------------------------------------------------------- resizing
 
+@functools.lru_cache(maxsize=64)
+def _axis_coords(n_src, n_dst):
+    """Clamped source indices lo, hi and weight frac of each destination
+    pixel along one axis; read-only, as the cache shares them."""
+    src = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
+    src = np.clip(src, 0, n_src - 1)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, n_src - 1)
+    frac = src - lo
+    for arr in (lo, hi, frac):
+        arr.setflags(write=False)
+    return lo, hi, frac
+
+
 def bilinear_resize(grid, new_w, new_h):
     """Bilinear resampling with half-pixel centers and clamped borders.
 
     Source coordinate of destination pixel d is (d + 0.5) * scale - 0.5.
+    Each source row is blended along x once, then rows are blended along y;
+    per pixel this is the same float64 expression as blending the four
+    corner gathers.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
@@ -151,24 +170,12 @@ def bilinear_resize(grid, new_w, new_h):
         raise ValueError("target dims must be >= 1")
     if (new_h, new_w) == (h, w):
         return grid.astype(np.float32)
-
-    def axis_coords(n_src, n_dst):
-        src = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
-        src = np.clip(src, 0, n_src - 1)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, n_src - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    ylo, yhi, fy = axis_coords(h, new_h)
-    xlo, xhi, fx = axis_coords(w, new_w)
-    tl = grid[np.ix_(ylo, xlo)]
-    tr = grid[np.ix_(ylo, xhi)]
-    bl = grid[np.ix_(yhi, xlo)]
-    br = grid[np.ix_(yhi, xhi)]
-    top = tl + (tr - tl) * fx[None, :]
-    bot = bl + (br - bl) * fx[None, :]
-    return (top + (bot - top) * fy[:, None]).astype(np.float32)
+    ylo, yhi, fy = _axis_coords(h, new_h)
+    xlo, xhi, fx = _axis_coords(w, new_w)
+    left = grid[:, xlo]
+    rows = left + (grid[:, xhi] - left) * fx
+    top = rows[ylo]
+    return (top + (rows[yhi] - top) * fy[:, None]).astype(np.float32)
 
 
 # ------------------------------------------------------------ rendering

@@ -2,6 +2,9 @@
 
 import argparse
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -396,6 +399,18 @@ def test_modified_pointing_requires_calibration_split(workspace):
     assert code == 2
 
 
+def test_calibration_split_without_modified_is_usage_error(workspace, tmp_path, capsys):
+    # was ignored: the plain pointing game ran and exited 0
+    report = tmp_path / "r.txt"
+    code = main(["point", *gap_args(workspace),
+                 "--data", str(workspace / "data"),
+                 "--calibrate-split", str(workspace / "data"),
+                 "--report", str(report)])
+    assert code == 2
+    assert "--modified and --calibrate-split" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_failed_attack_is_domain_error(workspace):
     code = main(["attack", *fc_args(workspace),
                  "--image", first_image(workspace), "--target", "2",
@@ -570,3 +585,63 @@ def test_faithfulness_with_no_defined_rho_reports_nan_without_warning(
         "n_defined.backprop=0",
         "n_defined.gradcam=0",
     ]
+
+
+# ------------------------------------------------- scipy is loaded lazily
+
+_SRC = os.path.dirname(os.path.dirname(camlab.__file__))
+
+
+def _fresh(body, *args):
+    """Run `body` in a new interpreter importing camlab from this tree; return
+    its stdout lines, the last one whether scipy was imported."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{body}\nprint('scipy' in sys.modules)", *args],
+        capture_output=True, text=True, check=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": _SRC})
+    return done.stdout.splitlines()
+
+
+_MAIN = "from camlab import cli\nprint('exit', cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("module", ["camlab", "camlab.cli"])
+def test_import_does_not_load_scipy(module):
+    assert _fresh(f"import {module}") == ["False"]
+
+
+def _run_argv(command, ws, out):
+    """(argv, exit code) of a run of `command` that labels no heatmap."""
+    data = str(ws / "data")
+    image = ["--image", first_image(ws)]
+    return {
+        "make-dataset": (["--out", str(out / "d"), "--n", "2"], 0),
+        "train": (["--spec", str(ws / "gap.spec"), "--data", data,
+                   "--out", str(out / "w"), "--epochs", "1"], 0),
+        "explain": ([*gap_args(ws), *image, "--top-k", "2", "--method", "guided-gradcam",
+                     "--out-heat", str(out / "h.fmap"), "--out-png", str(out / "h.ppm")], 0),
+        "occlude": ([*gap_args(ws), *image, "--category", "0", "--patch", "9",
+                     "--stride", "6", "--out-png", str(out / "o.ppm")], 0),
+        "point": ([*gap_args(ws), "--data", data, "--modified", "--calibrate-split", data,
+                   "--report", str(out / "p.txt")], 0),
+        "faithfulness": ([*gap_args(ws), "--data", data, "--methods", "gradcam,guided-gradcam",
+                          "--patch", "9", "--stride", "8", "--report", str(out / "f.txt")], 0),
+        # a budget too small to succeed: exit 3 after the full attack
+        "attack": ([*fc_args(ws), *image, "--target", "2", "--epsilon", "0.0001",
+                    "--steps", "1", "--out", str(out / "a.pgm")], 3),
+    }[command]
+
+
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "localize"])
+def test_commands_that_label_no_heatmap_do_not_load_scipy(workspace, tmp_path, command):
+    argv, code = _run_argv(command, workspace, tmp_path)
+    lines = _fresh(_MAIN, command, *argv)
+    assert lines[-2:] == [f"exit {code}", "False"]
+
+
+def test_localize_loads_scipy_and_writes_its_report(workspace, tmp_path):
+    report = tmp_path / "loc.txt"
+    lines = _fresh(_MAIN, "localize", *gap_args(workspace), "--data", str(workspace / "data"),
+                   "--report", str(report))
+    assert lines[-2:] == ["exit 0", "True"]
+    assert "top1_localization_error=" in report.read_text()

@@ -1,11 +1,13 @@
 """Evaluation protocols: boxes, pointing, rank correlation."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 from camlab import evaluation, explain, imaging, nn
@@ -65,6 +67,49 @@ def test_extract_bbox_rejects_nonpositive_maps():
         extract_bbox(np.zeros((3, 3), np.float32))
     with pytest.raises(NoSegmentError):
         extract_bbox(np.full((3, 3), -2.0, np.float32))
+
+
+def _bbox_oracle(heat, threshold_frac):
+    """extract_bbox by breadth-first search in row-major order; None when no
+    pixel is positive."""
+    m = float(heat.max())
+    if m <= 0:
+        return None
+    mask = heat >= threshold_frac * m
+    h, w = mask.shape
+    seen = np.zeros_like(mask)
+    best = []
+    for start in np.ndindex(h, w):
+        if not mask[start] or seen[start]:
+            continue
+        seen[start] = True
+        component, queue = [], collections.deque([start])
+        while queue:
+            y, x = queue.popleft()
+            component.append((y, x))
+            for v in range(max(y - 1, 0), min(y + 2, h)):
+                for u in range(max(x - 1, 0), min(x + 2, w)):
+                    if mask[v, u] and not seen[v, u]:
+                        seen[v, u] = True
+                        queue.append((v, u))
+        if len(component) > len(best):  # a tie keeps the earlier component
+            best = component
+    ys, xs = zip(*best)
+    return BBox(min(xs), min(ys), max(xs), max(ys))
+
+
+# 0/1 draws give binary masks with many equal-size components
+@given(hnp.arrays(np.float32, st.tuples(st.integers(1, 14), st.integers(1, 14)),
+                  elements=st.sampled_from([0.0, 1.0]) | st.floats(-1, 1, width=32),
+                  fill=st.nothing()),
+       st.floats(0.05, 1.0))
+def test_extract_bbox_matches_breadth_first_oracle(heat, threshold_frac):
+    want = _bbox_oracle(heat, threshold_frac)
+    if want is None:
+        with pytest.raises(NoSegmentError):
+            extract_bbox(heat, threshold_frac)
+    else:
+        assert extract_bbox(heat, threshold_frac) == want
 
 
 def test_localization_error_top1_top5():

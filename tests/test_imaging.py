@@ -155,6 +155,42 @@ def test_bilinear_validates_arguments():
         bilinear_resize(np.zeros((2, 2)), 0, 4)
 
 
+def _four_gather_resize(grid, new_w, new_h):
+    """The resize as first written: blend four corner gathers per pixel."""
+    grid = np.asarray(grid, dtype=np.float64)
+    h, w = grid.shape
+    if (new_h, new_w) == (h, w):
+        return grid.astype(np.float32)
+
+    def axis_coords(n_src, n_dst):
+        src = np.clip((np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5, 0, n_src - 1)
+        lo = np.floor(src).astype(np.int64)
+        return lo, np.minimum(lo + 1, n_src - 1), src - lo
+
+    ylo, yhi, fy = axis_coords(h, new_h)
+    xlo, xhi, fx = axis_coords(w, new_w)
+    tl, tr = grid[np.ix_(ylo, xlo)], grid[np.ix_(ylo, xhi)]
+    bl, br = grid[np.ix_(yhi, xlo)], grid[np.ix_(yhi, xhi)]
+    top = tl + (tr - tl) * fx[None, :]
+    bot = bl + (br - bl) * fx[None, :]
+    return (top + (bot - top) * fy[:, None]).astype(np.float32)
+
+
+# infinities and overflowing differences tell apart algebraically equal blends
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=st.floats(-1, 1) | st.sampled_from([np.inf, -np.inf, 1e308, -1e308]),
+                  fill=st.nothing()),
+       st.integers(1, 30), st.integers(1, 30), st.integers(-30, 30),
+       st.sampled_from([np.float32, np.float64]))
+def test_bilinear_matches_four_gather_oracle_bytewise(grid, new_w, new_h, exponent, dtype):
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.where(abs(grid) <= 1, grid * 10.0 ** exponent, grid).astype(dtype)
+        got = bilinear_resize(grid, new_w, new_h)
+        want = _four_gather_resize(grid, new_w, new_h)
+    assert got.dtype == np.float32 and got.shape == (new_h, new_w)
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------- rendering
 
 def test_jet_control_points():
