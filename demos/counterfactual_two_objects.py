@@ -22,8 +22,7 @@ OUT = "counterfactual_out"
 def save_overlay(image, heat, path):
     up = imaging.bilinear_resize(heat, 48, 48)
     rgb = imaging.colormap_jet(explain.normalize_heatmap(up))
-    base = np.stack([imaging.tensor_to_image(image)] * 3, axis=-1)
-    imaging.write_image(imaging.overlay(base, rgb), path)
+    imaging.write_image(imaging.overlay(imaging.tensor_to_image(image), rgb), path)
 
 
 def main():
@@ -39,9 +38,10 @@ def main():
     for ex in pairs[:3]:
         scores, tape = camlab.forward(spec, weights, ex.image)
         pred = int(np.argmax(scores))
-        print(f"\nimage {ex.image_id}: left={CATEGORIES[ex.label]} "
-              f"right={CATEGORIES[ex.label2]} predicted={CATEGORIES[pred]}")
-        for cat in (ex.label, ex.label2):
+        left, right = (obj.label for obj in ex.objects)
+        print(f"\nimage {ex.image_id}: left={CATEGORIES[left]} "
+              f"right={CATEGORIES[right]} predicted={CATEGORIES[pred]}")
+        for cat in (left, right):
             heat = explain.gradcam(tape, cat, "r2")
             save_overlay(ex.image, heat,
                          os.path.join(OUT, f"{ex.image_id}_{CATEGORIES[cat]}.ppm"))

@@ -46,8 +46,7 @@ def main():
     up = imaging.bilinear_resize(heat, 48, 48)
     rgb = imaging.colormap_jet(explain.normalize_heatmap(up))
     base = imaging.tensor_to_image(ex.image)
-    base_rgb = np.stack([base] * 3, axis=-1)
-    imaging.write_image(imaging.overlay(base_rgb, rgb),
+    imaging.write_image(imaging.overlay(base, rgb),
                         os.path.join(OUT, "overlay.ppm"))
     imaging.write_image(base, os.path.join(OUT, "input.pgm"))
     print(f"wrote {OUT}/input.pgm, {OUT}/heat.fmap, {OUT}/overlay.ppm")

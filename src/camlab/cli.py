@@ -58,10 +58,8 @@ def _emit(heat, image, args, suffix=""):
         h, w = image.shape[1], image.shape[2]
         up = imaging.bilinear_resize(heat, w, h)
         rgb = imaging.colormap_jet(explain.normalize_heatmap(up))
-        base = imaging.tensor_to_image(image)
-        if base.ndim == 2:
-            base = np.stack([base] * 3, axis=-1)
-        imaging.write_image(imaging.overlay(base, rgb), with_suffix(args.out_png))
+        imaging.write_image(imaging.overlay(imaging.tensor_to_image(image), rgb),
+                            with_suffix(args.out_png))
 
 
 def cmd_make_dataset(args):

@@ -43,6 +43,12 @@ class BBox:
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ValueError(f"degenerate box {self}")
 
+    @classmethod
+    def of(cls, mask):
+        """Tight box of a boolean mask's true pixels."""
+        ys, xs = np.nonzero(mask)
+        return cls(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+
     @property
     def area(self):
         return (self.x1 - self.x0 + 1) * (self.y1 - self.y0 + 1)
@@ -64,7 +70,8 @@ def extract_bbox(heat, threshold_frac=0.15):
     """Tight box of the largest 8-connected segment above the threshold.
 
     Threshold is threshold_frac * max(heat); size ties go to the component
-    containing the smallest row-major pixel index.
+    containing the smallest row-major pixel index, which is the one
+    `ndimage.label` numbers first.
     """
     from scipy import ndimage  # on first use: scipy is most of camlab's import cost
 
@@ -77,16 +84,7 @@ def extract_bbox(heat, threshold_frac=0.15):
     if n == 0:
         raise NoSegmentError("no pixels above threshold")
     sizes = np.bincount(labels.ravel())[1:]
-    best_size = sizes.max()
-    candidates = np.flatnonzero(sizes == best_size) + 1
-    if len(candidates) == 1:
-        pick = candidates[0]
-    else:
-        flat = labels.ravel()
-        pick = min(candidates,
-                   key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
-    ys, xs = np.nonzero(labels == pick)
-    return BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    return BBox.of(labels == np.argmax(sizes) + 1)
 
 
 @dataclass
@@ -247,13 +245,6 @@ def point(spec, weights, examples, layer=None):
     return {"pointing_accuracy": hits / len(examples), "n_images": len(examples)}
 
 
-def _gt_masks(ex):
-    masks = {ex.label: ex.gt_mask}
-    if ex.two_object:
-        masks[ex.label2] = ex.gt_mask2
-    return masks
-
-
 def modified_point(spec, weights, examples, calibration, layer=None):
     """Modified pointing game over each image's top-5 Grad-CAM maps, with the
     threshold calibrated on every category's map over `calibration`.  Each
@@ -264,14 +255,14 @@ def modified_point(spec, weights, examples, calibration, layer=None):
     categories = list(range(spec.num_categories))
     for ex in calibration:
         _, tape = nn.forward(spec, weights, ex.image)
-        gt = _gt_masks(ex)
+        labels = {obj.label for obj in ex.objects}
         for category, heat in zip(categories, explain.gradcam(tape, categories, layer)):
-            (present if category in gt else absent).append(float(heat.max()))
+            (present if category in labels else absent).append(float(heat.max()))
     threshold = calibrate_pointing_threshold(present, absent)
     outcomes = []
     for ex in examples:
         _, tape = nn.forward(spec, weights, ex.image)
-        masks = _gt_masks(ex)
+        masks = {obj.label: obj.mask for obj in ex.objects}
         top = top_k(tape.scores, 5)
         heats = zip(top, explain.gradcam(tape, top, layer))
         outcomes += modified_pointing(heats, masks, masks, threshold).values()

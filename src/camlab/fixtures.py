@@ -7,7 +7,9 @@ are textured noise, so explanations cannot succeed by intensity
 thresholding alone.
 """
 
+import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,26 +23,36 @@ from .ops import softmax
 CATEGORIES = ("square", "disc", "triangle")
 
 
+class Annotation(NamedTuple):
+    """One object of an image: its category, tight box and mask."""
+    label: int
+    box: BBox
+    mask: np.ndarray           # bool [S,S]
+
+
 @dataclass
 class ShapesExample:
+    """An image and its objects, the labelled shape first.
+
+    A one-object image holds one Annotation.  A two-object image holds a
+    second one, of another category, in the right half of the image.
+    `label`, `gt_box` and `gt_mask` read the labelled shape's fields.
+    """
     image: np.ndarray          # [1,S,S] float32 in [0,1]
-    label: int
-    gt_box: BBox
-    gt_mask: np.ndarray        # bool [S,S]
+    objects: tuple             # Annotation per object
     image_id: str = ""
-    # second object, present only on two-object images
-    label2: int = None
-    gt_box2: BBox = None
-    gt_mask2: np.ndarray = None
 
     @property
-    def two_object(self):
-        return self.label2 is not None
+    def label(self):
+        return self.objects[0].label
 
+    @property
+    def gt_box(self):
+        return self.objects[0].box
 
-def _tight_box(mask):
-    ys, xs = np.nonzero(mask)
-    return BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    @property
+    def gt_mask(self):
+        return self.objects[0].mask
 
 
 def _shape_mask(kind, side, cx, cy, r):
@@ -79,61 +91,41 @@ def make_shapes_dataset(n, image_side=48, rng_seed=0, two_object_fraction=0.0):
     out = []
     for idx in range(n):
         two = rng.random() < two_object_fraction
-        bg = _background(rng, side)
+        img = _background(rng, side)
         if two:
             r = int(rng.integers(side // 8, side // 6 + 1))
-            cat_a, cat_b = rng.choice(3, size=2, replace=False)
-            cxa = _place(rng, r, 0, side // 2)
-            cxb = _place(rng, r, side // 2, side)
-            cya = _place(rng, r, 0, side)
-            cyb = _place(rng, r, 0, side)
-            mask_a = _shape_mask(cat_a, side, cxa, cya, r)
-            mask_b = _shape_mask(cat_b, side, cxb, cyb, r)
-            fg_a = 0.75 + 0.2 * rng.random()
-            fg_b = 0.75 + 0.2 * rng.random()
-            img = bg.copy()
-            img[mask_a] = fg_a
-            img[mask_b] = fg_b
-            img = np.floor(np.clip(img, 0, 1) * 255 + 0.5) / 255.0
-            out.append(ShapesExample(
-                image=img[None].astype(np.float32),
-                label=int(cat_a), gt_box=_tight_box(mask_a), gt_mask=mask_a,
-                image_id=f"{idx:05d}",
-                label2=int(cat_b), gt_box2=_tight_box(mask_b), gt_mask2=mask_b))
+            cats = rng.choice(3, size=2, replace=False)
+            spans = [(0, side // 2), (side // 2, side)]
         else:
             r = int(rng.integers(side // 6, side // 4 + 1))
-            cat = int(rng.integers(3))
-            cx = _place(rng, r, 0, side)
-            cy = _place(rng, r, 0, side)
-            mask = _shape_mask(cat, side, cx, cy, r)
-            fg = 0.75 + 0.2 * rng.random()
-            img = bg.copy()
-            img[mask] = fg
-            img = np.floor(np.clip(img, 0, 1) * 255 + 0.5) / 255.0
-            out.append(ShapesExample(
-                image=img[None].astype(np.float32),
-                label=cat, gt_box=_tight_box(mask), gt_mask=mask,
-                image_id=f"{idx:05d}"))
+            cats = [rng.integers(3)]
+            spans = [(0, side)]
+        # every x, then every y, then every shade: tests pin this draw order
+        cxs = [_place(rng, r, lo, hi) for lo, hi in spans]
+        cys = [_place(rng, r, 0, side) for _ in spans]
+        masks = [_shape_mask(cat, side, cx, cy, r) for cat, cx, cy in zip(cats, cxs, cys)]
+        for mask in masks:
+            img[mask] = 0.75 + 0.2 * rng.random()
+        out.append(ShapesExample(
+            image=image_to_tensor(tensor_to_image(img[None])),
+            objects=tuple(Annotation(int(cat), BBox.of(mask), mask)
+                          for cat, mask in zip(cats, masks)),
+            image_id=f"{idx:05d}"))
     return out
 
 
 def save_dataset(examples, directory):
     """Persist as PGM images + masks and a line-oriented index.
 
-    Index lines: ``id label x0 y0 x1 y1 maskfile`` — two lines (same id)
-    for two-object images.
+    Index lines: ``id label x0 y0 x1 y1 maskfile``, one per object (same
+    id), in the example's order.
     """
-    import os
     os.makedirs(directory, exist_ok=True)
     lines = []
     for ex in examples:
-        img_name = f"{ex.image_id}.pgm"
-        write_image(tensor_to_image(ex.image), os.path.join(directory, img_name))
-        objs = [(ex.label, ex.gt_box, ex.gt_mask, "")]
-        if ex.two_object:
-            objs.append((ex.label2, ex.gt_box2, ex.gt_mask2, "b"))
-        for label, box, mask, suffix in objs:
-            mask_name = f"{ex.image_id}_mask{suffix}.pgm"
+        write_image(tensor_to_image(ex.image), os.path.join(directory, f"{ex.image_id}.pgm"))
+        for i, (label, box, mask) in enumerate(ex.objects):
+            mask_name = f"{ex.image_id}_mask{'b' * i}.pgm"  # _mask, then _maskb
             write_image((mask.astype(np.uint8) * 255),
                         os.path.join(directory, mask_name))
             lines.append(f"{ex.image_id} {label} {box.x0} {box.y0} "
@@ -143,40 +135,34 @@ def save_dataset(examples, directory):
 
 
 def load_dataset(directory):
-    import os
     index = nn._read_ascii(os.path.join(directory, "index.txt"), nn.DatasetError)
     lines = [l for l in index.splitlines() if l.strip()]
     grouped = {}
-    order = []
     for lineno, line in enumerate(lines, 1):
         try:
             image_id, label, x0, y0, x1, y1, mask_name = line.split()
             obj = (int(label), BBox(int(x0), int(y0), int(x1), int(y1)), mask_name)
         except ValueError as exc:
             raise nn.DatasetError(f"index line {lineno}: {line!r}: {exc}") from None
-        if image_id not in grouped:
-            grouped[image_id] = []
-            order.append(image_id)
-        grouped[image_id].append(obj)
-        if len(grouped[image_id]) > 2:
+        objs = grouped.setdefault(image_id, [])
+        if len(objs) == 2:
             raise nn.DatasetError(f"index line {lineno}: image {image_id} has "
-                                  f"{len(grouped[image_id])} object lines, at most 2")
+                                  f"3 object lines, at most 2")
+        if objs and objs[0][0] == obj[0]:
+            raise nn.DatasetError(f"index line {lineno}: image {image_id} names "
+                                  f"category {obj[0]} on two object lines")
+        objs.append(obj)
     out = []
-    for image_id in order:
+    for image_id, objs in grouped.items():
         img = image_to_tensor(read_image(os.path.join(directory, f"{image_id}.pgm")))
-        objs = []
-        for label, box, mask_name in grouped[image_id]:
+        annotations = []
+        for label, box, mask_name in objs:
             mask = read_image(os.path.join(directory, mask_name)) > 127
             if mask.shape != img.shape[1:]:
                 raise nn.DatasetError(f"{mask_name}: mask shape {mask.shape} != image "
                                       f"{image_id} shape {img.shape[1:]}")
-            objs.append((label, box, mask))
-        first = objs[0]
-        second = objs[1] if len(objs) > 1 else (None, None, None)
-        out.append(ShapesExample(image=img, label=first[0], gt_box=first[1],
-                                 gt_mask=first[2], image_id=image_id,
-                                 label2=second[0], gt_box2=second[1],
-                                 gt_mask2=second[2]))
+            annotations.append(Annotation(label, box, mask))
+        out.append(ShapesExample(img, tuple(annotations), image_id))
     return out
 
 
@@ -203,17 +189,14 @@ def adversarial_attack(spec, weights, image, target_category, epsilon,
     adv = image.copy()
     lo = np.clip(image - epsilon, 0, 1)
     hi = np.clip(image + epsilon, 0, 1)
-    prob = 0.0
     used = 0
-    for step in range(steps):
+    while True:
         scores, tape = nn.forward(spec, weights, adv)
         prob = float(softmax(scores)[target_category])
-        if prob > 0.9999:
+        if prob > 0.9999 or used >= steps:
             break
         g = grad_at_layer(tape, target_category, "input")
         adv = np.clip(adv + np.float32(step_size) * np.sign(g), lo, hi)
-        used = step + 1
-    scores, _ = nn.forward(spec, weights, adv)
-    prob = float(softmax(scores)[target_category])
+        used += 1
     return AttackResult(image=adv, target_probability=prob,
                         success=prob >= 0.99, steps_used=used)

@@ -45,7 +45,8 @@ class TrainingError(RuntimeError):
 class DatasetError(ValueError):
     """Unusable dataset: empty for training, a label outside the model's
     categories, a malformed index line, a third object line for one image,
-    a mask of another shape than its image, or too small an image side."""
+    two object lines of one image naming the same category, a mask of
+    another shape than its image, or too small an image side."""
 
 
 @dataclass
@@ -598,11 +599,12 @@ def accuracy(spec, weights, dataset):
 
 def check_labels(spec, examples):
     """Raise DatasetError unless each label of the examples, (image, label)
-    pairs or ShapesExamples with both objects' labels, is a category of `spec`."""
+    pairs or ShapesExamples with the labels of all their objects, is a
+    category of `spec`."""
     n = spec.num_categories
     for ex in examples:
-        for label in (ex[1],) if isinstance(ex, tuple) else (ex.label, ex.label2):
-            if label is not None and not 0 <= label < n:
+        for label in (ex[1],) if isinstance(ex, tuple) else (obj.label for obj in ex.objects):
+            if not 0 <= label < n:
                 raise DatasetError(f"label {label} out of range for {n} categories")
 
 

@@ -192,7 +192,7 @@ def test_criterion_7_counterfactual_centroid(gap_spec, gap_weights,
     for ex in two_object_set:
         scores, tape = camlab.forward(gap_spec, gap_weights, ex.image)
         pred = int(np.argmax(scores))
-        if pred not in (ex.label, ex.label2):
+        if pred not in [obj.label for obj in ex.objects]:
             continue
         heat = _upsampled(explain.counterfactual(tape, pred, "r2"))
         heat = heat.astype(np.float64)

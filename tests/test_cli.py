@@ -164,9 +164,17 @@ def _bad_index(ws, tmp):
 
 def _label_7_split(ws, tmp):
     examples = camlab.fixtures.make_shapes_dataset(2, 48, 0)
-    examples[0].label = 7
+    examples[0].objects = (examples[0].objects[0]._replace(label=7),)
     camlab.fixtures.save_dataset(examples, tmp / "l7")
     return str(tmp / "l7")
+
+
+def _repeated_category_split(ws, tmp):
+    examples = camlab.fixtures.make_shapes_dataset(2, 48, 3, two_object_fraction=1.0)
+    first, second = examples[1].objects
+    examples[1].objects = (first, second._replace(label=first.label))
+    camlab.fixtures.save_dataset(examples, tmp / "rc")
+    return str(tmp / "rc")
 
 
 def _overlapping_weights(ws, tmp):
@@ -276,6 +284,12 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["point", *gap_args(ws), "--data", str(ws / "data"), "--modified",
                       "--calibrate-split", _label_7_split(ws, tmp), "--report", str(tmp / "r.txt")],
      "label 7 out of range for 3 categories"),
+    # ran to exit 0: the second mask replaced the first, so pointing at the
+    # first object scored a miss
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data", _repeated_category_split(ws, tmp),
+                      "--modified", "--calibrate-split", str(ws / "data"),
+                      "--report", str(tmp / "r.txt")],
+     "index line 4: image 00001 names category 2 on two object lines"),
     (lambda ws, tmp: ["explain", *_overlapping_weights(ws, tmp), "--image", first_image(ws),
                       "--category", "0", "--method", "gradcam"],
      "manifest line 2: c1.bias starts at byte 0"),

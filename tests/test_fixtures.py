@@ -1,10 +1,15 @@
 """Synthetic dataset generator, persistence, adversarial attack."""
 
+import hashlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import camlab
 from camlab import fixtures, nn
+from camlab.evaluation import BBox
 from camlab.fixtures import (CATEGORIES, adversarial_attack, load_dataset,
                              make_shapes_dataset, save_dataset)
 
@@ -54,13 +59,39 @@ def test_two_object_images_occupy_opposite_halves():
     examples = make_shapes_dataset(25, side, rng_seed=2,
                                    two_object_fraction=1.0)
     for ex in examples:
-        assert ex.two_object
-        assert ex.label != ex.label2
-        assert not (ex.gt_mask & ex.gt_mask2).any()
-        ys, xs = np.nonzero(ex.gt_mask)
+        first, second = ex.objects
+        assert ex.label == first.label and ex.gt_box == first.box
+        assert ex.gt_mask is first.mask
+        assert first.label != second.label
+        assert not (first.mask & second.mask).any()
+        assert second.box == BBox.of(second.mask)
+        ys, xs = np.nonzero(first.mask)
         assert xs.max() < side // 2          # primary object left
-        ys2, xs2 = np.nonzero(ex.gt_mask2)
+        ys2, xs2 = np.nonzero(second.mask)
         assert xs2.min() >= side // 2        # secondary object right
+    with pytest.raises(AttributeError):
+        examples[0].label = 0                # read from objects[0] only
+
+
+# sha256 of every image, label, box and mask, taken before the one- and
+# two-object branches of the generator were merged; a changed draw order,
+# shape or quantization changes them
+@pytest.mark.parametrize("side,seed,frac,digest", [
+    (48, 2, 0.0, "ab7c08de55bba5c532b424267d1108a10d92dda3fdf619065e109f138cd599d7"),
+    (48, 3, 1.0, "cd24f5b2c79d880bbe0735c9be45c8ba96f0e80554209cc06d34390a3ced0169"),
+    (48, 5, 0.5, "b7f344082f42bfbc16e2d9c0e8359da75340512ce301df35f404d701ca60a25a"),
+    (37, 2, 0.0, "6809c0462098e80259395cfe7b7dd19501a456294b222413fccabb1ba1164ba1"),
+    (37, 3, 1.0, "ca06f10a1fae82dd671f9bc85c3587c7c6e5bf688f43476fbca74309b09072bf"),
+    (37, 5, 0.5, "6029312bacd2ad471ce76729c626e82451a0b3e3477112aec8cf38525a0a908a"),
+])
+def test_generator_bytes_are_pinned(side, seed, frac, digest):
+    h = hashlib.sha256()
+    for ex in make_shapes_dataset(40, side, rng_seed=seed, two_object_fraction=frac):
+        h.update(ex.image.tobytes())
+        for label, box, mask in ex.objects:
+            h.update(np.array([label, box.x0, box.y0, box.x1, box.y1], np.int64).tobytes())
+            h.update(mask.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_quantization_matches_on_disk_precision():
@@ -69,19 +100,33 @@ def test_quantization_matches_on_disk_precision():
         np.testing.assert_allclose(ex.image, q.astype(np.float32), atol=0)
 
 
+def _assert_same_examples(got, want):
+    assert len(got) == len(want)
+    for eg, ew in zip(got, want):
+        assert eg.image_id == ew.image_id
+        assert eg.image.dtype == ew.image.dtype and eg.image.tobytes() == ew.image.tobytes()
+        assert len(eg.objects) == len(ew.objects)
+        for og, ow in zip(eg.objects, ew.objects):
+            assert (og.label, og.box) == (ow.label, ow.box)
+            assert og.mask.dtype == ow.mask.dtype == bool
+            np.testing.assert_array_equal(og.mask, ow.mask)
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     examples = make_shapes_dataset(8, 48, rng_seed=4, two_object_fraction=0.5)
+    assert {len(ex.objects) for ex in examples} == {1, 2}
     save_dataset(examples, tmp_path / "data")
-    again = load_dataset(tmp_path / "data")
-    assert len(again) == len(examples)
-    for ea, eb in zip(examples, again):
-        assert ea.image.tobytes() == eb.image.tobytes()
-        assert ea.label == eb.label and ea.gt_box == eb.gt_box
-        np.testing.assert_array_equal(ea.gt_mask, eb.gt_mask)
-        assert ea.two_object == eb.two_object
-        if ea.two_object:
-            assert ea.label2 == eb.label2 and ea.gt_box2 == eb.gt_box2
-            np.testing.assert_array_equal(ea.gt_mask2, eb.gt_mask2)
+    _assert_same_examples(load_dataset(tmp_path / "data"), examples)
+
+
+@given(n=st.integers(1, 6), side=st.integers(16, 48), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0, 1))
+@settings(max_examples=25)
+def test_save_load_round_trip_keeps_every_annotation(n, side, seed, frac):
+    examples = make_shapes_dataset(n, side, rng_seed=seed, two_object_fraction=frac)
+    with tempfile.TemporaryDirectory() as directory:
+        save_dataset(examples, directory)
+        _assert_same_examples(load_dataset(directory), examples)
 
 
 def test_mask_of_another_shape_is_dataset_error(tmp_path):
@@ -114,6 +159,27 @@ def test_attack_with_zero_budget_returns_input(fc_spec, fc_weights, test_set):
                              (ex.label + 1) % 3, epsilon=0.0, steps=5)
     np.testing.assert_array_equal(res.image, ex.image)
     assert not res.success
+
+
+def test_attack_scores_each_iterate_once(fc_spec, fc_weights, test_set, monkeypatch):
+    # an early stop used to score its last iterate a second time
+    calls = []
+    forward = nn.forward
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+    monkeypatch.setattr(nn, "forward", counted)
+    ex = test_set[1]
+    res = adversarial_attack(fc_spec, fc_weights, ex.image, (ex.label + 1) % 3,
+                             epsilon=8 / 255, steps=80)
+    assert res.success and res.steps_used < 80
+    assert len(calls) == res.steps_used + 1
+    calls.clear()
+    res = adversarial_attack(fc_spec, fc_weights, ex.image, (ex.label + 1) % 3,
+                             epsilon=8 / 255, steps=0)
+    assert len(calls) == 1 and res.steps_used == 0
+    np.testing.assert_array_equal(res.image, ex.image)
 
 
 def test_attack_perturbation_stays_inside_budget(fc_spec, fc_weights,
