@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import explain, nn, occlusion
-from .imaging import bilinear_resize
+from .imaging import bilinear_resize, write_bytes
 
 
 class NoSegmentError(ValueError):
@@ -296,9 +296,8 @@ def faithfulness(spec, weights, examples, methods, occlusion_config, layer=None)
 
 def write_report(metrics, path):
     """Machine-readable summary: one `key=value` line per metric."""
-    with open(path, "w", encoding="ascii") as fh:
-        for key in sorted(metrics):
-            fh.write(f"{key}={metrics[key]}\n")
+    write_bytes(path, "".join(f"{key}={metrics[key]}\n" for key in sorted(metrics))
+                .encode("ascii"))
 
 
 def format_report(metrics):

@@ -17,7 +17,7 @@ from . import nn
 from .autodiff import check_category, grad_at_layer
 from .evaluation import BBox
 from .imaging import (bilinear_resize, image_to_tensor, read_image,
-                      tensor_to_image, write_image)
+                      tensor_to_image, write_bytes, write_image)
 from .ops import softmax
 
 CATEGORIES = ("square", "disc", "triangle")
@@ -130,8 +130,8 @@ def save_dataset(examples, directory):
                         os.path.join(directory, mask_name))
             lines.append(f"{ex.image_id} {label} {box.x0} {box.y0} "
                          f"{box.x1} {box.y1} {mask_name}")
-    with open(os.path.join(directory, "index.txt"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_bytes(os.path.join(directory, "index.txt"),
+                ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_dataset(directory):

@@ -1,4 +1,5 @@
-"""Bit-exact image and heatmap I/O plus rendering helpers.
+"""Bit-exact image and heatmap I/O, the one writer of every output file,
+plus rendering helpers.
 
 Formats:
   * binary PPM (P6) for RGB and PGM (P5) for grayscale, maxval 255
@@ -7,6 +8,7 @@ Formats:
 """
 
 import functools
+import os
 
 import numpy as np
 
@@ -89,8 +91,7 @@ def read_image(path):
 
 
 def write_image(arr, path):
-    with open(path, "wb") as fh:
-        fh.write(encode_netpbm(arr))
+    write_bytes(path, encode_netpbm(arr))
 
 
 # ----------------------------------------------------------------- FMAP
@@ -134,8 +135,36 @@ def read_fmap(path):
 
 
 def write_fmap(heat, path):
-    with open(path, "wb") as fh:
-        fh.write(encode_fmap(heat))
+    write_bytes(path, encode_fmap(heat))
+
+
+# --------------------------------------------------------------- output
+
+def write_bytes(path, data):
+    """Make `data` the whole content of `path`; every file camlab writes
+    goes through here, its bytes encoded before the file is opened.
+
+    An existing file is overwritten in place, not truncated first (on ext4,
+    truncating a file with data to zero makes `close` start writeback), and
+    cut to the bytes written whenever it was longer, also when a write
+    fails: its inode, mode and hard links are kept, a pipe works, and a
+    failed write leaves a short file, never the old length.  Until the
+    kernel writes the file back, even after this process exits, a crash can
+    leave old bytes, or new bytes followed by old ones.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        old_size = os.fstat(fd).st_size
+        view = memoryview(data)
+        written = 0
+        try:
+            while written < len(view):
+                written += os.write(fd, view[written:])
+        finally:
+            if old_size > written:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 # ------------------------------------------------------------- resizing

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff, ops
 from .autodiff import ActivationTape, LayerRecord, backward_from_cotangent
+from .imaging import write_bytes
 
 log = logging.getLogger(__name__)
 
@@ -305,8 +306,7 @@ def load_model_spec(path):
 
 
 def save_model_spec(spec, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_model_spec(spec))
+    write_bytes(path, format_model_spec(spec).encode("ascii"))
 
 
 class WeightStore:
@@ -353,10 +353,8 @@ class WeightStore:
                 manifest.write(f"{name} {key} {shape} {offset}\n")
                 blob.write(arr.tobytes())
                 offset += arr.nbytes
-        with open(str(path) + ".manifest", "w", encoding="ascii") as fh:
-            fh.write(manifest.getvalue())
-        with open(str(path) + ".bin", "wb") as fh:
-            fh.write(blob.getvalue())
+        write_bytes(str(path) + ".manifest", manifest.getvalue().encode("ascii"))
+        write_bytes(str(path) + ".bin", blob.getvalue())
 
     @classmethod
     def load(cls, path):

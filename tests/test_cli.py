@@ -269,6 +269,12 @@ def _directory(tmp, name):
                       "--category", "0", "--method", "gradcam"], "Is a directory"),
     (lambda ws, tmp: ["localize", *gap_args(ws), "--data", first_image(ws),
                       "--report", str(tmp / "r.txt")], "Not a directory"),
+    # outputs are opened without truncation; a directory is still refused
+    (lambda ws, tmp: ["explain", *gap_args(ws), "--image", first_image(ws), "--category", "0",
+                      "--method", "gradcam", "--out-heat", _directory(tmp, "h.fmap")],
+     "Is a directory"),
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data", str(ws / "data"),
+                      "--report", _directory(tmp, "report")], "Is a directory"),
     # ran to exit 0: a map of NaN, and an error rate of 1.0
     (lambda ws, tmp: ["explain", *_non_finite_weights(ws, tmp, "c2", np.inf), "--image",
                       first_image(ws), "--category", "0", "--method", "guided-backprop",

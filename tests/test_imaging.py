@@ -1,4 +1,10 @@
-"""Image/heatmap formats, resampling, rendering."""
+"""Image/heatmap formats, the output writer, resampling, rendering."""
+
+import ast
+import errno
+import os
+import pathlib
+import stat
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ from camlab.imaging import (ImageFormatError, bilinear_resize, colormap_jet,
                             decode_fmap, decode_netpbm, encode_fmap,
                             encode_netpbm, image_to_tensor, overlay,
                             read_fmap, read_image, tensor_to_image,
-                            write_fmap, write_image)
+                            write_bytes, write_fmap, write_image)
 
 
 # ---------------------------------------------------------------- netpbm
@@ -114,6 +120,110 @@ def test_fmap_rejects_empty_maps(shape):
     # its bytes would decode to an error
     with pytest.raises(ImageFormatError, match="at least 1x1"):
         encode_fmap(np.zeros(shape, np.float32))
+
+
+# ---------------------------------------------------------------- output
+
+@pytest.mark.parametrize("write,good,bad", [
+    (write_fmap, np.ones((3, 3), np.float32), np.zeros((2, 2, 2), np.float32)),
+    (write_image, np.ones((3, 3), np.uint8), np.zeros((4, 4, 2), np.uint8))])
+def test_failed_encode_keeps_the_existing_output(tmp_path, write, good, bad):
+    # opening the file before encoding emptied it
+    path = tmp_path / "out"
+    write(good, path)
+    before = path.read_bytes()
+    with pytest.raises(ImageFormatError):
+        write(bad, path)
+    assert path.read_bytes() == before
+
+
+def test_write_bytes_shorter_over_longer_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "f"
+    write_bytes(path, b"x" * 100)
+    write_bytes(path, b"short")
+    assert path.read_bytes() == b"short"
+    write_bytes(path, b"")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("part", [0, 10])
+def test_a_failed_write_leaves_a_short_file_not_the_old_length(tmp_path, monkeypatch, part):
+    # an equal-length rewrite that fails must not pass for a whole file
+    path = tmp_path / "f"
+    write_bytes(path, b"o" * 100)
+    real_write, calls = os.write, []
+
+    def write_part_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data[:part])
+
+    monkeypatch.setattr(os, "write", write_part_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        write_bytes(path, b"n" * 100)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"n" * part
+
+
+def test_write_bytes_overwrites_in_place(tmp_path):
+    path, link = tmp_path / "f", tmp_path / "link"
+    write_bytes(path, b"old bytes")
+    os.link(path, link)
+    inode = path.stat().st_ino
+    write_bytes(path, b"new")
+    assert path.stat().st_ino == inode and link.read_bytes() == b"new"
+
+
+def test_write_bytes_to_a_pipe_delivers_its_bytes():
+    read_end, write_end = os.pipe()
+    try:
+        write_bytes(f"/dev/fd/{write_end}", b"through the pipe")
+        assert os.read(read_end, 64) == b"through the pipe"
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_write_bytes_new_file_mode_is_that_of_open(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        write_bytes(tmp_path / "ours", b"x")
+        with open(tmp_path / "theirs", "wb") as fh:
+            fh.write(b"x")
+    finally:
+        os.umask(old)
+    mode = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("ours", "theirs")]
+    assert mode[0] == mode[1] == 0o666 & ~mask
+
+
+def _write_opens(tree):
+    """Line numbers of the calls outside imaging.write_bytes that open a file
+    for writing: open() with a literal write or append mode, and os.open()."""
+    writer = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "write_bytes"
+              for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in writer:
+            continue
+        func = ast.unparse(node.func)
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        if func == "os.open" or func == "open" and any(
+                isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_output_goes_through_the_one_writer():
+    src = pathlib.Path(imaging.__file__).parent
+    found = {path.name: _write_opens(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan sees each kind of write it rejects
+    assert _write_opens(ast.parse(
+        "open(p, 'w')\nopen(p, mode='ab')\nos.open(p, 1)\nopen(p, 'rb')\nopen(p)")) == [1, 2, 3]
 
 
 # -------------------------------------------------------------- bilinear
