@@ -7,8 +7,7 @@ game, faithfulness) at desk scale.
 """
 
 from .autodiff import ActivationTape, grad_at_layer, one_hot
-from .evaluation import (BBox, EvalRecord, extract_bbox, iou,
-                         localization_error, modified_pointing,
+from .evaluation import (BBox, extract_bbox, iou, modified_pointing,
                          pointing_game, rank_correlation)
 from .explain import (CamIncompatibleError, GradCamConfig, cam,
                       counterfactual, gradcam, guided_gradcam,

@@ -22,10 +22,6 @@ DOMAIN_ERRORS = (explain.CamIncompatibleError, explain.GradCamConfigError,
                  autodiff.CategoryError, OSError)
 
 
-class AttackFailed(RuntimeError):
-    pass
-
-
 def _load_model(args):
     spec = nn.load_model_spec(args.spec)
     weights = nn.WeightStore.load(args.weights)
@@ -124,6 +120,9 @@ def cmd_localize(args):
 
 
 def cmd_point(args):
+    if args.modified != bool(args.calibrate_split):
+        print("error: --modified and --calibrate-split must be given together", file=sys.stderr)
+        return 2
     spec, weights = _load_model(args)
     examples = fixtures.load_dataset(args.data)
     if args.modified:
@@ -151,9 +150,9 @@ def cmd_attack(args):
     imaging.write_image(imaging.tensor_to_image(result.image), args.out)
     print(f"target_probability={result.target_probability:.6f}")
     if not result.success:
-        raise AttackFailed(
-            f"attack failed: target probability {result.target_probability:.4f} "
-            f"< 0.99 after {args.steps} steps (--steps)")
+        print(f"error: attack failed: target probability {result.target_probability:.4f} "
+              f"< 0.99 after {args.steps} steps (--steps)", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -317,12 +316,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    if args.command == "point" and args.modified != bool(args.calibrate_split):
-        print("error: --modified and --calibrate-split must be given together", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except (AttackFailed, *DOMAIN_ERRORS) as exc:
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -87,33 +87,6 @@ def extract_bbox(heat, threshold_frac=0.15):
     return BBox.of(labels == np.argmax(sizes) + 1)
 
 
-@dataclass
-class EvalRecord:
-    """Per-image outcome; only the fields for the protocols run are set."""
-    image_id: str
-    true_category: int
-    predictions: list                      # top-k category indices
-    boxes: list = None                     # BBox or None, parallel to predictions
-    gt_box: BBox = None
-
-
-def localization_error(records, iou_threshold=0.5):
-    """Top-1 and top-5 localization error rates.
-
-    An image is correct at top-k if any of its first k predictions names
-    the true category and that prediction's box reaches the IoU threshold.
-    """
-    top1 = top5 = 0
-    for rec in records:
-        ok = [p == rec.true_category and box is not None
-              and rec.gt_box is not None and iou(box, rec.gt_box) >= iou_threshold
-              for p, box in zip(rec.predictions, rec.boxes)]
-        top1 += not any(ok[:1])
-        top5 += not any(ok[:5])
-    n = len(records)
-    return top1 / n, top5 / n
-
-
 def heatmap_argmax(heat):
     """(row, col) of the max; ties resolved to the first in row-major order."""
     heat = np.asarray(heat)
@@ -140,18 +113,19 @@ def calibrate_pointing_threshold(present_maxima, absent_maxima):
     return (float(np.mean(present_maxima)) + float(np.mean(absent_maxima))) / 2
 
 
-def modified_pointing(heats, gt_categories, gt_masks, threshold):
+def modified_pointing(heats, gt_masks, threshold):
     """Pointing game over top-5 maps with a rejection option.
 
-    heats: list of (category, heatmap) for the model's top predictions.
-    A category absent from gt_categories is a hit iff its map max is below
-    the threshold (correct rejection).  A present category is a hit iff its
-    map max reaches the threshold and the plain pointing game hits.
+    heats: list of (category, heatmap) for the model's top predictions;
+    gt_masks: the mask of each category present in the image.  An absent
+    category is a hit iff its map max is below the threshold (correct
+    rejection).  A present category is a hit iff its map max reaches the
+    threshold and the plain pointing game hits.
     """
     out = {}
     for category, heat in heats:
         peak = float(np.asarray(heat).max())
-        if category not in gt_categories:
+        if category not in gt_masks:
             out[category] = peak < threshold
         else:
             out[category] = (peak >= threshold
@@ -212,27 +186,29 @@ def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
              threshold_frac=0.15, iou_threshold=0.5):
     """Top-1 and top-5 localization error of `method`'s maps over a split.
 
-    Only a box of the true category can score (see localization_error), so
-    only its map is computed, and only when it is among the top 5.
+    An image is correct at top-k if the true category is among its first k
+    predictions and the tight box of that category's map reaches the IoU
+    threshold.  No other map can score, so only that one is computed.
     """
     layer = _target_layer(spec, examples, layer, [method])
-    records = []
+    top1 = top5 = 0
     for ex in examples:
         _, tape = nn.forward(spec, weights, ex.image)
         preds = top_k(tape.scores, 5)
-        boxes = [None] * len(preds)
+        hit = False
         if ex.label in preds:
             heat = explain.METHODS[method](tape, ex.label, layer, config)
             h, w = ex.gt_mask.shape
             try:
-                boxes[preds.index(ex.label)] = extract_bbox(bilinear_resize(heat, w, h),
-                                                            threshold_frac)
+                box = extract_bbox(bilinear_resize(heat, w, h), threshold_frac)
+                hit = iou(box, ex.gt_box) >= iou_threshold
             except NoSegmentError:
                 pass
-        records.append(EvalRecord(ex.image_id, ex.label, preds, boxes, ex.gt_box))
-    top1, top5 = localization_error(records, iou_threshold)
-    return {"top1_localization_error": top1, "top5_localization_error": top5,
-            "n_images": len(examples)}
+        top1 += not (hit and preds[0] == ex.label)
+        top5 += not hit
+    n = len(examples)
+    return {"top1_localization_error": top1 / n, "top5_localization_error": top5 / n,
+            "n_images": n}
 
 
 def point(spec, weights, examples, layer=None):
@@ -265,7 +241,7 @@ def modified_point(spec, weights, examples, calibration, layer=None):
         masks = {obj.label: obj.mask for obj in ex.objects}
         top = top_k(tape.scores, 5)
         heats = zip(top, explain.gradcam(tape, top, layer))
-        outcomes += modified_pointing(heats, masks, masks, threshold).values()
+        outcomes += modified_pointing(heats, masks, threshold).values()
     return {"modified_pointing_accuracy": sum(outcomes) / len(outcomes),
             "threshold": threshold, "n_images": len(examples)}
 

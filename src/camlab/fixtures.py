@@ -118,7 +118,8 @@ def save_dataset(examples, directory):
     """Persist as PGM images + masks and a line-oriented index.
 
     Index lines: ``id label x0 y0 x1 y1 maskfile``, one per object (same
-    id), in the example's order.
+    id), in the example's order; the box is the mask's tight box, which
+    `load_dataset` checks.
     """
     os.makedirs(directory, exist_ok=True)
     lines = []
@@ -141,7 +142,7 @@ def load_dataset(directory):
     for lineno, line in enumerate(lines, 1):
         try:
             image_id, label, x0, y0, x1, y1, mask_name = line.split()
-            obj = (int(label), BBox(int(x0), int(y0), int(x1), int(y1)), mask_name)
+            obj = (int(label), BBox(int(x0), int(y0), int(x1), int(y1)), mask_name, lineno)
         except ValueError as exc:
             raise nn.DatasetError(f"index line {lineno}: {line!r}: {exc}") from None
         objs = grouped.setdefault(image_id, [])
@@ -156,11 +157,18 @@ def load_dataset(directory):
     for image_id, objs in grouped.items():
         img = image_to_tensor(read_image(os.path.join(directory, f"{image_id}.pgm")))
         annotations = []
-        for label, box, mask_name in objs:
+        for label, box, mask_name, lineno in objs:
             mask = read_image(os.path.join(directory, mask_name)) > 127
             if mask.shape != img.shape[1:]:
                 raise nn.DatasetError(f"{mask_name}: mask shape {mask.shape} != image "
                                       f"{image_id} shape {img.shape[1:]}")
+            if not mask.any():
+                raise nn.DatasetError(f"{mask_name}: mask of image {image_id} is empty")
+            tight = BBox.of(mask)
+            if box != tight:
+                raise nn.DatasetError(
+                    f"index line {lineno}: box {box.x0} {box.y0} {box.x1} {box.y1} is not "
+                    f"the tight box of {mask_name}, {tight.x0} {tight.y0} {tight.x1} {tight.y1}")
             annotations.append(Annotation(label, box, mask))
         out.append(ShapesExample(img, tuple(annotations), image_id))
     return out

@@ -40,14 +40,15 @@ class WeightStoreError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """Training diverged (non-finite loss)."""
+    """Training diverged (a non-finite loss or weight)."""
 
 
 class DatasetError(ValueError):
     """Unusable dataset: empty for training, a label outside the model's
     categories, a malformed index line, a third object line for one image,
     two object lines of one image naming the same category, a mask of
-    another shape than its image, or too small an image side."""
+    another shape than its image, an empty mask, a box other than its
+    mask's tight box, or too small an image side."""
 
 
 @dataclass
@@ -617,7 +618,9 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
 
     Deterministic given rng_seed.  Returns the trained WeightStore; the mean
     loss of each epoch is logged.  Raises TrainingError (naming the epoch)
-    if the loss goes non-finite.
+    if the loss goes non-finite, or a weight does by the end of an epoch.
+    numpy's overflow and invalid-value warnings are silenced, as these
+    checks name the failure.
     """
     if not dataset:
         raise DatasetError("dataset is empty")
@@ -625,26 +628,33 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
     pairs = [_as_pair(ex) for ex in dataset]
     rng = np.random.default_rng(rng_seed)
     weights = init_weights(spec, rng_seed)
-    lr = np.float32(learning_rate)
-    for epoch in range(epochs):
-        order = rng.permutation(len(pairs))
-        total_loss = 0.0
-        for idx in order:
-            image, label = pairs[idx]
-            scores, tape = forward(spec, weights, image)
-            probs = ops.softmax(scores)
-            loss = -np.log(max(float(probs[label]), 1e-30))
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            total_loss += loss
-            cot = probs.astype(np.float32)
-            cot[label] -= 1
-            grads = {}
-            backward_from_cotangent(tape, cot, stop_at=None, param_grads=grads)
-            for name, group in grads.items():
-                for key, g in group.items():
-                    weights.params[name][key] -= lr * g
-        log.debug("epoch %d: mean loss %.4f", epoch, total_loss / len(pairs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lr = np.float32(learning_rate)
+        for epoch in range(epochs):
+            order = rng.permutation(len(pairs))
+            total_loss = 0.0
+            for idx in order:
+                image, label = pairs[idx]
+                scores, tape = forward(spec, weights, image)
+                probs = ops.softmax(scores)
+                loss = -np.log(max(float(probs[label]), 1e-30))
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}")
+                total_loss += loss
+                cot = probs.astype(np.float32)
+                cot[label] -= 1
+                grads = {}
+                backward_from_cotangent(tape, cot, stop_at=None, param_grads=grads)
+                for name, group in grads.items():
+                    for key, g in group.items():
+                        weights.params[name][key] -= lr * g
+            for name, group in weights.params.items():
+                for key, value in group.items():
+                    bad = value.size - np.count_nonzero(np.isfinite(value))
+                    if bad:
+                        raise TrainingError(f"non-finite weights at epoch {epoch}: "
+                                            f"{name}.{key} holds {bad} non-finite values")
+            log.debug("epoch %d: mean loss %.4f", epoch, total_loss / len(pairs))
     return weights
 
 

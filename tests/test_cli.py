@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import camlab
-from camlab import cli, explain, imaging, nn
+from camlab import autodiff, cli, explain, imaging, nn
 from camlab.cli import main
 
 
@@ -200,6 +202,16 @@ def _empty_split(ws, tmp):
     return str(tmp / "empty")
 
 
+def _moved_box(ws, tmp):
+    camlab.fixtures.save_dataset(camlab.fixtures.make_shapes_dataset(2, 48, 0), tmp / "mb")
+    index = tmp / "mb" / "index.txt"
+    lines = index.read_text().splitlines()
+    fields = lines[1].split()
+    lines[1] = " ".join(fields[:2] + ["40", "40", "47", "47"] + fields[6:])
+    index.write_text("\n".join(lines) + "\n")
+    return str(tmp / "mb")
+
+
 def _small_mask(ws, tmp):
     camlab.fixtures.save_dataset(camlab.fixtures.make_shapes_dataset(1, 48, 0), tmp / "m")
     imaging.write_image(np.zeros((20, 20), np.uint8), tmp / "m" / "00000_mask.pgm")
@@ -257,6 +269,10 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["localize", *gap_args(ws), "--data", _small_mask(ws, tmp),
                       "--report", str(tmp / "r.txt")],
      "mask shape (20, 20) != image 00000 shape (48, 48)"),
+    # ran to exit 0, scoring the maps against the moved box
+    (lambda ws, tmp: ["localize", *gap_args(ws), "--data", _moved_box(ws, tmp),
+                      "--report", str(tmp / "r.txt")],
+     "index line 2: box 40 40 47 47 is not the tight box of 00001_mask.pgm"),
     # a directory, or a file where a directory belongs: tracebacks before
     (lambda ws, tmp: ["explain", "--spec", _directory(tmp, "s"), "--weights", str(ws / "gap_w"),
                       "--image", first_image(ws), "--category", "0", "--method", "gradcam"],
@@ -403,6 +419,21 @@ def test_command_parser_is_the_same_alone_or_with_the_others(command):
     assert alone.format_usage() == full.format_usage()
 
 
+# raised only when camlab calls itself wrongly, never by a user's input
+INTERNAL_ERRORS = {autodiff.SeedError}
+
+
+def test_every_camlab_error_is_a_domain_error_or_internal():
+    # an error class missing from DOMAIN_ERRORS ends in a traceback, not exit 3
+    defined = set()
+    for info in pkgutil.iter_modules(camlab.__path__):
+        module = importlib.import_module(f"camlab.{info.name}")
+        defined |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__}
+    assert {error for error in defined if error not in cli.DOMAIN_ERRORS} == INTERNAL_ERRORS
+
+
 def test_internal_value_error_is_not_a_domain_error(workspace, monkeypatch):
     def broken(*args):
         raise ValueError("a bug")
@@ -412,11 +443,13 @@ def test_internal_value_error_is_not_a_domain_error(workspace, monkeypatch):
               "--category", "0", "--method", "gradcam"])
 
 
-def test_modified_pointing_requires_calibration_split(workspace):
+def test_modified_pointing_requires_calibration_split(workspace, capsys):
     code = main(["point", *gap_args(workspace),
                  "--data", str(workspace / "data"), "--modified",
                  "--report", str(workspace / "r.txt")])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --modified and --calibrate-split must be given together\n")
 
 
 def test_calibration_split_without_modified_is_usage_error(workspace, tmp_path, capsys):
@@ -427,16 +460,39 @@ def test_calibration_split_without_modified_is_usage_error(workspace, tmp_path, 
                  "--calibrate-split", str(workspace / "data"),
                  "--report", str(report)])
     assert code == 2
-    assert "--modified and --calibrate-split" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --modified and --calibrate-split must be given together\n")
     assert not report.exists()
 
 
-def test_failed_attack_is_domain_error(workspace):
+def test_failed_attack_is_domain_error(workspace, capsys):
     code = main(["attack", *fc_args(workspace),
                  "--image", first_image(workspace), "--target", "2",
                  "--epsilon", "0.0001", "--steps", "1",
                  "--out", str(workspace / "adv.pgm")])
     assert code == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("target_probability=")
+    assert err.startswith("error: attack failed: target probability ")
+    assert err.endswith(" < 0.99 after 1 steps (--steps)\n")
+
+
+@pytest.mark.parametrize("lr,message", [
+    # the loss stays finite but the weights do not: exit 0 and weights that
+    # WeightStore.load refuses
+    ("1e39", "error: non-finite weights at epoch 0: c1.weights holds 150 non-finite values"),
+    ("1e30", "error: non-finite loss at epoch 1"),
+])
+def test_diverging_train_prints_only_its_error_line(workspace, tmp_path, lr, message):
+    # numpy's RuntimeWarnings, each with its source line, came first
+    camlab.fixtures.save_dataset(camlab.fixtures.make_shapes_dataset(1, 48, 0), tmp_path / "d")
+    done = subprocess.run(
+        [sys.executable, "-m", "camlab.cli", "train", "--spec", str(workspace / "gap.spec"),
+         "--data", str(tmp_path / "d"), "--out", str(tmp_path / "w"), "--epochs", "2",
+         "--lr", lr], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": _SRC})
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", message + "\n")
+    assert not (tmp_path / "w.manifest").exists()
 
 
 def test_unknown_faithfulness_method_is_domain_error(workspace):

@@ -139,6 +139,30 @@ def test_mask_of_another_shape_is_dataset_error(tmp_path):
         load_dataset(tmp_path / "data")
 
 
+@pytest.mark.parametrize("box", ["40 40 47 47", "0 0 900 900"])
+def test_box_other_than_the_masks_tight_box_is_dataset_error(tmp_path, box):
+    # localize scored the maps against the index box: with every box of a
+    # split moved to 40 40 47 47 it reported an error of 1.0 and exited 0
+    save_dataset(make_shapes_dataset(2, 48, rng_seed=4, two_object_fraction=1.0),
+                 tmp_path / "data")
+    index = tmp_path / "data" / "index.txt"
+    lines = index.read_text().splitlines()
+    fields = lines[3].split()
+    lines[3] = " ".join(fields[:2] + box.split() + fields[6:])
+    index.write_text("\n".join(lines) + "\n")
+    with pytest.raises(nn.DatasetError, match=f"index line 4: box {box} is not the tight "
+                                              f"box of 00001_maskb.pgm, "):
+        load_dataset(tmp_path / "data")
+
+
+def test_empty_mask_is_dataset_error(tmp_path):
+    save_dataset(make_shapes_dataset(1, 48, rng_seed=4), tmp_path / "data")
+    camlab.imaging.write_image(np.zeros((48, 48), np.uint8),
+                               tmp_path / "data" / "00000_mask.pgm")
+    with pytest.raises(nn.DatasetError, match="00000_mask.pgm: mask of image 00000 is empty"):
+        load_dataset(tmp_path / "data")
+
+
 def test_third_object_line_is_dataset_error(tmp_path):
     # the third line of an id was dropped without a word
     examples = make_shapes_dataset(2, 48, rng_seed=4, two_object_fraction=1.0)

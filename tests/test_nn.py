@@ -1,5 +1,7 @@
 """Model specs, weight persistence, forward pass, trainer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -353,9 +355,22 @@ fc1 dense units=4
 head dense units=2
 """)
     data = separable_toy_set(20)
-    with pytest.raises(nn.TrainingError) as err:
+    # the loss check names the failure, so numpy's overflow warnings are noise
+    with warnings.catch_warnings(), pytest.raises(nn.TrainingError) as err:
+        warnings.simplefilter("error", RuntimeWarning)
         nn.train_fixture(spec, data, epochs=5, learning_rate=1e30, rng_seed=0)
     assert "epoch" in str(err.value)
+
+
+def test_trainer_raises_on_non_finite_weights():
+    # 1e39 is inf in float32: the only update of a one-image epoch made every
+    # weight non-finite after a finite loss, and the run saved weights that
+    # WeightStore.load refuses
+    spec = nn.parse_model_spec(SPEC_TEXT)
+    with warnings.catch_warnings(), pytest.raises(
+            nn.TrainingError, match=r"non-finite weights at epoch 0: c1\.weights holds 18 "):
+        warnings.simplefilter("error", RuntimeWarning)
+        nn.train_fixture(spec, separable_toy_set(1), epochs=2, learning_rate=1e39)
 
 
 def test_fixture_models_reach_high_held_out_accuracy(
