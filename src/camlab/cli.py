@@ -104,11 +104,29 @@ def cmd_occlude(args):
 
 
 def _report(metrics, path):
-    """Write the metrics, rounded to 6 decimals, to the report and stdout."""
+    """Write the metrics, rounded to 6 decimals, to the report and stdout.
+
+    A report path that names the file open as stdout is written through
+    stdout: opened anew, it would start at offset 0, where the summary
+    printed next would overwrite it.
+    """
     metrics = {key: round(value, 6) for key, value in metrics.items()}
-    evaluation.write_report(metrics, path)
+    report = evaluation.encode_report(metrics)
+    if _is_stdout(path):
+        sys.stdout.write(report.decode("ascii"))
+    else:
+        imaging.write_bytes(path, report)
     print(evaluation.format_report(metrics))
     return 0
+
+
+def _is_stdout(path):
+    """Whether `path` names the file open on descriptor 1."""
+    try:
+        named, out = os.stat(path), os.fstat(1)
+    except OSError:
+        return False
+    return (named.st_dev, named.st_ino) == (out.st_dev, out.st_ino)
 
 
 def cmd_localize(args):

@@ -9,10 +9,6 @@ correlation between an explanation map and the occlusion map.
 `localize`, `point`, `modified_point` and `faithfulness` run a protocol
 over a split of ShapesExamples and return its metrics; the CLI and the
 acceptance suite both call them.
-
-scipy is loaded only by `extract_bbox`, on its first call: a process that
-labels no heatmap (training, explaining, the pointing game, faithfulness)
-never imports it.
 """
 
 import math
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import explain, nn, occlusion
-from .imaging import bilinear_resize, write_bytes
+from .imaging import bilinear_resize
 
 
 class NoSegmentError(ValueError):
@@ -45,9 +41,12 @@ class BBox:
 
     @classmethod
     def of(cls, mask):
-        """Tight box of a boolean mask's true pixels."""
-        ys, xs = np.nonzero(mask)
-        return cls(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+        """Tight box of a 2-D boolean mask's true pixels."""
+        rows = np.flatnonzero(mask.any(axis=1))
+        if len(rows) == 0:
+            raise ValueError("an empty mask has no box")
+        cols = np.flatnonzero(mask.any(axis=0))
+        return cls(int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1]))
 
     @property
     def area(self):
@@ -63,28 +62,65 @@ def iou(a, b):
     return inter / (a.area + b.area - inter)
 
 
-_EIGHT = np.ones((3, 3), dtype=int)
-
-
 def extract_bbox(heat, threshold_frac=0.15):
     """Tight box of the largest 8-connected segment above the threshold.
 
-    Threshold is threshold_frac * max(heat); size ties go to the component
-    containing the smallest row-major pixel index, which is the one
-    `ndimage.label` numbers first.
+    Threshold is threshold_frac * max(heat); size ties go to the segment
+    whose first pixel comes first in row-major order.
     """
-    from scipy import ndimage  # on first use: scipy is most of camlab's import cost
-
     heat = np.asarray(heat)
     m = float(heat.max(initial=0.0))
     if m <= 0:
         raise NoSegmentError("heatmap has no positive values")
     mask = heat >= threshold_frac * m
-    labels, n = ndimage.label(mask, structure=_EIGHT)
-    if n == 0:
+    if not mask.any():
         raise NoSegmentError("no pixels above threshold")
-    sizes = np.bincount(labels.ravel())[1:]
-    return BBox.of(labels == np.argmax(sizes) + 1)
+    return _largest_segment_box(mask)
+
+
+def _largest_segment_box(mask):
+    """extract_bbox's box of a 2-D boolean mask with a true pixel.
+
+    Works on runs, the maximal stretches of true pixels in a row, each a
+    start and an exclusive end index into the mask with one column appended:
+    runs come in row-major order, and `stride` steps an index down a row.
+    Runs in adjacent rows touch when their columns overlap once widened by
+    one.  Each touching pair is a run's first touching run above or its
+    first touching run below; union-find over those pairs labels each run
+    with the lowest-numbered run of its segment, which holds the segment's
+    first pixel.
+    """
+    h, w = mask.shape
+    stride = w + 1
+    padded = np.zeros((h, w + 2), bool)
+    padded[:, 1:-1] = mask
+    bounds = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    # Link each run to its first touching run above: each link climbs a row,
+    # so log2(h) pointer jumps take every run to the top of its chain.
+    above = np.searchsorted(ends, starts - stride)
+    label = np.where(starts[above] <= ends - stride, above, np.arange(len(starts)))
+    for _ in range(max(h - 1, 1).bit_length()):
+        label = label[label]
+    # Join the chains through each run's first touching run below: hook the
+    # higher label of each crossing pair onto the lower (of several hooks on
+    # one label, one lands and the other pairs cross again), jump to the
+    # roots, repeat until no pair crosses two labels.
+    below = np.searchsorted(ends, starts + stride)
+    # a start past every row stands in where no run follows (below == len(starts))
+    touch = np.append(starts, bounds[-1] + 2 * stride)[below] <= ends + stride
+    a, b = label[touch], label[below[touch]]
+    while (cross := a != b).any():
+        a, b = a[cross], b[cross]
+        label[np.maximum(a, b)] = np.minimum(a, b)
+        while ((jumped := label[label]) != label).any():
+            label = jumped
+        a, b = label[a], label[b]
+    # argmax takes the first of equal sizes: the lowest label
+    win = label == np.argmax(np.bincount(label, weights=ends - starts))
+    s, e = starts[win], ends[win]
+    return BBox(int((s % stride).min()), int(s[0] // stride),
+                int((e % stride).max()) - 1, int(s[-1] // stride))
 
 
 def heatmap_argmax(heat):
@@ -270,10 +306,9 @@ def faithfulness(spec, weights, examples, methods, occlusion_config, layer=None)
     return metrics, rhos
 
 
-def write_report(metrics, path):
+def encode_report(metrics):
     """Machine-readable summary: one `key=value` line per metric."""
-    write_bytes(path, "".join(f"{key}={metrics[key]}\n" for key in sorted(metrics))
-                .encode("ascii"))
+    return "".join(f"{key}={metrics[key]}\n" for key in sorted(metrics)).encode("ascii")
 
 
 def format_report(metrics):

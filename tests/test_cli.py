@@ -642,6 +642,28 @@ def test_faithfulness_writes_report(workspace, tmp_path):
     assert "mean_rank_correlation.guided-backprop=" in text
 
 
+def _point_cli(ws, report, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "camlab.cli", "point", *gap_args(ws),
+         "--data", str(ws / "data"), "--report", report],
+        check=True, timeout=300, env={**os.environ, "PYTHONPATH": _SRC}, **kwargs)
+
+
+@pytest.mark.parametrize("into", ["file", "pipe"])
+def test_report_path_naming_stdout_keeps_report_then_summary(workspace, tmp_path, into):
+    # into a file, the summary was printed at offset 0 over the report
+    report = tmp_path / "pt.txt"
+    summary = _point_cli(workspace, str(report), capture_output=True).stdout
+    want = report.read_bytes() + summary
+    if into == "file":
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            _point_cli(workspace, "/dev/stdout", stdout=fh)
+        assert out.read_bytes() == want
+    else:
+        assert _point_cli(workspace, "/dev/stdout", capture_output=True).stdout == want
+
+
 def test_faithfulness_with_no_defined_rho_reports_nan_without_warning(
         workspace, tmp_path):
     # a constant image has a constant occlusion map, so every rho is undefined
@@ -663,7 +685,7 @@ def test_faithfulness_with_no_defined_rho_reports_nan_without_warning(
     ]
 
 
-# ------------------------------------------------- scipy is loaded lazily
+# ------------------------------------------------------ no scipy in camlab
 
 _SRC = os.path.dirname(os.path.dirname(camlab.__file__))
 
@@ -687,10 +709,11 @@ def test_import_does_not_load_scipy(module):
 
 
 def _run_argv(command, ws, out):
-    """(argv, exit code) of a run of `command` that labels no heatmap."""
+    """(argv, exit code) of a run of `command`."""
     data = str(ws / "data")
     image = ["--image", first_image(ws)]
     return {
+        "localize": ([*gap_args(ws), "--data", data, "--report", str(out / "l.txt")], 0),
         "make-dataset": (["--out", str(out / "d"), "--n", "2"], 0),
         "train": (["--spec", str(ws / "gap.spec"), "--data", data,
                    "--out", str(out / "w"), "--epochs", "1"], 0),
@@ -708,16 +731,9 @@ def _run_argv(command, ws, out):
     }[command]
 
 
-@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "localize"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
 def test_commands_that_label_no_heatmap_do_not_load_scipy(workspace, tmp_path, command):
     argv, code = _run_argv(command, workspace, tmp_path)
     lines = _fresh(_MAIN, command, *argv)
     assert lines[-2:] == [f"exit {code}", "False"]
 
-
-def test_localize_loads_scipy_and_writes_its_report(workspace, tmp_path):
-    report = tmp_path / "loc.txt"
-    lines = _fresh(_MAIN, "localize", *gap_args(workspace), "--data", str(workspace / "data"),
-                   "--report", str(report))
-    assert lines[-2:] == ["exit 0", "True"]
-    assert "top1_localization_error=" in report.read_text()

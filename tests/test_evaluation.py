@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 from scipy.stats import rankdata
 
 from camlab import evaluation, explain, imaging, nn
@@ -24,6 +25,16 @@ def test_bbox_area_and_validation():
     assert BBox(2, 3, 2, 3).area == 1
     with pytest.raises(ValueError):
         BBox(3, 0, 2, 4)
+
+
+@given(hnp.arrays(bool, st.tuples(st.integers(1, 20), st.integers(1, 20))))
+def test_bbox_of_is_the_tight_box_of_the_true_pixels(mask):
+    if not mask.any():
+        with pytest.raises(ValueError, match="empty mask"):
+            BBox.of(mask)
+    else:
+        ys, xs = np.nonzero(mask)
+        assert BBox.of(mask) == BBox(xs.min(), ys.min(), xs.max(), ys.max())
 
 
 def test_iou_hand_case():
@@ -68,6 +79,12 @@ def test_extract_bbox_rejects_nonpositive_maps():
         extract_bbox(np.full((3, 3), -2.0, np.float32))
 
 
+def test_extract_bbox_map_with_nan_has_no_segment():
+    # the max is NaN, and no pixel compares >= a NaN threshold
+    with pytest.raises(NoSegmentError, match="no pixels above threshold"):
+        extract_bbox(np.array([[np.nan, 1.0], [0.0, 1.0]], np.float32))
+
+
 def _bbox_oracle(heat, threshold_frac):
     """extract_bbox by breadth-first search in row-major order; None when no
     pixel is positive."""
@@ -108,6 +125,51 @@ def test_extract_bbox_matches_breadth_first_oracle(heat, threshold_frac):
         with pytest.raises(NoSegmentError):
             extract_bbox(heat, threshold_frac)
     else:
+        assert extract_bbox(heat, threshold_frac) == want
+
+
+def _scipy_bbox(mask):
+    """Box of the largest segment by `ndimage.label`, which numbers segments
+    in the row-major order of their first pixels; argmax keeps the first."""
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), int))
+    sizes = np.bincount(labels.ravel())[1:]
+    ys, xs = np.nonzero(labels == np.argmax(sizes) + 1)
+    return BBox(xs.min(), ys.min(), xs.max(), ys.max())
+
+
+def _random_field(seed, shape, density):
+    return (np.random.default_rng(seed).random(shape) < density).astype(np.float32)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+           # 0/1 draws give many equal-size segments
+           hnp.arrays(np.float32,
+                      st.one_of(st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                                st.tuples(st.just(1), st.integers(1, 48)),
+                                st.tuples(st.integers(1, 48), st.just(1))),
+                      elements=st.sampled_from([0.0, 1.0]) | st.floats(-1, 1, width=32),
+                      fill=st.nothing()),
+           # near the 8-connected percolation density, segments are long and
+           # branch and merge across many rows
+           st.builds(_random_field, st.integers(0, 2**32 - 1),
+                     st.tuples(st.integers(1, 48), st.integers(1, 48)), st.floats(0.3, 0.6))),
+       st.sampled_from(["as drawn", "full", "frame", "corners"]),
+       st.floats(0.05, 1.0))
+def test_extract_bbox_matches_scipy_label(heat, overlay, threshold_frac):
+    # a frame or the four corners put segments on every border
+    if overlay == "full":
+        heat[...] = 1.0
+    elif overlay == "frame":
+        heat[[0, -1], :] = heat[:, [0, -1]] = 1.0
+    elif overlay == "corners":
+        heat[[0, 0, -1, -1], [0, -1, 0, -1]] = 1.0
+    m = float(heat.max())
+    if m <= 0:
+        with pytest.raises(NoSegmentError):
+            extract_bbox(heat, threshold_frac)
+    else:
+        want = _scipy_bbox(heat >= threshold_frac * m)
         assert extract_bbox(heat, threshold_frac) == want
 
 
@@ -292,7 +354,7 @@ def test_rank_correlation_aligns_resolutions():
 def test_report_round_trip(tmp_path):
     metrics = {"b_metric": 0.5, "a_metric": 2}
     path = tmp_path / "report.txt"
-    evaluation.write_report(metrics, path)
+    imaging.write_bytes(path, evaluation.encode_report(metrics))
     text = path.read_text()
     assert text == "a_metric=2\nb_metric=0.5\n"
     formatted = evaluation.format_report(metrics)
