@@ -232,8 +232,8 @@ _KINDS = {
         forward=lambda x, p, params, batched: (
             ops.dense(x, params["weights"], params["bias"]), {}),
         backward=_dense_backward,
-        param_backward=lambda rec, g: {"weights": np.outer(g, rec.x).astype(g.dtype),
-                                       "bias": g.copy()},
+        param_backward=lambda rec, g: {
+            "weights": np.outer(g, rec.x).astype(g.dtype, copy=False), "bias": g.copy()},
         param_shapes=lambda p, shape: {"weights": (p["units"], shape[0]),
                                        "bias": (p["units"],)},
         scores=True),

@@ -14,16 +14,19 @@ with a single cotangent run as S=1.  `conv2d` can hand back the float64
 im2col matrix it built, and `conv2d_param_grad` can reuse it instead of
 building the same matrix again; the gradient is the same, bit for bit.
 
-`conv2d_input_grad` lays the cotangents on a zero grid shaped so that each
-kernel offset (di, dj) lands at one constant offset of the flat padded
-input: one GEMM gives every offset's terms, and kh*kw 1-D adds of stride
-`stride` place them.  Each input pixel sums the same nonzero terms in the
-same order as a scatter over the output windows; the grid's zero cells add
-±0, which changes no sum while the kernels are finite (`nn.WeightStore.load`
-rejects any that are not).  The GEMM has more columns than the output has
-pixels, and a float64 column may round in its last bit with the column
-count, so float64 results may differ from such a scatter by that rounding;
-float32 results match it.
+The conv kernels make each float64 operand once, in long copies: the
+im2col matrix takes 1 + min(stride, kh) copies of the unpadded input (see
+`_im2col`).  `conv2d_input_grad` lays the cotangents on a zero grid shaped
+so that each kernel offset (di, dj) lands at one constant offset of the
+flat padded input: one GEMM per kernel row gives that row's terms, and its
+kw 1-D adds of stride `stride` place them while they are still in cache.
+Each input pixel sums the same nonzero terms in the same order as a
+scatter over the output windows; the grid's zero cells add ±0, which
+changes no sum while the kernels are finite (`nn.WeightStore.load` rejects
+any that are not).  The GEMM has more columns than the output has pixels,
+and a float64 column may round in its last bit with the column count, so
+float64 results may differ from such a scatter by that rounding; float32
+results match it.
 """
 
 import numpy as np
@@ -63,22 +66,38 @@ def _batched(x, ndim, op):
     return x, False
 
 
-def _padded(x, padding):
-    # float64 copy of x [..., H, W] inside a zero border of `padding` pixels
-    h, w = x.shape[-2:]
-    xp = np.zeros(x.shape[:-2] + (h + 2 * padding, w + 2 * padding))
-    xp[..., padding:padding + h, padding:padding + w] = x
-    return xp
+def _im2col(xb, kh, kw, stride, padding, h_out, w_out):
+    """float64 im2col matrix [C*kh*kw, N*h_out*w_out] of a batch [N, C, H, W].
 
-
-def _im2col(xp, kh, kw, stride, h_out, w_out):
-    # xp: padded input [C, N, Hp, Wp] -> [C*kh*kw, N*h_out*w_out]
-    c, n = xp.shape[:2]
-    cols = np.empty((c, kh, kw, n, h_out, w_out), dtype=xp.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, di, dj] = xp[:, :, di:di + stride * h_out:stride,
-                                 dj:dj + stride * w_out:stride]
+    Row (c, di, dj), column (n, i, j) holds padded pixel (i*stride + di,
+    j*stride + dj) of channel c of image n.  That is row i + di // stride
+    of the padded rows of phase di % stride, so stage 1 copies the kw
+    column shifts of every row phase out of the input, in its own dtype,
+    into t [C, phases, kw, N, rows, w_out], and stage 2 copies, per phase,
+    the output planes of all its kernel rows into the float64 matrix: kernel
+    row di is rows di // stride to di // stride + h_out - 1 of t.  The input
+    is padded, in its own dtype, only when the padding or the last phase's
+    rows reach past it.
+    """
+    n, c, h, w = xb.shape
+    phases = min(stride, kh)
+    rows = h_out + (kh - 1) // stride
+    hp = max(h + 2 * padding, (rows - 1) * stride + phases)
+    if hp > h:
+        xp = np.zeros((n, c, hp, w + 2 * padding), dtype=xb.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = xb
+    else:
+        xp = np.ascontiguousarray(xb)
+    # np.ndarray makes each strided view over a contiguous buffer in a tenth
+    # of as_strided's time, which the small copies would notice
+    sn, sc, sh, sw = xp.strides
+    t = np.empty((c, phases, kw, n, rows, w_out), dtype=xb.dtype)
+    t[...] = np.ndarray(t.shape, t.dtype, xp, 0, (sc, sh, sw, sn, stride * sh, stride * sw))
+    tc, tr, tj, tn, tq, tw = t.strides
+    cols = np.empty((c, kh, kw, n, h_out, w_out))
+    for r in range(phases):
+        cols[:, r::stride] = np.ndarray((c, len(range(r, kh, stride)), kw, n, h_out, w_out),
+                                        t.dtype, t, r * tr, (tc, tq, tj, tn, tq, tw))
     return cols.reshape(c * kh * kw, n * h_out * w_out)
 
 
@@ -89,8 +108,10 @@ def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
     [N,C,H,W] gives [N,K,h_out,w_out] from one float64 im2col matrix of
     N*h_out*w_out columns and one GEMM.  The BLAS sums each output column
     in the same order whatever N is, so a batch equals its examples run one
-    by one, bit for bit (the tests check this).  With `return_cols`,
-    returns (output, im2col matrix [C*kh*kw, N*h_out*w_out]).
+    by one, bit for bit (the tests check this).  The matrix holds the
+    input's values exactly, whatever its dtype, and the bias is added to
+    the GEMM's result in place.  With `return_cols`, returns (output,
+    im2col matrix [C*kh*kw, N*h_out*w_out]).
     """
     xb, single = _batched(x, 3, "conv2d")
     kernels = np.asarray(kernels)
@@ -105,9 +126,11 @@ def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
         raise DimensionError("kernel larger than padded input")
     h_out = _out_extent(h, kh, stride, padding)
     w_out = _out_extent(w, kw, stride, padding)
-    cols = _im2col(_padded(xb.swapaxes(0, 1), padding), kh, kw, stride, h_out, w_out)
+    cols = _im2col(xb, kh, kw, stride, padding, h_out, w_out)
     wmat = kernels.reshape(k, c * kh * kw).astype(np.float64)
-    out = (wmat @ cols + bias.astype(np.float64)[:, None]).reshape(k, n, h_out, w_out)
+    out = wmat @ cols
+    out += bias.astype(np.float64)[:, None]
+    out = out.reshape(k, n, h_out, w_out)
     out = np.ascontiguousarray(out.swapaxes(0, 1), dtype=xb.dtype)
     out = out[0] if single else out
     return (out, cols) if return_cols else out
@@ -125,7 +148,9 @@ def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
     [C, S, Hp/stride, Wp].  If q is the flat index of (c, s, i, j) there,
     the pixel's flat index in the padded images [C, S, Hp, Wp] is
     stride*q + di*Wp + dj, so each offset is one 1-D add of stride `stride`
-    at the constant offset di*Wp + dj.
+    at the constant offset di*Wp + dj.  The GEMM runs one kernel row di at
+    a time, its kw*C rows of kernels against the whole grid, and that row's
+    kw adds follow it, so its terms are read back from cache.
 
     Each input pixel receives the same nonzero terms, in the same
     row-major (di, dj) order, as a scatter over the output windows would
@@ -144,12 +169,17 @@ def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
     wp = -(-(w + 2 * padding) // stride) * stride
     grid = np.zeros((k, s, hp // stride, wp))
     grid[:, :, :h_out, :w_out] = g.swapaxes(0, 1)
-    wmat = kernels.transpose(2, 3, 1, 0).reshape(kh * kw * c, k).astype(np.float64)
-    terms = (wmat @ grid.reshape(k, -1)).reshape(kh, kw, -1)
-    n = terms.shape[2]
+    wmat = kernels.transpose(2, 3, 1, 0).reshape(kh, kw * c, k).astype(np.float64)
+    grid = grid.reshape(k, -1)
+    n = c * grid.shape[1]
     # the zero cells at the end of the last image land past it, in the slack
     xp = np.zeros(stride * n + (kh - 1) * wp + kw - 1)
+    # one buffer for all kernel rows, filled row by row: with a one-row
+    # buffer malloc gave the smaller heap back after each call, and the next
+    # call faulted it in again, which cost more than the copies saved
+    terms = np.empty((kh, kw, n))
     for di in range(kh):
+        np.matmul(wmat[di], grid, out=terms[di].reshape(kw * c, -1))
         for dj in range(kw):
             o = di * wp + dj
             xp[o:o + stride * n:stride] += terms[di, dj]
@@ -167,7 +197,7 @@ def conv2d_param_grad(grad_out, x, kernel_shape, stride=1, padding=0, cols=None)
     k, c, kh, kw = kernel_shape
     h_out, w_out = grad_out.shape[1], grad_out.shape[2]
     if cols is None:
-        cols = _im2col(_padded(x[:, None], padding), kh, kw, stride, h_out, w_out)
+        cols = _im2col(x[None], kh, kw, stride, padding, h_out, w_out)
     else:
         want = (c * kh * kw, _out_extent(x.shape[1], kh, stride, padding)
                 * _out_extent(x.shape[2], kw, stride, padding))
@@ -226,9 +256,14 @@ def maxpool2d_grad(grad_out, argmax, x_shape):
 
 
 def global_avg_pool(x):
-    """[K,u,v] -> [K], or [N,K,u,v] -> [N,K]; mean over the spatial grid (Z = u*v)."""
+    """[K,u,v] -> [K], or [N,K,u,v] -> [N,K]; mean over the spatial grid (Z = u*v).
+
+    The sums are float64 without a float64 copy of x; on planes of up to
+    8 192 values (numpy's buffer size) they equal those of such a copy,
+    bit for bit.
+    """
     xb, single = _batched(x, 3, "global_avg_pool")
-    out = xb.astype(np.float64).mean(axis=(2, 3)).astype(xb.dtype)
+    out = xb.mean(axis=(2, 3), dtype=np.float64).astype(xb.dtype)
     return out[0] if single else out
 
 
@@ -238,14 +273,16 @@ def dense(x, weights, bias):
     One example runs as a float64 GEMV and a batch as one GEMM, whose sums
     may round differently in the last float64 bit, so a batch row matches
     its one-example result in float32 except when that bit decides the
-    rounding to float32.
+    rounding to float32.  float64 weights are used as they are, without a
+    copy.
     """
     xb, single = _batched(x, 1, "dense")
     weights = np.asarray(weights)
     if weights.ndim != 2 or weights.shape[1] != xb.shape[1]:
         raise DimensionError(f"dense shape mismatch: weights {weights.shape}, "
                              f"input {np.shape(x)}")
-    out = xb.astype(np.float64) @ weights.astype(np.float64).T + np.asarray(bias, np.float64)
+    out = (xb.astype(np.float64, copy=False) @ weights.astype(np.float64, copy=False).T
+           + np.asarray(bias, np.float64))
     out = out.astype(xb.dtype)
     return out[0] if single else out
 

@@ -732,7 +732,7 @@ def _run_argv(command, ws, out):
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
-def test_commands_that_label_no_heatmap_do_not_load_scipy(workspace, tmp_path, command):
+def test_no_command_loads_scipy(workspace, tmp_path, command):
     argv, code = _run_argv(command, workspace, tmp_path)
     lines = _fresh(_MAIN, command, *argv)
     assert lines[-2:] == [f"exit {code}", "False"]

@@ -1,5 +1,6 @@
 """Model specs, weight persistence, forward pass, trainer."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -377,6 +378,26 @@ def test_fixture_models_reach_high_held_out_accuracy(
         gap_spec, fc_spec, gap_weights, fc_weights, test_set):
     assert nn.accuracy(gap_spec, gap_weights, test_set) >= 0.95
     assert nn.accuracy(fc_spec, fc_weights, test_set) >= 0.95
+
+
+# sha256 of each session fixture's weight blob, the bytes WeightStore.save
+# writes; perfbench/fixtures/{gap,fc}.bin hold the same bytes
+PINNED_WEIGHTS = {
+    "gap_weights": "f47d62784a1f7ccbcd6502cbb62df3b467340b46d6245028111ad5de7da6e00a",
+    "fc_weights": "12c1f24b340e1e0979965ee326c655554b32832a1f34d1ced46779e7de6e9295",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_WEIGHTS))
+def test_fixture_weights_are_pinned_byte_for_byte(fixture, request):
+    """Every kernel of the 12 000-step trainings, forward and backward,
+    still rounds each float64 sum as it did."""
+    weights = request.getfixturevalue(fixture)
+    blob = hashlib.sha256()
+    for group in weights.params.values():
+        for arr in group.values():
+            blob.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    assert blob.hexdigest() == PINNED_WEIGHTS[fixture]
 
 
 def reference_sgd(spec, dataset, epochs, learning_rate, rng_seed):

@@ -252,6 +252,19 @@ def test_global_avg_pool_batch_equals_stacked_examples(rng, n):
     assert_batch_is_stacked_examples(ops.global_avg_pool, x)
 
 
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 64), st.integers(1, 64),
+       st.sampled_from([np.float32, np.float64]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_global_avg_pool_equals_the_mean_of_a_float64_copy(n, k, h, w, dtype, strided, seed):
+    # planes of up to 8 192 values, numpy's buffer size; above that a float32
+    # plane summed through the buffer, or a strided float64 one, may be
+    # summed in another order than its float64 copy
+    x = np.random.default_rng(seed).standard_normal((n, k, h, w)).astype(dtype)
+    if strided:
+        x = x[:, :, ::-1]
+    want = x.astype(np.float64).mean(axis=(2, 3)).astype(dtype)
+    assert ops.global_avg_pool(x).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", BATCH_SIZES)
 def test_dense_batch_equals_stacked_examples(rng, n):
     x = rng.standard_normal((n, 40)).astype(np.float32)
@@ -319,6 +332,44 @@ def conv2d_grads_loop(g_out, x, kernels, stride, padding):
                 gxp[win] += g[f, i, j] * kernels[f].astype(np.float64)
                 gk[f] += g[f, i, j] * xp[win]
     return gxp[:, padding:padding + h, padding:padding + w], gk, g.sum(axis=(1, 2))
+
+
+def im2col_slices(x, kh, kw, stride, padding):
+    """The float64 im2col matrix [C*kh*kw, N*h_out*w_out] of x [N, C, H, W],
+    one strided slice of a float64 padded copy per kernel offset."""
+    n, c, h, w = x.shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + w] = x.swapaxes(0, 1)
+    cols = np.empty((c, kh, kw, n, h_out, w_out))
+    for di in range(kh):
+        for dj in range(kw):
+            cols[:, di, dj] = xp[:, :, di:di + stride * h_out:stride,
+                                 dj:dj + stride * w_out:stride]
+    return cols.reshape(c * kh * kw, n * h_out * w_out)
+
+
+@given(conv_cases(), st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_im2col_equals_the_slice_reference(case, dtype, strided):
+    rng = np.random.default_rng(case["seed"])
+    k, c, kh, stride, pad = case["k"], case["c"], case["kh"], case["stride"], case["pad"]
+    x = rng.standard_normal((case["n"], c, case["h"], case["w"])).astype(dtype)
+    if strided:   # the same values through a view that walks the rows backwards
+        x = np.ascontiguousarray(x[:, :, ::-1])[:, :, ::-1]
+    kern = rng.standard_normal((k, c, kh, kh)).astype(dtype)
+    bias = rng.standard_normal(k).astype(dtype)
+    want = im2col_slices(x, kh, kh, stride, pad)
+    y, cols = ops.conv2d(x, kern, bias, stride, pad, return_cols=True)
+    assert cols.dtype == want.dtype and cols.shape == want.shape
+    assert cols.tobytes() == want.tobytes()
+    # the parameter gradient builds the same matrix when it is not given one
+    g = rng.standard_normal(y.shape[1:]).astype(dtype)
+    got = ops.conv2d_param_grad(g, x[0], kern.shape, stride, pad)
+    given_cols = ops.conv2d_param_grad(g, x[0], kern.shape, stride, pad,
+                                       cols=im2col_slices(x[:1], kh, kh, stride, pad))
+    for a, b in zip(got, given_cols):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def conv_operands(case, dtype):
