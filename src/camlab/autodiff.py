@@ -40,7 +40,8 @@ class LayerRecord:
     x: np.ndarray
     y: np.ndarray
     params: dict = field(default_factory=dict)   # weights/bias for conv, dense
-    extras: dict = field(default_factory=dict)   # maxpool argmax; conv im2col
+    # maxpool argmax; the im2col matrix of a conv record made by the trainer
+    extras: dict = field(default_factory=dict)
 
 
 @dataclass

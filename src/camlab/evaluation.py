@@ -131,11 +131,14 @@ def heatmap_argmax(heat):
 
 
 def pointing_game(heat, gt_mask):
-    """Hit iff the heatmap argmax lies inside the ground-truth mask."""
+    """Hit iff the heatmap argmax lies inside the ground-truth mask; a map
+    holding a NaN has no argmax, and misses."""
     gt_mask = np.asarray(gt_mask, dtype=bool)
     if not gt_mask.any():
         raise ProtocolError("empty ground-truth mask")
     heat = np.asarray(heat)
+    if np.isnan(heat).any():
+        return False
     if heat.shape != gt_mask.shape:
         heat = bilinear_resize(heat, gt_mask.shape[1], gt_mask.shape[0])
     r, c = heatmap_argmax(heat)
@@ -170,8 +173,9 @@ def modified_pointing(heats, gt_masks, threshold):
 
 
 def _average_ranks(values):
-    """1-based ranks; each run of equal values shares the mean of its ranks."""
-    order = np.argsort(values, kind="stable")
+    """1-based ranks; each run of equal values shares the mean of its ranks,
+    whatever order the sort leaves them in."""
+    order = np.argsort(values)
     sorted_vals = values[order]
     starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
     ends = np.r_[starts[1:], len(values)]
@@ -181,13 +185,16 @@ def _average_ranks(values):
 
 
 def rank_correlation(a, b):
-    """Spearman rho with average ranks for ties; NaN if either map is constant.
+    """Spearman rho with average ranks for ties; NaN if either map is
+    constant or holds a NaN, as `scipy.stats.spearmanr` gives.
 
     Maps of different resolution are aligned by bilinearly upsampling `a`
     to `b`'s resolution.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if np.isnan(a).any() or np.isnan(b).any():
+        return math.nan
     if a.shape != b.shape:
         a = bilinear_resize(a, b.shape[1], b.shape[0]).astype(np.float64)
     ra = _average_ranks(a.ravel())

@@ -99,7 +99,8 @@ class ModelSpec:
 class _Kind:
     """Everything that depends on a layer kind; `_KINDS` maps names to these."""
     out_shape: object       # (params, input shape) -> output shape
-    forward: object         # (x, params, weight arrays, batched) -> (y, record extras)
+    # (x, params, weight arrays, mode) -> (y, record extras); see _run_layers
+    forward: object
     # (record, cotangent, relu policy) -> input cotangent; the cotangent may
     # carry a leading seed axis, S cotangents of the one recorded example
     backward: object
@@ -156,23 +157,25 @@ def _slide(shape, k, stride, pad):
     return tuple((n + 2 * pad - k) // stride + 1 for n in shape[1:])
 
 
-def _conv_forward(x, p, params, batched):
+def _conv_forward(x, p, params, mode):
     conv = (x, params["weights"], params["bias"], p["stride"], p["pad"])
-    if batched:  # score_batch records no tape
+    if mode != "train":
         return ops.conv2d(*conv), {}
     y, cols = ops.conv2d(*conv, return_cols=True)
-    # the record keeps the im2col matrix, which the parameter gradient reuses
+    # the trainer's record keeps the im2col matrix for the parameter gradient
     return y, {"cols": cols}
 
 
 def _conv_param_backward(rec, g):
+    # a tape from `forward` has no im2col matrix, and conv2d_param_grad
+    # builds the same one again
     dk, db = ops.conv2d_param_grad(g, rec.x, rec.params["weights"].shape,
                                    rec.step.params["stride"], rec.step.params["pad"],
-                                   cols=rec.extras["cols"])
+                                   cols=rec.extras.get("cols"))
     return {"weights": dk, "bias": db}
 
 
-def _maxpool_forward(x, p, params, batched):
+def _maxpool_forward(x, p, params, mode):
     y, argmax = ops.maxpool2d(x, p["window"], p["stride"])
     return y, {"argmax": argmax}
 
@@ -204,7 +207,7 @@ _KINDS = {
         window=lambda p: (p["kernel"], p["stride"], p["pad"])),
     "relu": _Kind(
         out_shape=lambda p, shape: shape,
-        forward=lambda x, p, params, batched: (ops.relu(x), {}),
+        forward=lambda x, p, params, mode: (ops.relu(x), {}),
         backward=lambda rec, g, policy: autodiff._relu_backward(g, rec.x, policy),
         window=lambda p: (1, 1, 0)),
     "maxpool": _Kind(
@@ -218,18 +221,18 @@ _KINDS = {
     "gap": _Kind(
         rank=3,
         out_shape=lambda p, shape: (shape[0],),
-        forward=lambda x, p, params, batched: (ops.global_avg_pool(x), {}),
+        forward=lambda x, p, params, mode: (ops.global_avg_pool(x), {}),
         backward=lambda rec, g, policy: np.broadcast_to(
             (g / (rec.x.shape[1] * rec.x.shape[2]))[..., None, None],
             g.shape + rec.x.shape[1:]).astype(g.dtype)),
     "flatten": _Kind(
         out_shape=lambda p, shape: (math.prod(shape),),
-        forward=lambda x, p, params, batched: (x.reshape(x.shape[:batched] + (-1,)), {}),
+        forward=lambda x, p, params, mode: (x.reshape(x.shape[:mode == "batch"] + (-1,)), {}),
         backward=lambda rec, g, policy: g.reshape(g.shape[:-1] + rec.x.shape)),
     "dense": _Kind(
         schema={"units": (1, None)}, rank=1,
         out_shape=lambda p, shape: (p["units"],),
-        forward=lambda x, p, params, batched: (
+        forward=lambda x, p, params, mode: (
             ops.dense(x, params["weights"], params["bias"]), {}),
         backward=_dense_backward,
         param_backward=lambda rec, g: {
@@ -415,26 +418,36 @@ def batch_size(spec):
     return max(1, BATCH_BYTES // (8 * per_image))
 
 
-def _run_layers(spec, weights, x, dtype, records=None):
-    """The layer loop over a batch [N, C, H, W], or, with `records`, over one
-    image [C, H, W], appending a LayerRecord per layer to `records`.
+def _run_layers(spec, weights, x, dtype, mode="batch"):
+    """The layer loop; returns the scores and the LayerRecords.
 
-    Returns the scores, [N, K] or [K]; the ops run one image as a batch of one.
+    In mode "batch" it runs a batch [N, C, H, W] to scores [N, K] and
+    records nothing.  In modes "tape" and "train" it runs one image
+    [C, H, W] to scores [K] and records every layer; only a "train" conv
+    record keeps its float64 im2col matrix, for the trainer's parameter
+    gradient.  The ops run one image as a batch of one.
     """
-    batched = records is None
+    batched = mode == "batch"
     if tuple(x.shape[batched:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
             f"image shape {x.shape[batched:]} != spec input {tuple(spec.input_shape)}")
     weights.check_against(spec)
+    records = []
     for step in spec._plan:
         name = step.layer.name
         params = {key: weights.params[name][key].astype(dtype, copy=False)
                   for key in step.param_shapes}
-        y, extras = step.kind.forward(x, step.params, params, batched)
+        y, extras = step.kind.forward(x, step.params, params, mode)
         if not batched:
             records.append(LayerRecord(name, step.layer.kind, step, x, y, params, extras))
         x = y
-    return x
+    return x, records
+
+
+def _tape(spec, weights, image, dtype, mode):
+    image = np.asarray(image, dtype=dtype)
+    scores, records = _run_layers(spec, weights, image, dtype, mode)
+    return scores, ActivationTape(records=records, input=image, scores=scores)
 
 
 def forward(spec, weights, image, dtype=np.float32):
@@ -444,14 +457,11 @@ def forward(spec, weights, image, dtype=np.float32):
     record carries its layer's `_Step`.  Where the weights already have
     `dtype`, the tape's conv and dense params are the WeightStore arrays
     themselves, so do not update those in place while the tape is still in
-    use.  Each conv record holds the layer's float64 im2col matrix in its
-    extras ("cols"), for the parameter gradient; that is C*kh*kw x
-    h_out*w_out values, 0.8 MB per tape on the fixture specs.
+    use.  The records keep the layers' inputs and outputs and the max-pool
+    argmax, but no im2col matrix: a fixture tape holds ~0.1 MB, and its
+    parameter gradients build each conv's matrix again.
     """
-    image = np.asarray(image, dtype=dtype)
-    records = []
-    scores = _run_layers(spec, weights, image, dtype, records)
-    return scores, ActivationTape(records=records, input=image, scores=scores)
+    return _tape(spec, weights, image, dtype, "tape")
 
 
 def score_batch(spec, weights, images):
@@ -460,7 +470,7 @@ def score_batch(spec, weights, images):
     Row i equals the scores `forward` gives for images[i].  The caller
     sizes the batch, for example by `batch_size`.
     """
-    return _run_layers(spec, weights, np.asarray(images, dtype=np.float32), np.float32)
+    return _run_layers(spec, weights, np.asarray(images, dtype=np.float32), np.float32)[0]
 
 
 def _blocks(x, size):
@@ -561,10 +571,11 @@ def score_occluded(tape, boxes, fill):
                 canvas.paste(win, win_origin[at])
                 win = canvas.crops(crop_origin[at])
             # the crops hold their padding already
-            win = rec.step.kind.forward(win, dict(rec.step.params, pad=0), rec.params, True)[0]
+            win = rec.step.kind.forward(win, dict(rec.step.params, pad=0), rec.params,
+                                        "batch")[0]
         x = whole.paste(win, origin[at])
         for rec in rest:
-            x = rec.step.kind.forward(x, rec.step.params, rec.params, True)[0]
+            x = rec.step.kind.forward(x, rec.step.params, rec.params, "batch")[0]
         scores[at] = x
     return scores
 
@@ -635,7 +646,7 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
             total_loss = 0.0
             for idx in order:
                 image, label = pairs[idx]
-                scores, tape = forward(spec, weights, image)
+                scores, tape = _tape(spec, weights, image, np.float32, "train")
                 probs = ops.softmax(scores)
                 loss = -np.log(max(float(probs[label]), 1e-30))
                 if not np.isfinite(loss):

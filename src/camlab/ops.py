@@ -174,15 +174,14 @@ def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
     n = c * grid.shape[1]
     # the zero cells at the end of the last image land past it, in the slack
     xp = np.zeros(stride * n + (kh - 1) * wp + kw - 1)
-    # one buffer for all kernel rows, filled row by row: with a one-row
-    # buffer malloc gave the smaller heap back after each call, and the next
-    # call faulted it in again, which cost more than the copies saved
-    terms = np.empty((kh, kw, n))
+    # one kernel row's terms, which the next row overwrites once its adds
+    # have read them: 1/kh of the memory of all kh rows at once
+    terms = np.empty((kw, n))
     for di in range(kh):
-        np.matmul(wmat[di], grid, out=terms[di].reshape(kw * c, -1))
+        np.matmul(wmat[di], grid, out=terms.reshape(kw * c, -1))
         for dj in range(kw):
             o = di * wp + dj
-            xp[o:o + stride * n:stride] += terms[di, dj]
+            xp[o:o + stride * n:stride] += terms[dj]
     gx = xp[:stride * n].reshape(c, s, hp, wp)[:, :, padding:h + padding, padding:w + padding]
     gx = np.ascontiguousarray(gx.swapaxes(0, 1), dtype=g.dtype)
     return gx[0] if single else gx

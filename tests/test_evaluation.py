@@ -2,6 +2,7 @@
 
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
-from scipy.stats import rankdata
+from scipy.stats import rankdata, spearmanr
 
 from camlab import evaluation, explain, imaging, nn
 from camlab.evaluation import (BBox, NoSegmentError, ProtocolError,
@@ -243,6 +244,19 @@ def test_pointing_game_resizes_coarse_maps():
     assert pointing_game(coarse, mask)
 
 
+def test_pointing_game_map_with_nan_misses():
+    # np.argmax would point at the NaN, inside the mask, not at the real
+    # maximum outside it
+    mask = np.zeros((8, 8), bool)
+    mask[1:4, 1:4] = True
+    heat = np.zeros((8, 8), np.float32)
+    heat[5, 5] = 1.0
+    assert not pointing_game(heat, mask)
+    heat[2, 2] = np.nan
+    assert heatmap_argmax(heat) == (2, 2)
+    assert not pointing_game(heat, mask)
+
+
 def test_pointing_game_rejects_empty_mask():
     with pytest.raises(ProtocolError):
         pointing_game(np.ones((2, 2)), np.zeros((2, 2), bool))
@@ -333,6 +347,38 @@ def test_average_ranks_match_scipy_rankdata(values):
 
 def test_rank_correlation_constant_map_is_nan():
     assert math.isnan(rank_correlation(np.ones((3, 3)), np.arange(9).reshape(3, 3)))
+
+
+def test_rank_correlation_map_with_nan_is_nan(rng):
+    a = rng.random((8, 8))
+    b = rng.random((8, 8))
+    a[1, 2] = a[6, 3] = np.nan
+    assert math.isnan(rank_correlation(a, b))
+    assert math.isnan(rank_correlation(b, a))
+    # also where `a` is resized to `b`'s resolution first
+    assert math.isnan(rank_correlation(a[:4, :4], b))
+
+
+def tie_heavy_map(shape):
+    return hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.integers(-2, 2).map(float), st.floats(-1e3, 1e3, allow_nan=False)))
+
+
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6)), st.data())
+def test_rank_correlation_matches_scipy_spearmanr(shape, data):
+    a, b = data.draw(tie_heavy_map(shape)), data.draw(tie_heavy_map(shape))
+    nan_at = data.draw(st.none() | st.integers(0, a.size - 1))
+    if nan_at is not None:
+        a.flat[nan_at] = np.nan
+    with warnings.catch_warnings():
+        # spearmanr warns about a constant input, and gives NaN for it
+        warnings.simplefilter("ignore")
+        want = spearmanr(a.ravel(), b.ravel()).statistic
+    got = rank_correlation(a, b)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_rank_correlation_invariant_to_monotone_transforms(rng):

@@ -467,12 +467,58 @@ def test_params_only_backward_skips_the_input_cotangent(make_spec, rng, monkeypa
         autodiff.backward_from_cotangent(tape, cot, stop_at=None)
 
 
-def test_forward_conv_records_keep_their_im2col_matrix(gap_spec, rng):
-    weights = nn.init_weights(gap_spec, rng_seed=0)
-    _, tape = nn.forward(gap_spec, weights, rng.random(gap_spec.input_shape))
-    convs = [rec for rec in tape.records if rec.kind == "conv"]
-    assert [rec.extras["cols"].shape for rec in convs] == [(1 * 25, 24 * 24),
-                                                          (6 * 25, 24 * 24)]
-    assert all(rec.extras["cols"].dtype == np.float64 for rec in convs)
-    # the records' extras are their own, not the spec's layer plan
-    assert all("cols" not in step.params for step in gap_spec._plan)
+def tape_bytes(tape):
+    """Bytes of the arrays a tape holds, each buffer once; the params are
+    the WeightStore's arrays, not the tape's."""
+    arrays = [tape.input, tape.scores]
+    for rec in tape.records:
+        arrays += [rec.x, rec.y, *rec.extras.values()]
+    owners = {}
+    for arr in arrays:
+        while arr.base is not None:
+            arr = arr.base
+        owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
+
+
+@pytest.mark.parametrize("make_spec", [camlab.fix_gap_spec, camlab.fix_fc_spec])
+def test_forward_tapes_keep_no_im2col_matrix(make_spec, rng):
+    spec = make_spec()
+    weights = nn.init_weights(spec, rng_seed=0)
+    _, tape = nn.forward(spec, weights, rng.random(spec.input_shape))
+    assert all("cols" not in rec.extras for rec in tape.records)
+    # 90 KiB (GAP) and 110 KiB (FC): the activations and the max-pool argmax
+    assert tape_bytes(tape) < 128 << 10
+
+
+@pytest.mark.parametrize("make_spec", [camlab.fix_gap_spec, camlab.fix_fc_spec])
+def test_trainer_builds_each_im2col_matrix_once_per_step(make_spec, rng, monkeypatch):
+    spec = make_spec()
+    inputs = []
+    im2col = ops._im2col
+    monkeypatch.setattr(ops, "_im2col", lambda xb, *a: inputs.append(xb.shape)
+                        or im2col(xb, *a))
+    image = rng.random(spec.input_shape).astype(np.float32)
+    nn.train_fixture(spec, [(image, 1)], epochs=1, learning_rate=0.05)
+    # the forward's matrices serve the parameter gradients
+    assert inputs == [(1,) + spec.input_shape, (1, 6, 24, 24)]
+
+
+@pytest.mark.parametrize("make_spec", [camlab.fix_gap_spec, camlab.fix_fc_spec])
+def test_param_grads_of_a_forward_tape_equal_the_trainers(make_spec, rng):
+    spec = make_spec()
+    weights = nn.init_weights(spec, rng_seed=0)
+    image = rng.random(spec.input_shape).astype(np.float32)
+    scores, lean = nn.forward(spec, weights, image)
+    _, kept = nn._tape(spec, weights, image, np.float32, "train")
+    assert all("cols" in rec.extras for rec in kept.records if rec.kind == "conv")
+    assert kept.scores.tobytes() == scores.tobytes()
+    cot = rng.standard_normal(scores.shape).astype(np.float32)
+    got, want = {}, {}
+    autodiff.backward_from_cotangent(lean, cot, stop_at=None, param_grads=got)
+    autodiff.backward_from_cotangent(kept, cot, stop_at=None, param_grads=want)
+    assert list(got) == list(want) and set(got) == set(spec.parameter_shapes())
+    for name, group in want.items():
+        assert group.keys() == got[name].keys()
+        for key, arr in group.items():
+            assert arr.tobytes() == got[name][key].tobytes()
