@@ -40,7 +40,8 @@ class LayerRecord:
     x: np.ndarray
     y: np.ndarray
     params: dict = field(default_factory=dict)   # weights/bias for conv, dense
-    # maxpool argmax; the im2col matrix of a conv record made by the trainer
+    # maxpool argmax; in the trainer's records a conv's im2col matrix and a
+    # dense layer's float64 weights
     extras: dict = field(default_factory=dict)
 
 
@@ -94,10 +95,13 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     go through `grad_at_layer`, which builds the cotangents of categories.
     """
     records = tape.records
+    last = None
     if stop_at is None:
         if param_grads is None:
             raise ValueError("stop_at=None computes only param_grads, which is None")
+        # the walk ends at the lowest layer with parameters
         records = records[next(i for i, r in enumerate(records) if r.step.kind.param_backward):]
+        last = records[0]
     else:
         tape.checkpoint(stop_at)  # CheckpointError for an unknown name
     if policy not in RELU_POLICIES:
@@ -111,11 +115,12 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     for rec in reversed(records):
         if rec.name == stop_at:
             break
-        if param_grads is not None and rec.step.kind.param_backward:
-            param_grads[rec.name] = rec.step.kind.param_backward(rec, g[0])
-        if stop_at is None and rec is records[0]:
+        kind = rec.step.kind
+        if param_grads is not None and kind.param_backward:
+            param_grads[rec.name] = kind.param_backward(rec, g[0])
+        if rec is last:
             return None
-        g = rec.step.kind.backward(rec, g, policy)
+        g = kind.backward(rec, g, policy)
     return g[0] if single else g
 
 

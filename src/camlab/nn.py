@@ -180,10 +180,19 @@ def _maxpool_forward(x, p, params, mode):
     return y, {"argmax": argmax}
 
 
+def _dense_forward(x, p, params, mode):
+    w = params["weights"]
+    if mode != "train":
+        return ops.dense(x, w, params["bias"]), {}
+    # the trainer's record keeps the float64 weights for the input cotangent
+    w = w.astype(np.float64, copy=False)
+    return ops.dense(x, w, params["bias"]), {"w64": w}
+
+
 def _dense_backward(rec, g, policy):
     # S cotangents [S, U] are one GEMM; numpy runs a single row as a GEMV
-    w = rec.params["weights"]
-    return (g.astype(np.float64) @ w.astype(np.float64)).astype(g.dtype)
+    w = rec.extras.get("w64", rec.params["weights"])
+    return (g.astype(np.float64) @ w.astype(np.float64, copy=False)).astype(g.dtype)
 
 
 _KINDS = {
@@ -232,8 +241,7 @@ _KINDS = {
     "dense": _Kind(
         schema={"units": (1, None)}, rank=1,
         out_shape=lambda p, shape: (p["units"],),
-        forward=lambda x, p, params, mode: (
-            ops.dense(x, params["weights"], params["bias"]), {}),
+        forward=_dense_forward,
         backward=_dense_backward,
         param_backward=lambda rec, g: {
             "weights": np.outer(g, rec.x).astype(g.dtype, copy=False), "bias": g.copy()},
@@ -418,35 +426,46 @@ def batch_size(spec):
     return max(1, BATCH_BYTES // (8 * per_image))
 
 
-def _run_layers(spec, weights, x, dtype, mode="batch"):
-    """The layer loop; returns the scores and the LayerRecords.
+def _layer_params(spec, weights, dtype):
+    """Each layer's weight arrays in `dtype`, one dict per layer of the plan.
+
+    Raises WeightStoreError unless the weights match the spec.  Where the
+    weights already have `dtype`, the arrays are the WeightStore's own, so
+    an in-place update of the weights shows in the dicts.
+    """
+    weights.check_against(spec)
+    return [{key: weights.params[step.layer.name][key].astype(dtype, copy=False)
+             for key in step.param_shapes} for step in spec._plan]
+
+
+def _run_layers(spec, params, x, mode="batch"):
+    """The layer loop on `params`, the `_layer_params` of x's dtype; returns
+    the scores and the LayerRecords.
 
     In mode "batch" it runs a batch [N, C, H, W] to scores [N, K] and
     records nothing.  In modes "tape" and "train" it runs one image
-    [C, H, W] to scores [K] and records every layer; only a "train" conv
-    record keeps its float64 im2col matrix, for the trainer's parameter
-    gradient.  The ops run one image as a batch of one.
+    [C, H, W] to scores [K] and records every layer; only the "train"
+    records keep a conv's float64 im2col matrix and a dense layer's float64
+    weights, for the trainer's gradients.  The ops run one image as a
+    batch of one.
     """
     batched = mode == "batch"
     if tuple(x.shape[batched:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
             f"image shape {x.shape[batched:]} != spec input {tuple(spec.input_shape)}")
-    weights.check_against(spec)
     records = []
-    for step in spec._plan:
-        name = step.layer.name
-        params = {key: weights.params[name][key].astype(dtype, copy=False)
-                  for key in step.param_shapes}
-        y, extras = step.kind.forward(x, step.params, params, mode)
+    for step, arrays in zip(spec._plan, params):
+        y, extras = step.kind.forward(x, step.params, arrays, mode)
         if not batched:
-            records.append(LayerRecord(name, step.layer.kind, step, x, y, params, extras))
+            layer = step.layer
+            records.append(LayerRecord(layer.name, layer.kind, step, x, y, arrays, extras))
         x = y
     return x, records
 
 
-def _tape(spec, weights, image, dtype, mode):
+def _tape(spec, params, image, dtype, mode):
     image = np.asarray(image, dtype=dtype)
-    scores, records = _run_layers(spec, weights, image, dtype, mode)
+    scores, records = _run_layers(spec, params, image, mode)
     return scores, ActivationTape(records=records, input=image, scores=scores)
 
 
@@ -459,18 +478,21 @@ def forward(spec, weights, image, dtype=np.float32):
     themselves, so do not update those in place while the tape is still in
     use.  The records keep the layers' inputs and outputs and the max-pool
     argmax, but no im2col matrix: a fixture tape holds ~0.1 MB, and its
-    parameter gradients build each conv's matrix again.
+    parameter gradients build each conv's matrix again.  Raises
+    WeightStoreError unless the weights match the spec.
     """
-    return _tape(spec, weights, image, dtype, "tape")
+    return _tape(spec, _layer_params(spec, weights, dtype), image, dtype, "tape")
 
 
 def score_batch(spec, weights, images):
     """Float32 pre-softmax scores [N, K] of a batch [N, C, H, W]; no tape.
 
     Row i equals the scores `forward` gives for images[i].  The caller
-    sizes the batch, for example by `batch_size`.
+    sizes the batch, for example by `batch_size`.  Raises WeightStoreError
+    unless the weights match the spec.
     """
-    return _run_layers(spec, weights, np.asarray(images, dtype=np.float32), np.float32)[0]
+    return _run_layers(spec, _layer_params(spec, weights, np.float32),
+                       np.asarray(images, dtype=np.float32))[0]
 
 
 def _blocks(x, size):
@@ -596,7 +618,14 @@ def init_weights(spec, rng_seed=0):
 
 
 def accuracy(spec, weights, dataset):
-    """Top-1 accuracy over (image, label) pairs or ShapesExamples."""
+    """Top-1 accuracy over (image, label) pairs or ShapesExamples.
+
+    Raises DatasetError for an empty dataset or a label outside the
+    model's categories, as `train_fixture` does.
+    """
+    if not dataset:
+        raise DatasetError("dataset is empty")
+    check_labels(spec, dataset)
     pairs = [_as_pair(ex) for ex in dataset]
     step = batch_size(spec)
     correct = 0
@@ -639,6 +668,8 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
     pairs = [_as_pair(ex) for ex in dataset]
     rng = np.random.default_rng(rng_seed)
     weights = init_weights(spec, rng_seed)
+    # the WeightStore's own arrays, which the steps update in place
+    params = _layer_params(spec, weights, np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         lr = np.float32(learning_rate)
         for epoch in range(epochs):
@@ -646,7 +677,7 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
             total_loss = 0.0
             for idx in order:
                 image, label = pairs[idx]
-                scores, tape = _tape(spec, weights, image, np.float32, "train")
+                scores, tape = _tape(spec, params, image, np.float32, "train")
                 probs = ops.softmax(scores)
                 loss = -np.log(max(float(probs[label]), 1e-30))
                 if not np.isfinite(loss):
@@ -658,7 +689,9 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
                 backward_from_cotangent(tape, cot, stop_at=None, param_grads=grads)
                 for name, group in grads.items():
                     for key, g in group.items():
-                        weights.params[name][key] -= lr * g
+                        # the rounding of `-= lr * g`, without a temporary
+                        np.multiply(g, lr, out=g)
+                        weights.params[name][key] -= g
             for name, group in weights.params.items():
                 for key, value in group.items():
                     bad = value.size - np.count_nonzero(np.isfinite(value))

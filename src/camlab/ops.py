@@ -213,9 +213,13 @@ def maxpool2d(x, window, stride):
     """Max pooling over [C,H,W] or a batch [N,C,H,W]; returns (output, argmax).
 
     argmax holds, per output element, the flat spatial index i*W + j of the
-    winning input element within its own image.  Ties go to the first
-    element of the window in row-major order, so the backward routing is
-    deterministic.
+    winning input element within its own image, and the output is the
+    input element there.  The winner is the window's first maximum in
+    row-major order, so the backward routing is deterministic; a window
+    that holds a NaN pools to its first NaN, as np.max and np.argmax do.
+    A running np.maximum over the window's offsets, one strided view each,
+    gives every window's maximum (NaN where it holds one), and one pass
+    over the offsets in reverse order marks the first offset that equals it.
     """
     xb, single = _batched(x, 3, "maxpool2d")
     n, c, h, w = xb.shape
@@ -223,17 +227,22 @@ def maxpool2d(x, window, stride):
         raise DimensionError(f"window {window} larger than input {h}x{w}")
     h_out = (h - window) // stride + 1
     w_out = (w - window) // stride + 1
-    best = np.full((n, c, h_out, w_out), -np.inf, dtype=xb.dtype)
-    arg = np.zeros((n, c, h_out, w_out), dtype=np.int64)
-    rows = np.arange(h_out) * stride
-    cols = np.arange(w_out) * stride
-    for di in range(window):
-        for dj in range(window):
-            view = xb[:, :, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
-            mask = view > best
-            best = np.where(mask, view, best)
-            flat = (rows[:, None] + di) * w + (cols[None, :] + dj)
-            arg = np.where(mask, flat, arg)
+    # (offset di*W + dj, view [N, C, h_out, w_out] of the pixels at that offset)
+    views = [(di * w + dj, xb[:, :, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride])
+             for di in range(window) for dj in range(window)]
+    top = views[0][1].copy()
+    for _, view in views[1:]:
+        np.maximum(view, top, out=top)
+    # each window matches an offset in the first pass, or in the second if it holds a NaN
+    arg = np.empty(top.shape, dtype=np.int64)
+    for offset, view in reversed(views):
+        np.putmask(arg, view == top, offset)
+    if np.isnan(top).any():
+        for offset, view in reversed(views):
+            np.putmask(arg, np.isnan(view), offset)
+    arg += (np.arange(h_out) * (stride * w))[:, None] + np.arange(0, stride * w_out, stride)
+    # read back from the input, so a tie of -0.0 and +0.0 keeps the first
+    best = xb.take(arg + (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1))
     return (best[0], arg[0]) if single else (best, arg)
 
 

@@ -226,6 +226,19 @@ def test_weight_store_spec_mismatch(gap_spec, fc_spec):
         w.check_against(fc_spec)
 
 
+@pytest.mark.parametrize("make_spec", [camlab.fix_fc_spec,
+                                       lambda: camlab.fix_gap_spec(categories=4)])
+def test_forward_and_score_batch_reject_weights_of_another_spec(gap_spec, make_spec):
+    # other layers, or a head of another shape, which ops.dense would run
+    spec = make_spec()
+    w = nn.init_weights(gap_spec, rng_seed=0)
+    image = np.zeros(spec.input_shape, np.float32)
+    with pytest.raises(nn.WeightStoreError):
+        nn.forward(spec, w, image)
+    with pytest.raises(nn.WeightStoreError):
+        nn.score_batch(spec, w, image[None])
+
+
 def test_weight_store_equality_is_bitwise():
     a = nn.WeightStore({"l": {"w": np.zeros(3, np.float32)}})
     b = nn.WeightStore({"l": {"w": np.zeros(3, np.float32)}})
@@ -287,6 +300,19 @@ def test_accuracy_matches_per_image_argmax(monkeypatch):
     assert nn.accuracy(spec, w, data) == want
 
 
+def test_accuracy_of_an_empty_split_is_a_dataset_error():
+    spec = nn.parse_model_spec(TOY_SPEC)
+    with pytest.raises(nn.DatasetError, match="empty"):
+        nn.accuracy(spec, nn.init_weights(spec), [])
+
+
+def test_accuracy_rejects_a_label_outside_the_categories(gap_spec):
+    # it was scored as a miss
+    image = np.zeros(gap_spec.input_shape, np.float32)
+    with pytest.raises(nn.DatasetError, match="label 7 out of range for 3"):
+        nn.accuracy(gap_spec, nn.init_weights(gap_spec), [(image, 7)])
+
+
 # ---------------------------------------------------------------- trainer
 
 def separable_toy_set(n=60, seed=0):
@@ -344,6 +370,16 @@ def test_trainer_dataset_errors_are_named():
                          epochs=1, learning_rate=0.1)
     with pytest.raises(nn.DatasetError, match="empty"):
         nn.train_fixture(spec, [], epochs=1, learning_rate=0.1)
+
+
+def test_trainer_checks_the_weights_once_per_training(monkeypatch):
+    spec = nn.parse_model_spec(TOY_SPEC)
+    checked = []
+    check_against = nn.WeightStore.check_against
+    monkeypatch.setattr(nn.WeightStore, "check_against",
+                        lambda self, s: checked.append(s) or check_against(self, s))
+    nn.train_fixture(spec, separable_toy_set(5), epochs=2, learning_rate=0.1)
+    assert checked == [spec]
 
 
 def test_trainer_raises_on_divergence():
@@ -485,8 +521,16 @@ def tape_bytes(tape):
 def test_forward_tapes_keep_no_im2col_matrix(make_spec, rng):
     spec = make_spec()
     weights = nn.init_weights(spec, rng_seed=0)
-    _, tape = nn.forward(spec, weights, rng.random(spec.input_shape))
+    image = rng.random(spec.input_shape).astype(np.float32)
+    _, tape = nn.forward(spec, weights, image)
     assert all("cols" not in rec.extras for rec in tape.records)
+    # nor a dense layer's float64 weights, which only the trainer's records keep
+    assert all("w64" not in rec.extras for rec in tape.records)
+    _, kept = nn._tape(spec, nn._layer_params(spec, weights, np.float32), image, np.float32,
+                       "train")
+    dense = [rec for rec in kept.records if rec.kind == "dense"]
+    assert dense and all(rec.extras["w64"].dtype == np.float64 and np.array_equal(
+        rec.extras["w64"], rec.params["weights"]) for rec in dense)
     # 90 KiB (GAP) and 110 KiB (FC): the activations and the max-pool argmax
     assert tape_bytes(tape) < 128 << 10
 
@@ -510,7 +554,8 @@ def test_param_grads_of_a_forward_tape_equal_the_trainers(make_spec, rng):
     weights = nn.init_weights(spec, rng_seed=0)
     image = rng.random(spec.input_shape).astype(np.float32)
     scores, lean = nn.forward(spec, weights, image)
-    _, kept = nn._tape(spec, weights, image, np.float32, "train")
+    _, kept = nn._tape(spec, nn._layer_params(spec, weights, np.float32), image, np.float32,
+                       "train")
     assert all("cols" in rec.extras for rec in kept.records if rec.kind == "conv")
     assert kept.scores.tobytes() == scores.tobytes()
     cot = rng.standard_normal(scores.shape).astype(np.float32)

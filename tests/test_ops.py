@@ -29,6 +29,7 @@ def conv2d_loop(x, kernels, bias, stride=1, padding=0):
 
 
 def maxpool_loop(x, window, stride):
+    """Each window's first maximum in row-major order, or its first NaN."""
     c, h, w = x.shape
     h_out = (h - window) // stride + 1
     w_out = (w - window) // stride + 1
@@ -37,11 +38,12 @@ def maxpool_loop(x, window, stride):
     for ch in range(c):
         for i in range(h_out):
             for j in range(w_out):
-                best = -np.inf
+                best = None
                 for di in range(window):
                     for dj in range(window):
                         v = x[ch, i * stride + di, j * stride + dj]
-                        if v > best:  # strict: ties keep the first seen
+                        # strict: ties keep the first seen; a NaN wins once
+                        if best is None or v > best or (np.isnan(v) and not np.isnan(best)):
                             best = v
                             arg[ch, i, j] = (i * stride + di) * w \
                                 + (j * stride + dj)
@@ -130,6 +132,51 @@ def test_maxpool_tie_breaks_to_first_in_row_major_order():
     out, arg = ops.maxpool2d(x, 2, 2)
     assert out[0, 0, 0] == 7.0
     assert arg[0, 0, 0] == 0  # top-left wins the four-way tie
+
+
+def test_maxpool_window_holding_a_nan_pools_to_its_first_nan():
+    x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
+    x[0, 0, 1] = x[0, 1, 0] = np.nan   # two NaNs among numbers
+    x[0, 2:, 2:] = np.nan              # a window of NaNs only
+    out, arg = ops.maxpool2d(x, 2, 2)
+    assert np.isnan(out[0, 0, 0]) and arg[0, 0, 0] == 1
+    assert np.isnan(out[0, 1, 1]) and arg[0, 1, 1] == 2 * 4 + 2  # inside its window
+    assert (out[0, 0, 1], arg[0, 0, 1]) == (7, 7)
+    assert (out[0, 1, 0], arg[0, 1, 0]) == (13, 13)
+    # the cotangent of each window goes to a pixel of that window
+    gx = ops.maxpool2d_grad(np.ones((1, 2, 2), np.float32), arg, x.shape)
+    assert gx[0, 2:, 2:].sum() == 1 and gx[0, 0, 1] == 1 and gx[0, 0, 0] == 0
+
+
+def test_maxpool_window_of_minus_infinity_routes_inside_it():
+    x = np.zeros((1, 4, 4), np.float32)
+    x[0, 2:, 2:] = -np.inf
+    out, arg = ops.maxpool2d(x, 2, 2)
+    assert out[0, 1, 1] == -np.inf and arg[0, 1, 1] == 2 * 4 + 2
+
+
+@st.composite
+def pool_cases(draw):
+    """A batch [N, C, H, W] of a few value levels, so windows tie often,
+    with signed zeros, -inf and NaN among them, and a window with a stride
+    below, equal to or above it."""
+    window = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(window, 9)), draw(st.integers(window, 9)))
+    levels = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, np.nan])
+    values = draw(st.lists(levels, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, np.float32).reshape(shape), window, stride
+
+
+@given(pool_cases())
+def test_maxpool_matches_loop_oracle_on_ties_and_nans(case):
+    x, window, stride = case
+    out, arg = ops.maxpool2d(x, window, stride)
+    for n, image in enumerate(x):
+        want_out, want_arg = maxpool_loop(image, window, stride)
+        assert out[n].tobytes() == want_out.tobytes()   # the sign of a zero too
+        np.testing.assert_array_equal(arg[n], want_arg)
 
 
 def test_maxpool_window_too_large():
