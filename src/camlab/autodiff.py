@@ -28,12 +28,15 @@ class CategoryError(ValueError):
 
 
 class SeedError(ValueError):
-    """Cotangent is neither the score shape [K] nor a stack [S, K], or is a
-    stack given with `param_grads`."""
+    """Cotangent or categories of another shape than the tape's images take:
+    [K] or [S, K] on a one-image tape, [N, K] or [N, S, K] on a tape of N
+    images; or a stack given with `param_grads`."""
 
 
 @dataclass
 class LayerRecord:
+    """One layer of a recorded forward; x and y carry a leading image axis,
+    [N, ...] on a tape of N images and [1, ...] on a one-image tape."""
     name: str
     kind: str  # conv | relu | maxpool | gap | flatten | dense
     step: object  # its nn._Step: resolved params, and step.kind's backward rules
@@ -47,17 +50,28 @@ class LayerRecord:
 
 @dataclass
 class ActivationTape:
-    """Recorded forward pass; immutable once built, safe to share."""
+    """Recorded forward pass of one image or of N; immutable once built,
+    safe to share.
+
+    A one-image tape holds `input` [C, H, W] and `scores` [K]; a tape of
+    N images holds `input` [N, C, H, W] and `scores` [N, K].  Its
+    checkpoints have the same leading axis as its input.
+    """
     records: list
     input: np.ndarray
     scores: np.ndarray
+
+    @property
+    def single(self):
+        """Whether the tape holds one image rather than a batch."""
+        return self.scores.ndim == 1
 
     def checkpoint(self, name):
         if name == "input":
             return self.input
         for rec in self.records:
             if rec.name == name:
-                return rec.y
+                return rec.y[0] if self.single else rec.y
         raise CheckpointError(f"no checkpoint named {name!r}")
 
 
@@ -71,25 +85,35 @@ def _relu_backward(g, x, policy):
     raise ValueError(f"unknown relu policy {policy!r}")
 
 
-def _check_seed_shape(tape, seed):
-    k = tape.scores.shape[0]
-    if seed.ndim not in (1, 2) or seed.shape[-1:] != (k,) or seed.size == 0:
-        raise SeedError(f"seed shape {seed.shape} is neither the score shape ({k},) "
-                        f"nor [S, {k}] with S >= 1")
+def _images(tape, lead, what):
+    """N, the tape's image count, once `lead`, the leading axes of a
+    cotangent or of categories, is checked: () or (S,) on a one-image tape,
+    (N,) or (N, S) on a tape of N images, S >= 1.  Raises SeedError."""
+    if tape.single:
+        n, ok, want = 1, len(lead) <= 1, "nothing or [S]"
+    else:
+        n = len(tape.scores)
+        ok, want = lead[:1] == (n,) and len(lead) <= 2, f"[{n}] or [{n}, S]"
+    if not ok or 0 in lead:
+        raise SeedError(f"{what} with leading axes {lead}; the tape takes {want}, S >= 1")
+    return n
 
 
 def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
                             param_grads=None):
-    """Propagate a score-vector cotangent [K], or S of them [S, K], down to
-    `stop_at` in one walk of the tape.
+    """Propagate score-vector cotangents down to `stop_at` in one walk of
+    the tape.
 
-    S cotangents give a stack [S, ...] of the checkpoint's cotangents; one
-    cotangent runs as S=1 and gives the checkpoint's shape.  With
-    `param_grads`, a dict, and one cotangent, also fills the dict with
-    {layer: {param: gradient}} for every layer with parameters that the
-    walk passes.  stop_at=None asks for those gradients only: the walk ends
-    at the lowest layer with parameters, once its parameter gradients are
-    in, without computing its input cotangent, and returns None.
+    A one-image tape takes one cotangent [K] or S of them [S, K]; a tape of
+    N images takes one per image [N, K] or S per image [N, S, K].  The walk
+    runs on per-image stacks [N, S, ...] and returns the checkpoint's
+    cotangents with the cotangent's leading axes: [...], [S, ...], [N, ...]
+    or [N, S, ...].  With `param_grads`, a dict, and one cotangent of a
+    one-image tape, also fills the dict with {layer: {param: gradient}}
+    for every layer with parameters that the walk passes.  stop_at=None
+    asks for those gradients only: the walk ends at the lowest layer with
+    parameters, once its parameter gradients are in, without computing its
+    input cotangent, and returns None.
 
     The trainer passes its softmax cross-entropy cotangent; explanations
     go through `grad_at_layer`, which builds the cotangents of categories.
@@ -107,21 +131,24 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     if policy not in RELU_POLICIES:
         raise ValueError(f"unknown relu policy {policy!r}")
     g = np.asarray(cotangent, dtype=tape.scores.dtype)
-    _check_seed_shape(tape, g)
-    single = g.ndim == 1
-    if param_grads is not None and not single:
-        raise SeedError("parameter gradients take one cotangent, not a stack")
-    g = g[None] if single else g
+    k = tape.scores.shape[-1]
+    if g.shape[-1:] != (k,):
+        raise SeedError(f"cotangent of shape {g.shape} does not end in the {k} scores")
+    n = _images(tape, g.shape[:-1], "cotangent")
+    if param_grads is not None and g.ndim > 1:
+        raise SeedError("parameter gradients take one cotangent of a one-image tape")
+    out_shape = g.shape[:-1]
+    g = g.reshape(n, -1, k)
     for rec in reversed(records):
         if rec.name == stop_at:
             break
         kind = rec.step.kind
         if param_grads is not None and kind.param_backward:
-            param_grads[rec.name] = kind.param_backward(rec, g[0])
+            param_grads[rec.name] = kind.param_backward(rec, g[0, 0])
         if rec is last:
             return None
         g = kind.backward(rec, g, policy)
-    return g[0] if single else g
+    return g.reshape(out_shape + g.shape[2:])
 
 
 def check_category(categories, n):
@@ -132,22 +159,35 @@ def check_category(categories, n):
             raise CategoryError(f"category {category} out of range for {n} categories")
 
 
+def check_categories(tape, categories):
+    """Raise CategoryError unless each category is one of the tape's scores,
+    and SeedError unless the categories have a shape that the tape takes:
+    a category or a list on a one-image tape, one or a list per image on a
+    tape of N images (see `grad_at_layer`)."""
+    check_category(categories, tape.scores.shape[-1])
+    _images(tape, np.shape(categories), "categories")
+
+
 def one_hot(categories, n, dtype=np.float32):
-    """One-hot seed [n] of a category, or rows [S, n] of a list of S."""
+    """One-hot seeds categories.shape + [n]: [n] of a category, rows [S, n]
+    of a list of S, and so on."""
     check_category(categories, n)
     return (np.arange(n) == np.asarray(categories)[..., None]).astype(dtype)
 
 
 def _cotangents(tape, categories, score_point):
-    """Score-vector cotangent of a category [K], or of each of a list [S, K]:
-    one-hot for the pre-softmax score, p_c (e_c - p) for the probability."""
-    seeds = one_hot(categories, tape.scores.shape[0], tape.scores.dtype)
+    """Score-vector cotangent of each category, with the categories' shape:
+    one-hot for the pre-softmax score, p_c (e_c - p) for the probability,
+    with p the softmax of its own image's scores."""
+    n = _images(tape, np.shape(categories), "categories")
+    seeds = one_hot(categories, tape.scores.shape[-1], tape.scores.dtype)
     if score_point != "post_softmax":
         return seeds
-    p = ops.softmax(tape.scores)
-    rows = np.atleast_1d(categories)
-    cot = (-p[rows][:, None] * p).astype(tape.scores.dtype)
-    cot[np.arange(len(rows)), rows] += p[rows]
+    p = ops.softmax(tape.scores).reshape(n, 1, -1)
+    rows = np.asarray(categories).reshape(n, -1)
+    pc = np.take_along_axis(p[:, 0], rows, axis=1)
+    cot = (-pc[..., None] * p).astype(tape.scores.dtype)
+    cot[np.arange(n)[:, None], np.arange(rows.shape[1]), rows] += pc
     return cot.reshape(seeds.shape)
 
 
@@ -155,12 +195,14 @@ def grad_at_layer(tape, categories, layer, policy="standard", score_point="pre_s
     """Full gradient of a class score w.r.t. a spatial checkpoint.
 
     `layer` names the rectified feature maps of a convolutional stage, or
-    "input" for the pixel gradient; the result has the checkpoint's shape
-    for one category, and is a stack [S, ...] from one walk of the tape for
-    a list of S.
+    "input" for the pixel gradient.  On a one-image tape the result has the
+    checkpoint's shape for one category, and is a stack [S, ...] for a
+    list of S.  A tape of N images takes one category per image, giving
+    [N, ...], or a list of S per image ([N, S] categories), giving
+    [N, S, ...].  Either way all the gradients come from one walk.
     """
     target = tape.checkpoint(layer)
-    if target.ndim != 3:
+    if target.ndim != 3 + (not tape.single):
         raise ops.DimensionError(
             f"checkpoint {layer!r} is not spatial (shape {target.shape})")
     return backward_from_cotangent(tape, _cotangents(tape, categories, score_point),

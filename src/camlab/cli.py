@@ -23,10 +23,9 @@ DOMAIN_ERRORS = (explain.CamIncompatibleError, explain.GradCamConfigError,
 
 
 def _load_model(args):
-    spec = nn.load_model_spec(args.spec)
-    weights = nn.WeightStore.load(args.weights)
-    weights.check_against(spec)
-    return spec, weights
+    """The spec and the weights; the forward or protocol that reads them
+    checks that they match."""
+    return nn.load_model_spec(args.spec), nn.WeightStore.load(args.weights)
 
 
 def _load_image(path):

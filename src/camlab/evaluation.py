@@ -8,7 +8,9 @@ correlation between an explanation map and the occlusion map.
 
 `localize`, `point`, `modified_point` and `faithfulness` run a protocol
 over a split of ShapesExamples and return its metrics; the CLI and the
-acceptance suite both call them.
+acceptance suite both call them.  The first three walk the split in the
+batches of `nn.tapes`: one forward and one backward walk per batch, for
+every map of its images.
 """
 
 import math
@@ -225,6 +227,12 @@ def _target_layer(spec, examples, layer, methods=()):
     return layer or explain.default_target_layer(spec)
 
 
+def _batches(spec, weights, examples):
+    """(examples of a batch, its tape) over the split, as `nn.tapes` runs it."""
+    for at, tape in nn.tapes(spec, weights, [ex.image for ex in examples]):
+        yield examples[at], tape
+
+
 def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
              threshold_frac=0.15, iou_threshold=0.5):
     """Top-1 and top-5 localization error of `method`'s maps over a split.
@@ -235,20 +243,20 @@ def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
     """
     layer = _target_layer(spec, examples, layer, [method])
     top1 = top5 = 0
-    for ex in examples:
-        _, tape = nn.forward(spec, weights, ex.image)
-        preds = top_k(tape.scores, 5)
-        hit = False
-        if ex.label in preds:
-            heat = explain.METHODS[method](tape, ex.label, layer, config)
-            h, w = ex.gt_mask.shape
-            try:
-                box = extract_bbox(bilinear_resize(heat, w, h), threshold_frac)
-                hit = iou(box, ex.gt_box) >= iou_threshold
-            except NoSegmentError:
-                pass
-        top1 += not (hit and preds[0] == ex.label)
-        top5 += not hit
+    for batch, tape in _batches(spec, weights, examples):
+        heats = explain.METHODS[method](tape, [ex.label for ex in batch], layer, config)
+        for ex, scores, heat in zip(batch, tape.scores, heats):
+            preds = top_k(scores, 5)
+            hit = False
+            if ex.label in preds:
+                h, w = ex.gt_mask.shape
+                try:
+                    box = extract_bbox(bilinear_resize(heat, w, h), threshold_frac)
+                    hit = iou(box, ex.gt_box) >= iou_threshold
+                except NoSegmentError:
+                    pass
+            top1 += not (hit and preds[0] == ex.label)
+            top5 += not hit
     n = len(examples)
     return {"top1_localization_error": top1 / n, "top5_localization_error": top5 / n,
             "n_images": n}
@@ -258,33 +266,32 @@ def point(spec, weights, examples, layer=None):
     """Pointing game on the Grad-CAM map of each image's true category."""
     layer = _target_layer(spec, examples, layer)
     hits = 0
-    for ex in examples:
-        _, tape = nn.forward(spec, weights, ex.image)
-        hits += pointing_game(explain.gradcam(tape, ex.label, layer), ex.gt_mask)
+    for batch, tape in _batches(spec, weights, examples):
+        heats = explain.gradcam(tape, [ex.label for ex in batch], layer)
+        hits += sum(pointing_game(heat, ex.gt_mask) for ex, heat in zip(batch, heats))
     return {"pointing_accuracy": hits / len(examples), "n_images": len(examples)}
 
 
 def modified_point(spec, weights, examples, calibration, layer=None):
     """Modified pointing game over each image's top-5 Grad-CAM maps, with the
-    threshold calibrated on every category's map over `calibration`.  Each
-    image's maps come from one backward walk."""
+    threshold calibrated on every category's map over `calibration`."""
     layer = _target_layer(spec, examples, layer)
     nn.check_labels(spec, calibration)
     present, absent = [], []
     categories = list(range(spec.num_categories))
-    for ex in calibration:
-        _, tape = nn.forward(spec, weights, ex.image)
-        labels = {obj.label for obj in ex.objects}
-        for category, heat in zip(categories, explain.gradcam(tape, categories, layer)):
-            (present if category in labels else absent).append(float(heat.max()))
+    for batch, tape in _batches(spec, weights, calibration):
+        heats = explain.gradcam(tape, [categories] * len(batch), layer)
+        for ex, maps in zip(batch, heats):
+            labels = {obj.label for obj in ex.objects}
+            for category, heat in zip(categories, maps):
+                (present if category in labels else absent).append(float(heat.max()))
     threshold = calibrate_pointing_threshold(present, absent)
     outcomes = []
-    for ex in examples:
-        _, tape = nn.forward(spec, weights, ex.image)
-        masks = {obj.label: obj.mask for obj in ex.objects}
-        top = top_k(tape.scores, 5)
-        heats = zip(top, explain.gradcam(tape, top, layer))
-        outcomes += modified_pointing(heats, masks, threshold).values()
+    for batch, tape in _batches(spec, weights, examples):
+        tops = [top_k(scores, 5) for scores in tape.scores]
+        for ex, top, maps in zip(batch, tops, explain.gradcam(tape, tops, layer)):
+            masks = {obj.label: obj.mask for obj in ex.objects}
+            outcomes += modified_pointing(zip(top, maps), masks, threshold).values()
     return {"modified_pointing_accuracy": sum(outcomes) / len(outcomes),
             "threshold": threshold, "n_images": len(examples)}
 

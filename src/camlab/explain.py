@@ -7,16 +7,18 @@ computed from the learned head weights.  Counterfactual maps negate the
 gradient before pooling.  Guided Grad-CAM fuses the upsampled heatmap with
 a guided-backprop saliency map.
 
-Each explanation takes a category or a list of them.  A list of S gives a
-stack [S, ...] of the maps, from one backward walk of the tape for all S,
-each equal to the map of its category alone.
+Each explanation takes a category or a list of them on the tape of one
+image, and one category or one list per image on the tape of N images.  A
+list of S gives a stack [S, ...] of the maps, and a tape of N images a
+leading axis N ([N, ...] or [N, S, ...]), all from one backward walk of
+the tape, each map equal to that of its category on its image alone.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import RELU_POLICIES, CheckpointError, check_category, grad_at_layer
+from .autodiff import RELU_POLICIES, CheckpointError, check_categories, grad_at_layer
 from .imaging import bilinear_resize
 
 
@@ -81,16 +83,24 @@ def neuron_weights(grads, config=None):
     return g.mean(axis=(-2, -1)).astype(np.float32)
 
 
+def _weigh_maps(alpha, amaps):
+    """Float64 sum over k of alpha[..., k] * amaps[k] per image: weights
+    [(N,) (S,) K] and a checkpoint [(N,) K, u, v] give [(N,) (S,) u, v], one
+    GEMV (S absent) or GEMM per image."""
+    k, u, v = amaps.shape[-3:]
+    maps = amaps.astype(np.float64).reshape(-1, k, u * v)
+    weights = alpha.astype(np.float64).reshape(len(maps), -1, k)
+    return (weights @ maps).reshape(alpha.shape[:-1] + (u, v))
+
+
 def gradcam(tape, categories, layer, config=None):
     """Grad-CAM heatmap [u,v] at the named spatial checkpoint; [S,u,v] for a
-    list of S categories."""
+    list of S categories; [N,u,v] or [N,S,u,v] on a tape of N images."""
     config = config or GradCamConfig()
     grads = grad_at_layer(tape, categories, layer,
                           policy=config.relu_policy,
                           score_point=config.score_point)
-    alpha = neuron_weights(grads, config)
-    amaps = tape.checkpoint(layer).astype(np.float64)
-    heat = np.tensordot(alpha.astype(np.float64), amaps, axes=1)
+    heat = _weigh_maps(neuron_weights(grads, config), tape.checkpoint(layer))
     if config.apply_relu:
         heat = np.maximum(heat, 0)
     return heat.astype(np.float32)
@@ -98,20 +108,20 @@ def gradcam(tape, categories, layer, config=None):
 
 def cam(tape, categories):
     """CAM heatmap [u,v] from the learned head weights (GAP-head models
-    only); [S,u,v] for a list of S categories.
+    only); [S,u,v] for a list of S categories; [N,u,v] or [N,S,u,v] on a
+    tape of N images.
 
     No ReLU is applied; callers comparing against Grad-CAM rectify both
     sides themselves.
     """
     recs = tape.records
     if (len(recs) < 3 or recs[-1].kind != "dense" or recs[-2].kind != "gap"
-            or recs[-3].y.ndim != 3):
+            or recs[-3].y.ndim != 4):
         raise CamIncompatibleError(
             "CAM needs spatial maps -> global average pooling -> dense scores")
-    check_category(categories, tape.scores.shape[0])
-    amaps = recs[-3].y.astype(np.float64)
+    check_categories(tape, categories)
     w = recs[-1].params["weights"].astype(np.float64)[categories]
-    return np.tensordot(w, amaps, axes=1).astype(np.float32)
+    return _weigh_maps(w, tape.checkpoint(recs[-3].name)).astype(np.float32)
 
 
 def counterfactual(tape, categories, layer, config=None):
@@ -122,7 +132,8 @@ def counterfactual(tape, categories, layer, config=None):
 
 def pixel_saliency(tape, categories, policy="guided"):
     """Gradient of the class score w.r.t. input pixels under a ReLU policy:
-    [C,H,W], or [S,C,H,W] for a list of S categories.
+    [C,H,W], or [S,C,H,W] for a list of S categories, with a leading N on a
+    tape of N images.
 
     policy "standard" is the plain-backprop baseline; "guided" and "deconv"
     are the sharpened variants used for fusion.
@@ -144,9 +155,10 @@ def guided_gradcam(saliency, heat):
 
     The heatmap is bilinearly upsampled to the saliency resolution,
     normalized to [0,1], and multiplied into every saliency channel.  A
-    stack of saliencies [S,C,H,W] and one of heatmaps [S,u,v] fuse pairwise.
+    stack of saliencies [..., C,H,W] and one of heatmaps [..., u,v] fuse
+    pairwise.
     """
-    if np.ndim(heat) == 3:
+    if np.ndim(heat) > 2:
         return np.stack([guided_gradcam(s, h) for s, h in zip(saliency, heat)])
     saliency = np.asarray(saliency, dtype=np.float32)
     h, w = saliency.shape[-2], saliency.shape[-1]
@@ -156,7 +168,7 @@ def guided_gradcam(saliency, heat):
 
 def saliency_to_heatmap(saliency):
     """Canonical scalar reduction: per-pixel channel-max of absolute values,
-    [C,H,W] -> [H,W], or a stack [S,C,H,W] -> [S,H,W]."""
+    [C,H,W] -> [H,W], or a stack [..., C,H,W] -> [..., H,W]."""
     s = np.abs(np.asarray(saliency, dtype=np.float32))
     if s.ndim >= 3:
         s = s.max(axis=-3)
@@ -164,8 +176,9 @@ def saliency_to_heatmap(saliency):
 
 
 # Scalar heatmap of each method, called as (tape, categories, layer, config)
-# with a category, or a list of them for a stack of maps: feature resolution
-# for the CAM family, image resolution for pixel saliency.
+# with the categories that `grad_at_layer` takes (a category or a list on a
+# one-image tape, one or a list per image on a tape of N images): feature
+# resolution for the CAM family, image resolution for pixel saliency.
 # The entries look the functions up by name at call time, so rebinding a
 # module attribute (a tracer, a test) also reaches calls made through here.
 METHODS = {

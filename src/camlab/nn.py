@@ -98,13 +98,15 @@ class ModelSpec:
 @dataclass(frozen=True)
 class _Kind:
     """Everything that depends on a layer kind; `_KINDS` maps names to these."""
-    out_shape: object       # (params, input shape) -> output shape
-    # (x, params, weight arrays, mode) -> (y, record extras); see _run_layers
+    out_shape: object       # (params, per-image input shape) -> output shape
+    # (x, params, weight arrays, mode) -> (y, record extras) for one image
+    # or a batch [N, ...]; see _run_layers
     forward: object
-    # (record, cotangent, relu policy) -> input cotangent; the cotangent may
-    # carry a leading seed axis, S cotangents of the one recorded example
+    # (record, cotangents [N, S, ...], relu policy) -> input cotangents
+    # [N, S, ...]: S cotangents of each of the N images the record holds
     backward: object
-    param_backward: object = None   # (record, cotangent) -> {param: gradient}
+    # (record of one image, its cotangent) -> {param: gradient}
+    param_backward: object = None
     # key -> (minimum, default); the default None marks a required key, and
     # a string default takes the value of that earlier key
     schema: dict = field(default_factory=dict)
@@ -169,7 +171,7 @@ def _conv_forward(x, p, params, mode):
 def _conv_param_backward(rec, g):
     # a tape from `forward` has no im2col matrix, and conv2d_param_grad
     # builds the same one again
-    dk, db = ops.conv2d_param_grad(g, rec.x, rec.params["weights"].shape,
+    dk, db = ops.conv2d_param_grad(g, rec.x[0], rec.params["weights"].shape,
                                    rec.step.params["stride"], rec.step.params["pad"],
                                    cols=rec.extras.get("cols"))
     return {"weights": dk, "bias": db}
@@ -189,8 +191,17 @@ def _dense_forward(x, p, params, mode):
     return ops.dense(x, w, params["bias"]), {"w64": w}
 
 
+def _conv_backward(rec, g, policy):
+    # the kernel reads only the input's shape, so the N*S cotangents are one stack
+    per_image = rec.x.shape[1:]
+    gx = ops.conv2d_input_grad(g.reshape((-1,) + g.shape[2:]), per_image,
+                               rec.params["weights"], rec.step.params["stride"],
+                               rec.step.params["pad"])
+    return gx.reshape(g.shape[:2] + per_image)
+
+
 def _dense_backward(rec, g, policy):
-    # S cotangents [S, U] are one GEMM; numpy runs a single row as a GEMV
+    # numpy runs one GEMM per image [S, U], a GEMV where S = 1
     w = rec.extras.get("w64", rec.params["weights"])
     return (g.astype(np.float64) @ w.astype(np.float64, copy=False)).astype(g.dtype)
 
@@ -203,9 +214,7 @@ _KINDS = {
         out_shape=lambda p, shape: (p["filters"],) + _slide(shape, p["kernel"], p["stride"],
                                                             p["pad"]),
         forward=_conv_forward,
-        backward=lambda rec, g, policy: ops.conv2d_input_grad(
-            g, rec.x.shape, rec.params["weights"], rec.step.params["stride"],
-            rec.step.params["pad"]),
+        backward=_conv_backward,
         param_backward=_conv_param_backward,
         param_shapes=lambda p, shape: {
             "weights": (p["filters"], shape[0], p["kernel"], p["kernel"]),
@@ -217,34 +226,37 @@ _KINDS = {
     "relu": _Kind(
         out_shape=lambda p, shape: shape,
         forward=lambda x, p, params, mode: (ops.relu(x), {}),
-        backward=lambda rec, g, policy: autodiff._relu_backward(g, rec.x, policy),
+        backward=lambda rec, g, policy: autodiff._relu_backward(g, rec.x[:, None], policy),
         window=lambda p: (1, 1, 0)),
     "maxpool": _Kind(
         schema={"window": (1, None), "stride": (1, "window")},
         rank=3,
         out_shape=lambda p, shape: (shape[0],) + _slide(shape, p["window"], p["stride"], 0),
         forward=_maxpool_forward,
+        # a one-image record's argmax has no image axis
         backward=lambda rec, g, policy: ops.maxpool2d_grad(
-            g, rec.extras["argmax"], rec.x.shape),
+            g, rec.extras["argmax"].reshape(rec.y.shape)[:, None], rec.x.shape[1:]),
         window=lambda p: (p["window"], p["stride"], 0)),
     "gap": _Kind(
         rank=3,
         out_shape=lambda p, shape: (shape[0],),
         forward=lambda x, p, params, mode: (ops.global_avg_pool(x), {}),
         backward=lambda rec, g, policy: np.broadcast_to(
-            (g / (rec.x.shape[1] * rec.x.shape[2]))[..., None, None],
-            g.shape + rec.x.shape[1:]).astype(g.dtype)),
+            (g / (rec.x.shape[2] * rec.x.shape[3]))[..., None, None],
+            g.shape + rec.x.shape[2:]).astype(g.dtype)),
     "flatten": _Kind(
         out_shape=lambda p, shape: (math.prod(shape),),
-        forward=lambda x, p, params, mode: (x.reshape(x.shape[:mode == "batch"] + (-1,)), {}),
-        backward=lambda rec, g, policy: g.reshape(g.shape[:-1] + rec.x.shape)),
+        # a per-image input is [C, H, W] or a vector, which passes through
+        forward=lambda x, p, params, mode: (
+            x.reshape(x.shape[:-3] + (-1,)) if x.ndim >= 3 else x, {}),
+        backward=lambda rec, g, policy: g.reshape(g.shape[:2] + rec.x.shape[1:])),
     "dense": _Kind(
         schema={"units": (1, None)}, rank=1,
         out_shape=lambda p, shape: (p["units"],),
         forward=_dense_forward,
         backward=_dense_backward,
         param_backward=lambda rec, g: {
-            "weights": np.outer(g, rec.x).astype(g.dtype, copy=False), "bias": g.copy()},
+            "weights": np.outer(g, rec.x[0]).astype(g.dtype, copy=False), "bias": g.copy()},
         param_shapes=lambda p, shape: {"weights": (p["units"], shape[0]),
                                        "bias": (p["units"],)},
         scores=True),
@@ -442,46 +454,68 @@ def _run_layers(spec, params, x, mode="batch"):
     """The layer loop on `params`, the `_layer_params` of x's dtype; returns
     the scores and the LayerRecords.
 
-    In mode "batch" it runs a batch [N, C, H, W] to scores [N, K] and
-    records nothing.  In modes "tape" and "train" it runs one image
-    [C, H, W] to scores [K] and records every layer; only the "train"
-    records keep a conv's float64 im2col matrix and a dense layer's float64
-    weights, for the trainer's gradients.  The ops run one image as a
-    batch of one.
+    Mode "batch" runs a batch [N, C, H, W] to scores [N, K] and records
+    nothing.  Modes "tape" and "train" also take one image [C, H, W], which
+    the ops run as their batch of one, to scores [K]; they record every
+    layer, its input and output with a leading image axis ([1, ...] for one
+    image).  Only the "train" records keep a conv's float64 im2col matrix
+    and a dense layer's float64 weights, for the trainer's gradients.
     """
-    batched = mode == "batch"
-    if tuple(x.shape[batched:]) != tuple(spec.input_shape):
+    single = mode != "batch" and x.ndim == len(spec.input_shape)
+    if tuple(x.shape[not single:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
-            f"image shape {x.shape[batched:]} != spec input {tuple(spec.input_shape)}")
+            f"image shape {x.shape[not single:]} != spec input {tuple(spec.input_shape)}")
     records = []
     for step, arrays in zip(spec._plan, params):
         y, extras = step.kind.forward(x, step.params, arrays, mode)
-        if not batched:
+        if mode != "batch":
             layer = step.layer
-            records.append(LayerRecord(layer.name, layer.kind, step, x, y, arrays, extras))
+            records.append(LayerRecord(layer.name, layer.kind, step, x[None] if single else x,
+                                       y[None] if single else y, arrays, extras))
         x = y
     return x, records
 
 
-def _tape(spec, params, image, dtype, mode):
-    image = np.asarray(image, dtype=dtype)
-    scores, records = _run_layers(spec, params, image, mode)
-    return scores, ActivationTape(records=records, input=image, scores=scores)
+def _tape(spec, params, images, dtype, mode):
+    """(scores, tape) of one image [C, H, W] or of a batch [N, C, H, W]; see
+    `forward`."""
+    images = np.asarray(images, dtype=dtype)
+    scores, records = _run_layers(spec, params, images, mode)
+    return scores, ActivationTape(records=records, input=images, scores=scores)
 
 
-def forward(spec, weights, image, dtype=np.float32):
-    """Run the chain on one image; returns (pre-softmax scores, activation tape).
+def forward(spec, weights, images, dtype=np.float32):
+    """Run the chain on one image [C, H, W] or a batch [N, C, H, W]; returns
+    (pre-softmax scores [K] or [N, K], activation tape).
 
-    The tape is all that the explanations and `score_occluded` read; each
-    record carries its layer's `_Step`.  Where the weights already have
-    `dtype`, the tape's conv and dense params are the WeightStore arrays
-    themselves, so do not update those in place while the tape is still in
-    use.  The records keep the layers' inputs and outputs and the max-pool
-    argmax, but no im2col matrix: a fixture tape holds ~0.1 MB, and its
-    parameter gradients build each conv's matrix again.  Raises
-    WeightStoreError unless the weights match the spec.
+    One image gives a one-image tape (see `ActivationTape`), the N=1 case
+    of the same layer loop and the same backward walk; the scores of a
+    batch, and its tape's checkpoints and explanations, equal those of its
+    images run one by one, byte for byte.  The tape is all that the
+    explanations and `score_occluded` read; each record carries its layer's
+    `_Step`.  Where the weights already have `dtype`, the tape's conv and
+    dense params are the WeightStore arrays themselves, so do not update
+    those in place while the tape is still in use.  The records keep the
+    layers' inputs and outputs and the max-pool argmax, but no im2col
+    matrix: a fixture tape holds ~0.1 MB per image, and its parameter
+    gradients build each conv's matrix again.  Raises WeightStoreError
+    unless the weights match the spec.
     """
-    return _tape(spec, _layer_params(spec, weights, dtype), image, dtype, "tape")
+    return _tape(spec, _layer_params(spec, weights, dtype), images, dtype, "tape")
+
+
+def tapes(spec, weights, images):
+    """Float32 tapes of a split, `batch_size(spec)` images at a time.
+
+    Yields (slice, tape): the tape of the batch images[slice], each equal
+    to the `forward` of that batch.  The weights are checked against the
+    spec once, before the first batch; a mismatch raises WeightStoreError.
+    """
+    params = _layer_params(spec, weights, np.float32)
+    size = batch_size(spec)
+    for start in range(0, len(images), size):
+        at = slice(start, start + size)
+        yield at, _tape(spec, params, np.stack(images[at]), np.float32, "tape")[1]
 
 
 def score_batch(spec, weights, images):
@@ -545,6 +579,8 @@ def score_occluded(tape, boxes, fill):
     batches that keep the largest window buffer plus that whole map within
     BATCH_BYTES.
     """
+    if not tape.single:
+        raise ops.DimensionError("score_occluded reads the tape of one image")
     image = tape.input
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 2, 2)
     box_lo, box_hi = boxes[:, :, 0], boxes[:, :, 1]
@@ -568,13 +604,13 @@ def score_occluded(tape, boxes, fill):
         # a pointwise layer (a 1 x 1 window, stride 1) reads just the
         # previous window; any other reads crops of its padded recorded input
         canvas = None if (k, s, pad) == (1, 1, 0) else _Canvas(
-            np.pad(rec.x, ((0, 0), (pad, pad), (pad, pad))), size, crop)
+            np.pad(rec.x[0], ((0, 0), (pad, pad), (pad, pad))), size, crop)
         local.append((rec, canvas, origin + pad, out_origin * s))
-        buffer = max(buffer, step.kind.buffer(step.params, (rec.x.shape[0], *crop),
+        buffer = max(buffer, step.kind.buffer(step.params, (rec.x.shape[1], *crop),
                                               (step.out_shape[0], *out)))
         size, origin = out, out_origin
     rest = tape.records[len(local):]
-    whole = _Canvas(rest[0].x, size, size)
+    whole = _Canvas(rest[0].x[0], size, size)
     per_box = buffer + max([whole.base.size] + [rec.step.buffer for rec in rest])
     batch = max(1, BATCH_BYTES // (8 * per_box))
     image_blocks = _blocks(image[None], image_size)[0]
@@ -626,13 +662,11 @@ def accuracy(spec, weights, dataset):
     if not dataset:
         raise DatasetError("dataset is empty")
     check_labels(spec, dataset)
-    pairs = [_as_pair(ex) for ex in dataset]
-    step = batch_size(spec)
+    images, labels = zip(*map(_as_pair, dataset))
+    labels = np.array(labels)
     correct = 0
-    for start in range(0, len(pairs), step):
-        images, labels = zip(*pairs[start:start + step])
-        scores = score_batch(spec, weights, np.stack(images))
-        correct += int((np.argmax(scores, axis=1) == labels).sum())
+    for at, tape in tapes(spec, weights, images):
+        correct += int((np.argmax(tape.scores, axis=1) == labels[at]).sum())
     return correct / len(dataset)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import nn
 from .autodiff import check_category
+from .ops import DimensionError
 
 
 class OcclusionConfigError(ValueError):
@@ -60,6 +61,8 @@ def occlusion_map(tape, category, config):
     `nn.score_occluded`, which recomputes only the window of each layer
     that a patch reaches.
     """
+    if not tape.single:
+        raise DimensionError("an occlusion map reads the tape of one image")
     image = tape.input
     check_category(category, tape.scores.shape[0])
     c, h, w = image.shape

@@ -8,11 +8,17 @@ in float64, which the finite-difference tests rely on.
 
 The forward operations also take a batch with a leading N axis; a single
 example is run as the batch of one, through the same code.  The input
-gradients (`conv2d_input_grad`, `maxpool2d_grad`) take a leading seed axis
-S instead: S cotangents of one example's output, from one recorded forward,
-with a single cotangent run as S=1.  `conv2d` can hand back the float64
-im2col matrix it built, and `conv2d_param_grad` can reuse it instead of
-building the same matrix again; the gradient is the same, bit for bit.
+gradients (`conv2d_input_grad`, `maxpool2d_grad`) take leading axes of
+stacked cotangents instead, all for inputs of one per-example shape
+`x_shape`: S cotangents of one example's output, or N·S of N examples
+(S per example), with a single cotangent run as one.  `conv2d_input_grad`
+reads only the input's shape, so it takes the N·S cotangents as one stack
+[N·S, K, h, w]; `maxpool2d_grad` routes each example's cotangents
+[N, S, C, h, w] through that example's argmax [N, 1, C, h, w].
+
+`conv2d` can hand back the float64 im2col matrix it built, and
+`conv2d_param_grad` can reuse it instead of building the same matrix
+again; the gradient is the same, bit for bit.
 
 The conv kernels make each float64 operand once, in long copies: the
 im2col matrix takes 1 + min(stride, kh) copies of the unpadded input (see
@@ -138,7 +144,9 @@ def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
 
 def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
     """Gradient of conv2d w.r.t. its input [C,H,W] = x_shape, given the
-    output cotangent [K,h_out,w_out], or S of them [S,K,h_out,w_out].
+    output cotangent [K,h_out,w_out], or a stack of S of them
+    [S,K,h_out,w_out]: S cotangents of one input, or of several inputs of
+    that shape, since only the shape is read.
 
     Output (i, j) of kernel offset (di, dj) feeds padded input pixel
     (i*stride + di, j*stride + dj).  Round the padded extents Hp, Wp up to
@@ -247,20 +255,26 @@ def maxpool2d(x, window, stride):
 
 
 def maxpool2d_grad(grad_out, argmax, x_shape):
-    """Route the output cotangent [C,h,w], or S of them [S,C,h,w], to the
-    argmax positions recorded for one input of x_shape [C,H,W]."""
-    g, single = _batched(grad_out, 3, "maxpool2d_grad")
+    """Route output cotangents [..., C, h, w] to the argmax positions that
+    maxpool2d recorded for inputs of x_shape [C, H, W].
+
+    `argmax` broadcasts against the cotangents: one input's [C, h, w] is
+    shared by all of them (S of them [S, C, h, w]), and [N, 1, C, h, w]
+    routes image n's S cotangents through its own argmax.  Returns
+    [..., C, H, W].
+    """
+    g = np.asarray(grad_out)
+    if g.ndim < 3:
+        raise DimensionError(f"maxpool2d_grad expects [..., C, h, w] cotangents, got {g.shape}")
     c, h, w = x_shape
-    s = len(g)
-    # seed s, channel c's positions are offset by (s*C + c)*H*W; bincount
+    # plane p (a leading index and a channel) is offset by p*H*W; bincount
     # adds the weights into their bins in input order, as np.add.at does, so
     # the sums agree bit for bit
-    flat = (argmax.reshape(1, c, -1)
-            + (np.arange(s * c) * (h * w)).reshape(s, c, 1)).ravel()
-    gx = np.bincount(flat, weights=g.reshape(-1).astype(np.float64),
-                     minlength=s * c * h * w)
-    gx = gx.reshape(s, c, h, w).astype(g.dtype)
-    return gx[0] if single else gx
+    planes = g.size // (g.shape[-2] * g.shape[-1])
+    offsets = (np.arange(planes) * (h * w)).reshape(g.shape[:-2] + (1, 1))
+    gx = np.bincount((argmax + offsets).ravel(), weights=g.reshape(-1).astype(np.float64),
+                     minlength=planes * h * w)
+    return gx.reshape(g.shape[:-3] + (c, h, w)).astype(g.dtype)
 
 
 def global_avg_pool(x):

@@ -62,7 +62,10 @@ def test_checkpoint_lookup():
     _, tape = nn.forward(spec, weights, img)
     np.testing.assert_array_equal(tape.checkpoint("input"), img)
     for rec in tape.records:
-        assert tape.checkpoint(rec.name) is rec.y
+        # the record's one image, without a copy
+        point = tape.checkpoint(rec.name)
+        assert point.shape == rec.y.shape[1:] and np.shares_memory(point, rec.y)
+        np.testing.assert_array_equal(point, rec.y[0])
     with pytest.raises(CheckpointError):
         tape.checkpoint("r9")
 
@@ -318,3 +321,30 @@ def test_stacked_seeds_are_checked_row_by_row():
         grad_at_layer(tape, [0, 3], "input")
     with pytest.raises(SeedError):    # parameter gradients take one cotangent
         backward_from_cotangent(tape, one_hot([0, 1], 3), param_grads={})
+
+
+def test_a_tape_of_images_takes_cotangents_and_categories_per_image():
+    spec, weights = tiny_dense_model()
+    images = np.linspace(-1, 1, 3 * 16, dtype=np.float32).reshape(3, 1, 4, 4)
+    scores, tape = nn.forward(spec, weights, images)
+    assert not tape.single and scores.shape == (3, 3)
+    assert backward_from_cotangent(tape, one_hot([0, 2, 1], 3)).shape == (3, 1, 4, 4)
+    assert backward_from_cotangent(tape, one_hot([[0, 1]] * 3, 3)).shape == (3, 2, 1, 4, 4)
+    assert grad_at_layer(tape, [[2], [1], [0]], "input").shape == (3, 1, 1, 4, 4)
+    # a cotangent of one image, or of another image count, or a list per
+    # image of lists
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((3, 1, 2, 3))):
+        with pytest.raises(SeedError):
+            backward_from_cotangent(tape, np.array(bad, np.float32))
+    for categories in (0, [0, 1], [[0]] * 4, [[[0]]] * 3):
+        with pytest.raises(SeedError):
+            grad_at_layer(tape, categories, "input")
+        with pytest.raises(SeedError):
+            camlab.gradcam(tape, categories, "input")
+    with pytest.raises(autodiff.CategoryError):
+        grad_at_layer(tape, [0, 3, 1], "input")
+    with pytest.raises(SeedError):    # parameter gradients take a one-image tape
+        backward_from_cotangent(tape, one_hot([0, 1, 2], 3), param_grads={})
+    _, alone = nn.forward(spec, weights, images[:1])   # a batch of one is a batch
+    assert not alone.single and alone.checkpoint("r1").shape == (1, 5)
+    assert grad_at_layer(alone, [1], "input").shape == (1, 1, 4, 4)

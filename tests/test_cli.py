@@ -642,6 +642,39 @@ def test_faithfulness_writes_report(workspace, tmp_path):
     assert "mean_rank_correlation.guided-backprop=" in text
 
 
+# each command line, as (workspace, output directory) -> argv, and the
+# weight checks it makes: one per split it reads, or one for its image
+WEIGHT_CHECKS = {
+    "explain": (lambda ws, out: [
+        "explain", *gap_args(ws), "--image", first_image(ws), "--top-k", "2",
+        "--method", "guided-gradcam", "--out-heat", str(out / "h.fmap")], 1),
+    "occlude": (lambda ws, out: [
+        "occlude", *gap_args(ws), "--image", first_image(ws), "--category", "1",
+        "--patch", "9", "--stride", "8", "--out-heat", str(out / "o.fmap")], 1),
+    "localize": (lambda ws, out: [
+        "localize", *gap_args(ws), "--data", str(ws / "data"),
+        "--report", str(out / "r.txt")], 1),
+    "point": (lambda ws, out: [
+        "point", *gap_args(ws), "--data", str(ws / "data"), "--report", str(out / "r.txt")], 1),
+    "point --modified": (lambda ws, out: [
+        "point", *gap_args(ws), "--data", str(ws / "data"), "--modified",
+        "--calibrate-split", str(ws / "data"), "--report", str(out / "r.txt")], 2),
+}
+
+
+@pytest.mark.parametrize("command", list(WEIGHT_CHECKS))
+def test_a_command_checks_the_weights_once_per_split(workspace, tmp_path, monkeypatch,
+                                                     command):
+    # the forward or protocol that reads the weights checks them
+    checked = []
+    check_against = nn.WeightStore.check_against
+    monkeypatch.setattr(nn.WeightStore, "check_against",
+                        lambda self, s: checked.append(s) or check_against(self, s))
+    argv, checks = WEIGHT_CHECKS[command]
+    assert main(argv(workspace, tmp_path)) == 0
+    assert len(checked) == checks
+
+
 def _point_cli(ws, report, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "camlab.cli", "point", *gap_args(ws),

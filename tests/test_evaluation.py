@@ -209,13 +209,56 @@ def test_localize_matches_reference_over_all_top5_maps(request, monkeypatch, tes
                else nn.init_weights(spec, rng_seed=0))
     config = explain.GradCamConfig(apply_relu=relu)
     want = _reference_localization_error(spec, weights, test_set[:40], config)
-    # one map per image, each seen through the module name explain.gradcam
+    # one call per batch of nn.tapes, seen through the module name
+    # explain.gradcam, for each image's true category only
     calls, gradcam = [], explain.gradcam
     monkeypatch.setattr(explain, "gradcam",
                         lambda tape, c, *rest: calls.append(c) or gradcam(tape, c, *rest))
     metrics = evaluation.localize(spec, weights, test_set[:40], config=config)
     assert (metrics["top1_localization_error"], metrics["top5_localization_error"]) == want
-    assert calls == [ex.label for ex in test_set[:40]]
+    labels, size = [ex.label for ex in test_set[:40]], nn.batch_size(spec)
+    assert calls == [labels[start:start + size] for start in range(0, 40, size)]
+
+
+# ------------------------------------------------------ batches of a split
+
+def _protocol_metrics(spec, weights, examples, calibration):
+    return (evaluation.localize(spec, weights, examples),
+            evaluation.localize(spec, weights, examples, method="backprop"),
+            evaluation.point(spec, weights, examples),
+            evaluation.modified_point(spec, weights, examples, calibration),
+            nn.accuracy(spec, weights, examples))
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_protocols_do_not_depend_on_the_batch_boundaries(request, monkeypatch, test_set,
+                                                         two_object_set, arch):
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    examples, calibration = test_set[:10], two_object_set[:6]
+    per_image = 6 * 5 * 5 * 24 * 24 * 8   # the c2 im2col matrix, see nn.BATCH_BYTES
+    runs = []
+    # one image a batch; 3 a batch, so 10 = 3 + 3 + 3 + 1; the default 4,
+    # so 10 = 4 + 4 + 2 and 6 = 4 + 2
+    for size, budget in ((1, per_image), (3, 3 * per_image), (4, nn.BATCH_BYTES)):
+        monkeypatch.setattr(nn, "BATCH_BYTES", budget)
+        assert nn.batch_size(spec) == size
+        runs.append(_protocol_metrics(spec, weights, examples, calibration))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_protocols_check_the_weights_once_per_split(monkeypatch, gap_spec, test_set,
+                                                    two_object_set):
+    weights = nn.init_weights(gap_spec, rng_seed=0)
+    checked = []
+    check_against = nn.WeightStore.check_against
+    monkeypatch.setattr(nn.WeightStore, "check_against",
+                        lambda self, s: checked.append(s) or check_against(self, s))
+    _protocol_metrics(gap_spec, weights, test_set[:9], two_object_set[:5])
+    # localize twice, point, modified_point on two splits, accuracy
+    assert checked == [gap_spec] * 6
+    with pytest.raises(nn.WeightStoreError):
+        evaluation.point(gap_spec, nn.init_weights(nn.fix_fc_spec()), test_set[:9])
 
 
 # -------------------------------------------------------------- pointing

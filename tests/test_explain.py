@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import camlab
 from camlab import explain, nn
+from camlab.autodiff import RELU_POLICIES, CheckpointError
 from camlab.explain import (CamIncompatibleError, GradCamConfig, cam,
                             counterfactual, default_target_layer, gradcam,
                             guided_gradcam, neuron_weights, normalize_heatmap,
                             pixel_saliency, saliency_to_heatmap)
+from test_occlusion import chain_cases
 
 
 def test_config_validation():
@@ -259,3 +263,79 @@ def test_guided_gradcam_fuses_stacks_pairwise(rng):
         assert f.tobytes() == guided_gradcam(s, h).tobytes()
     assert saliency_to_heatmap(fused).tobytes() == np.stack(
         [saliency_to_heatmap(f) for f in fused]).tobytes()
+
+
+# ------------------------------------------------------ tapes of N images
+
+def assert_tape_of_images_equals_one_image_tapes(spec, weights, images, rng):
+    """A tape of N images against N one-image tapes, byte for byte: the
+    scores, every checkpoint, `grad_at_layer` under each ReLU policy and
+    score point, and every METHODS entry, with one category per image and
+    with a list of two per image."""
+    scores, tape = nn.forward(spec, weights, images)
+    alone = [nn.forward(spec, weights, image)[1] for image in images]
+
+    def same(got, want):
+        want = np.stack(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    same(scores, [t.scores for t in alone])
+    for name in ["input"] + [rec.name for rec in tape.records]:
+        same(tape.checkpoint(name), [t.checkpoint(name) for t in alone])
+    try:
+        layer = default_target_layer(spec)
+    except CheckpointError:   # no conv: Grad-CAM on the image itself
+        layer = "input"
+    k = spec.num_categories
+    one = [int(c) for c in rng.integers(0, k, len(images))]
+    lists = rng.integers(0, k, (len(images), 2)).tolist()
+    configs = [None, GradCamConfig(score_point="post_softmax", relu_policy="guided",
+                                   apply_relu=False)]
+    for categories in (one, lists):
+        for policy in RELU_POLICIES:
+            for point in ("pre_softmax", "post_softmax"):
+                for at in {layer, "input"}:
+                    same(camlab.grad_at_layer(tape, categories, at, policy, point),
+                         [camlab.grad_at_layer(t, c, at, policy, point)
+                          for t, c in zip(alone, categories)])
+        for method, run in explain.METHODS.items():
+            if method == "cam" and spec.layers[-2].kind != "gap":
+                continue
+            for config in configs:
+                same(run(tape, categories, layer, config),
+                     [run(t, c, layer, config) for t, c in zip(alone, categories)])
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tape_of_n_images_equals_n_one_image_tapes_on_the_fixtures(request, test_set,
+                                                                   arch, n):
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    images = np.stack([ex.image for ex in test_set[5 * n:6 * n]])
+    assert_tape_of_images_equals_one_image_tapes(spec, weights, images,
+                                                 np.random.default_rng(n))
+
+
+# a chain with both a max-pool and a flatten, drawn at once
+POOL_FLATTEN = nn.parse_model_spec("""
+img input shape=2x9x8
+c0 conv filters=3 kernel=3 stride=1 pad=1
+r0 relu
+p maxpool window=2 stride=2
+fl flatten
+fc dense units=4
+rf relu
+head dense units=3
+""")
+
+
+@given(chain_cases(), st.integers(1, 5))
+@example((POOL_FLATTEN, 11, None, 0), 5)
+def test_tape_of_n_images_equals_n_one_image_tapes_on_random_chains(case, n):
+    spec, seed, _, _ = case
+    weights = nn.init_weights(spec, rng_seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    images = rng.random((n,) + spec.input_shape).astype(np.float32)
+    assert_tape_of_images_equals_one_image_tapes(spec, weights, images, rng)

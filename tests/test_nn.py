@@ -92,7 +92,7 @@ def test_shapes_chain_matches_forward(gap_spec, fc_spec):
         _, tape = nn.forward(spec, weights, img)
         static = spec.shapes()
         for rec in tape.records:
-            assert tuple(rec.y.shape) == tuple(static[rec.name]), rec.name
+            assert tuple(rec.y.shape) == (1,) + tuple(static[rec.name]), rec.name
 
 
 def spec_line(name, kind, **params):
@@ -135,7 +135,7 @@ def test_layer_table_agrees_with_forward_backward_and_init(text):
             for name, group in weights.params.items()} == want
     image = np.linspace(-1, 1, int(np.prod(spec.input_shape)), dtype=np.float32)
     scores, tape = nn.forward(spec, weights, image.reshape(spec.input_shape))
-    assert {rec.name: rec.y.shape for rec in tape.records} == spec.shapes()
+    assert {rec.name: rec.y.shape[1:] for rec in tape.records} == spec.shapes()
     grads = {}
     g = camlab.autodiff.backward_from_cotangent(tape, np.ones_like(scores),
                                                 param_grads=grads)
@@ -455,7 +455,7 @@ def reference_sgd(spec, dataset, epochs, learning_rate, rng_seed):
             for rec in tape.records:
                 if rec.kind == "conv":
                     g = autodiff.backward_from_cotangent(tape, cot, stop_at=rec.name)
-                    dk, db = ops.conv2d_param_grad(g, rec.x, rec.params["weights"].shape,
+                    dk, db = ops.conv2d_param_grad(g, rec.x[0], rec.params["weights"].shape,
                                                    rec.step.params["stride"],
                                                    rec.step.params["pad"])
                     grads[rec.name] = {"weights": dk, "bias": db}

@@ -323,3 +323,13 @@ def test_faithfulness_runs_one_forward_per_image(monkeypatch, test_set):
     evaluation.faithfulness(spec, weights, test_set[:3], ["gradcam", "backprop"],
                             OcclusionConfig(patch=5, stride=4))
     assert runs == [spec.input_shape] * 3
+
+
+def test_occlusion_reads_the_tape_of_one_image(rng):
+    spec, weights = small_model()
+    images = rng.random((2,) + spec.input_shape).astype(np.float32)
+    tape = tape_of(spec, weights, images)
+    with pytest.raises(ops.DimensionError, match="one image"):
+        occlusion_map(tape, 1, OcclusionConfig(patch=3))
+    with pytest.raises(ops.DimensionError, match="one image"):
+        nn.score_occluded(tape, [(0, 2, 0, 2)], np.zeros(spec.input_shape[0]))
