@@ -99,8 +99,8 @@ class ModelSpec:
 class _Kind:
     """Everything that depends on a layer kind; `_KINDS` maps names to these."""
     out_shape: object       # (params, per-image input shape) -> output shape
-    # (x, params, weight arrays, mode) -> (y, record extras) for one image
-    # or a batch [N, ...]; see _run_layers
+    # (x, params, weight arrays, mode "tape" or "train") -> (y, record
+    # extras) for one image or a batch [N, ...]; see _run_layers
     forward: object
     # (record, cotangents [N, S, ...], relu policy) -> input cotangents
     # [N, S, ...]: S cotangents of each of the N images the record holds
@@ -450,28 +450,27 @@ def _layer_params(spec, weights, dtype):
              for key in step.param_shapes} for step in spec._plan]
 
 
-def _run_layers(spec, params, x, mode="batch"):
+def _run_layers(spec, params, x, mode):
     """The layer loop on `params`, the `_layer_params` of x's dtype; returns
     the scores and the LayerRecords.
 
-    Mode "batch" runs a batch [N, C, H, W] to scores [N, K] and records
-    nothing.  Modes "tape" and "train" also take one image [C, H, W], which
-    the ops run as their batch of one, to scores [K]; they record every
+    Takes one image [C, H, W], which the ops run as their batch of one, to
+    scores [K], or a batch [N, C, H, W] to scores [N, K]; records every
     layer, its input and output with a leading image axis ([1, ...] for one
-    image).  Only the "train" records keep a conv's float64 im2col matrix
-    and a dense layer's float64 weights, for the trainer's gradients.
+    image).  Only the "train" records, not the "tape" ones, keep a conv's
+    float64 im2col matrix and a dense layer's float64 weights, for the
+    trainer's gradients.
     """
-    single = mode != "batch" and x.ndim == len(spec.input_shape)
+    single = x.ndim == len(spec.input_shape)
     if tuple(x.shape[not single:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
             f"image shape {x.shape[not single:]} != spec input {tuple(spec.input_shape)}")
     records = []
     for step, arrays in zip(spec._plan, params):
         y, extras = step.kind.forward(x, step.params, arrays, mode)
-        if mode != "batch":
-            layer = step.layer
-            records.append(LayerRecord(layer.name, layer.kind, step, x[None] if single else x,
-                                       y[None] if single else y, arrays, extras))
+        layer = step.layer
+        records.append(LayerRecord(layer.name, layer.kind, step, x[None] if single else x,
+                                   y[None] if single else y, arrays, extras))
         x = y
     return x, records
 
@@ -519,14 +518,16 @@ def tapes(spec, weights, images):
 
 
 def score_batch(spec, weights, images):
-    """Float32 pre-softmax scores [N, K] of a batch [N, C, H, W]; no tape.
+    """Float32 pre-softmax scores [N, K] of a batch [N, C, H, W].
 
-    Row i equals the scores `forward` gives for images[i].  The caller
-    sizes the batch, for example by `batch_size`.  Raises WeightStoreError
-    unless the weights match the spec.
+    The scores of `forward` on the batch; the reference that the tests hold
+    `score_occluded` to.  Raises DimensionError for anything but a batch,
+    WeightStoreError unless the weights match the spec.
     """
-    return _run_layers(spec, _layer_params(spec, weights, np.float32),
-                       np.asarray(images, dtype=np.float32))[0]
+    if np.ndim(images) != len(spec.input_shape) + 1:
+        raise ops.DimensionError(f"a batch [N, C, H, W] needs {len(spec.input_shape) + 1} "
+                                 f"axes, got {np.ndim(images)}")
+    return forward(spec, weights, images)[0]
 
 
 def _blocks(x, size):
@@ -630,10 +631,10 @@ def score_occluded(tape, boxes, fill):
                 win = canvas.crops(crop_origin[at])
             # the crops hold their padding already
             win = rec.step.kind.forward(win, dict(rec.step.params, pad=0), rec.params,
-                                        "batch")[0]
+                                        "tape")[0]
         x = whole.paste(win, origin[at])
         for rec in rest:
-            x = rec.step.kind.forward(x, rec.step.params, rec.params, "batch")[0]
+            x = rec.step.kind.forward(x, rec.step.params, rec.params, "tape")[0]
         scores[at] = x
     return scores
 
