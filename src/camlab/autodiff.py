@@ -53,12 +53,12 @@ class ActivationTape:
     """Recorded forward pass of one image or of N; immutable once built,
     safe to share.
 
-    A one-image tape holds `input` [C, H, W] and `scores` [K]; a tape of
-    N images holds `input` [N, C, H, W] and `scores` [N, K].  Its
-    checkpoints have the same leading axis as its input.
+    A one-image tape holds `scores` [K] and a tape of N images `scores`
+    [N, K].  The first record's input is the image, the checkpoint
+    "input": [C, H, W] on a one-image tape and [N, C, H, W] on a tape of
+    N images, the leading axis that every checkpoint has.
     """
     records: list
-    input: np.ndarray
     scores: np.ndarray
 
     @property
@@ -68,11 +68,12 @@ class ActivationTape:
 
     def checkpoint(self, name):
         if name == "input":
-            return self.input
-        for rec in self.records:
-            if rec.name == name:
-                return rec.y[0] if self.single else rec.y
-        raise CheckpointError(f"no checkpoint named {name!r}")
+            x = self.records[0].x
+        else:
+            x = next((rec.y for rec in self.records if rec.name == name), None)
+            if x is None:
+                raise CheckpointError(f"no checkpoint named {name!r}")
+        return x[0] if self.single else x
 
 
 def _relu_backward(g, x, policy):

@@ -8,9 +8,10 @@ correlation between an explanation map and the occlusion map.
 
 `localize`, `point`, `modified_point` and `faithfulness` run a protocol
 over a split of ShapesExamples and return its metrics; the CLI and the
-acceptance suite both call them.  The first three walk the split in the
-batches of `nn.tapes`: one forward and one backward walk per batch, for
-every map of its images.
+acceptance suite both call them.  Each walks the split in the batches of
+`nn.tapes`: one forward and one backward walk per method and batch, for
+every map of its images; faithfulness adds each image's occlusion map,
+scored from the same tape.
 """
 
 import math
@@ -307,11 +308,11 @@ def faithfulness(spec, weights, examples, methods, occlusion_config, layer=None)
     """
     layer = _target_layer(spec, examples, layer, methods)
     rhos = {m: [] for m in methods}
-    for ex in examples:
-        _, tape = nn.forward(spec, weights, ex.image)
-        occ = occlusion.occlusion_map(tape, ex.label, occlusion_config)
+    for batch, tape in _batches(spec, weights, examples):
+        labels = [ex.label for ex in batch]
+        occ = occlusion.occlusion_map(tape, labels, occlusion_config)
         for m in methods:
-            rhos[m].append(rank_correlation(explain.METHODS[m](tape, ex.label, layer, None), occ))
+            rhos[m] += map(rank_correlation, explain.METHODS[m](tape, labels, layer, None), occ)
     metrics = {}
     for m, values in rhos.items():
         defined = [rho for rho in values if not math.isnan(rho)]

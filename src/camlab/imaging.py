@@ -9,6 +9,7 @@ Formats:
 
 import functools
 import os
+import re
 
 import numpy as np
 
@@ -19,24 +20,16 @@ class ImageFormatError(ValueError):
 
 # ---------------------------------------------------------------- netpbm
 
+# netpbm headers are whitespace-separated; '#' starts a comment to the end
+# of its line.  The token is group 1, empty at the end of the data.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_token(data, pos):
-    # netpbm headers are whitespace-separated; '#' starts a comment
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ImageFormatError(f"unexpected end of header at byte {start}")
-    return data[start:pos], pos
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise ImageFormatError(f"unexpected end of header at byte {match.start(1)}")
+    return match[1], match.end()
 
 
 def decode_netpbm(data):

@@ -116,7 +116,8 @@ class _Kind:
     buffer: object = lambda p, shape, out: math.prod(out)
     scores: bool = False    # whether its output can be the score vector
     # params -> (kernel, stride, pad) of a layer whose output at (i, j) reads
-    # only a window of its input; None marks a global layer
+    # only a window of its input, which occlusion.score_occluded recomputes;
+    # None marks a global layer
     window: object = None
 
 
@@ -426,9 +427,10 @@ class WeightStore:
 # Byte budget of one batched forward.  Each image in a batch costs its
 # largest float64 buffer, an im2col matrix or an activation; both fixture
 # specs need 691 200 bytes per image for the c2 im2col matrix, so a batch
-# holds 4 images.  `score_occluded` budgets a box for its largest window
-# buffer plus the whole map at the first global layer: at patch 5 that is
-# the c2 window im2col matrix and r2 (GAP, 20 boxes a batch) or p2 (FC, 28).
+# holds 4 images.  `occlusion.score_occluded` budgets a box for its largest
+# window buffer plus the whole map at the first global layer: at patch 5
+# that is the c2 window im2col matrix and r2 (GAP, 20 boxes a batch) or p2
+# (FC, 28).
 BATCH_BYTES = 3 << 20
 
 
@@ -480,7 +482,7 @@ def _tape(spec, params, images, dtype, mode):
     `forward`."""
     images = np.asarray(images, dtype=dtype)
     scores, records = _run_layers(spec, params, images, mode)
-    return scores, ActivationTape(records=records, input=images, scores=scores)
+    return scores, ActivationTape(records=records, scores=scores)
 
 
 def forward(spec, weights, images, dtype=np.float32):
@@ -491,10 +493,10 @@ def forward(spec, weights, images, dtype=np.float32):
     of the same layer loop and the same backward walk; the scores of a
     batch, and its tape's checkpoints and explanations, equal those of its
     images run one by one, byte for byte.  The tape is all that the
-    explanations and `score_occluded` read; each record carries its layer's
-    `_Step`.  Where the weights already have `dtype`, the tape's conv and
-    dense params are the WeightStore arrays themselves, so do not update
-    those in place while the tape is still in use.  The records keep the
+    explanations, occlusion maps among them, read; each record carries its
+    layer's `_Step`.  Where the weights already have `dtype`, the tape's
+    conv and dense params are the WeightStore arrays themselves, so do not
+    update those in place while the tape is still in use.  The records keep the
     layers' inputs and outputs and the max-pool argmax, but no im2col
     matrix: a fixture tape holds ~0.1 MB per image, and its parameter
     gradients build each conv's matrix again.  Raises WeightStoreError
@@ -520,123 +522,15 @@ def tapes(spec, weights, images):
 def score_batch(spec, weights, images):
     """Float32 pre-softmax scores [N, K] of a batch [N, C, H, W].
 
-    The scores of `forward` on the batch; the reference that the tests hold
-    `score_occluded` to.  Raises DimensionError for anything but a batch,
-    WeightStoreError unless the weights match the spec.
+    The scores of `forward` on the batch, computed from whole images; the
+    reference that the tests hold `occlusion.score_occluded` to.  Raises
+    DimensionError for anything but a batch, WeightStoreError unless the
+    weights match the spec.
     """
     if np.ndim(images) != len(spec.input_shape) + 1:
         raise ops.DimensionError(f"a batch [N, C, H, W] needs {len(spec.input_shape) + 1} "
                                  f"axes, got {np.ndim(images)}")
     return forward(spec, weights, images)[0]
-
-
-def _blocks(x, size):
-    """Writeable view [N, C, H - h + 1, W - w + 1, h, w] of the h x w blocks
-    of x [N, C, H, W]; [n, :, i, j] is the block of image n at row i, column j."""
-    return np.lib.stride_tricks.sliding_window_view(x, tuple(size), axis=(2, 3),
-                                                    writeable=True)
-
-
-class _Canvas:
-    """Copies of a base map [C, H, W], each with a window of one box pasted
-    in, and the blocks read back from them.  The first batch of boxes, the
-    largest, sizes the copies; later batches reuse them."""
-
-    def __init__(self, base, win_size, crop_size):
-        self.base, self.win_size, self.crop_size = base, win_size, crop_size
-        self.x = None
-
-    def paste(self, win, origin):
-        """Copies [N, C, H, W] of the base, copy n with win[n] at origin[n]."""
-        n = len(win)
-        if self.x is None:
-            self.x = np.empty((n,) + self.base.shape, dtype=self.base.dtype)
-            self.write = _blocks(self.x, self.win_size)
-            self.read = _blocks(self.x, self.crop_size)
-        self.x[:n] = self.base
-        self.write[np.arange(n), :, origin[:, 0], origin[:, 1]] = win
-        return self.x[:n]
-
-    def crops(self, origin):
-        """Blocks [N, C, *crop_size] of the last N pasted copies at origin [N, 2]."""
-        return self.read[np.arange(len(origin)), :, origin[:, 0], origin[:, 1]]
-
-
-def score_occluded(tape, boxes, fill):
-    """Pre-softmax scores [len(boxes), K] of the tape's image with the box
-    boxes[n] = (y0, y1, x0, x1), rows [y0, y1) and columns [x0, x1), set to
-    `fill` (one value per channel), in the tape's dtype.
-
-    Row n equals, byte for byte, the `score_batch` row of the image masked
-    by box n (on a float32 tape).  A box changes only a window of each
-    spatially local layer's output (a kind with a `window`), so only that
-    window is computed again: from a crop of the layer's zero-padded
-    recorded input, with the previous layer's window pasted in, through the
-    kind's forward with pad 0.  A window has one size per layer, the most a
-    box can reach, and its origin is clamped into the map; where it is
-    wider than the change it recomputes values equal to the recorded ones.
-    At the first global layer the window is pasted into a copy of the whole
-    recorded map, and the rest of the chain runs in full.  Boxes run in
-    batches that keep the largest window buffer plus that whole map within
-    BATCH_BYTES.
-    """
-    if not tape.single:
-        raise ops.DimensionError("score_occluded reads the tape of one image")
-    image = tape.input
-    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 2, 2)
-    box_lo, box_hi = boxes[:, :, 0], boxes[:, :, 1]
-    # a window is a size (rows, columns) and an origin [N, 2] on a layer's
-    # output; the first one is the image window that holds the box
-    extent = np.array(image.shape[1:])
-    size = image_size = np.minimum(extent, (box_hi - box_lo).max(axis=0, initial=1))
-    origin = image_origin = np.clip(box_lo, 0, extent - size)
-    local, buffer = [], 0     # local: (record, canvas, window origin, crop origin)
-    for rec in tape.records:
-        step = rec.step
-        if step.kind.window is None:
-            break
-        k, s, pad = step.kind.window(step.params)
-        extent = np.array(step.out_shape[1:])
-        out = np.minimum(extent, (size + k - 2) // s + 1)
-        # the first output whose input window meets the previous window,
-        # ceil((origin + pad - k + 1) / s), clamped into the map
-        out_origin = np.clip(-((k - 1 - pad - origin) // s), 0, extent - out)
-        crop = (out - 1) * s + k
-        # a pointwise layer (a 1 x 1 window, stride 1) reads just the
-        # previous window; any other reads crops of its padded recorded input
-        canvas = None if (k, s, pad) == (1, 1, 0) else _Canvas(
-            np.pad(rec.x[0], ((0, 0), (pad, pad), (pad, pad))), size, crop)
-        local.append((rec, canvas, origin + pad, out_origin * s))
-        buffer = max(buffer, step.kind.buffer(step.params, (rec.x.shape[1], *crop),
-                                              (step.out_shape[0], *out)))
-        size, origin = out, out_origin
-    rest = tape.records[len(local):]
-    whole = _Canvas(rest[0].x[0], size, size)
-    per_box = buffer + max([whole.base.size] + [rec.step.buffer for rec in rest])
-    batch = max(1, BATCH_BYTES // (8 * per_box))
-    image_blocks = _blocks(image[None], image_size)[0]
-    fill = np.asarray(fill, dtype=image.dtype).reshape(1, -1, 1, 1)
-    scores = np.empty((len(boxes),) + tape.scores.shape, dtype=tape.scores.dtype)
-    for start in range(0, len(boxes), batch):
-        at = slice(start, start + batch)
-        rows = image_origin[at, :1] + np.arange(image_size[0])
-        cols = image_origin[at, 1:] + np.arange(image_size[1])
-        boxed = (((rows >= box_lo[at, :1]) & (rows < box_hi[at, :1]))[:, None, :, None]
-                 & ((cols >= box_lo[at, 1:]) & (cols < box_hi[at, 1:]))[:, None, None, :])
-        win = image_blocks[:, image_origin[at, 0], image_origin[at, 1]].swapaxes(0, 1)
-        win = np.where(boxed, fill, win)
-        for rec, canvas, win_origin, crop_origin in local:
-            if canvas is not None:
-                canvas.paste(win, win_origin[at])
-                win = canvas.crops(crop_origin[at])
-            # the crops hold their padding already
-            win = rec.step.kind.forward(win, dict(rec.step.params, pad=0), rec.params,
-                                        "tape")[0]
-        x = whole.paste(win, origin[at])
-        for rec in rest:
-            x = rec.step.kind.forward(x, rec.step.params, rec.params, "tape")[0]
-        scores[at] = x
-    return scores
 
 
 def init_weights(spec, rng_seed=0):

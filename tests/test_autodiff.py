@@ -60,7 +60,12 @@ def test_checkpoint_lookup():
     spec, weights = tiny_dense_model()
     img = np.ones(spec.input_shape, np.float32)
     _, tape = nn.forward(spec, weights, img)
-    np.testing.assert_array_equal(tape.checkpoint("input"), img)
+    # the image is the first record's input
+    point = tape.checkpoint("input")
+    assert point.shape == img.shape and np.shares_memory(point, tape.records[0].x)
+    np.testing.assert_array_equal(point, img)
+    images = np.stack([img, 2 * img])
+    assert nn.forward(spec, weights, images)[1].checkpoint("input").tobytes() == images.tobytes()
     for rec in tape.records:
         # the record's one image, without a copy
         point = tape.checkpoint(rec.name)

@@ -659,6 +659,9 @@ WEIGHT_CHECKS = {
     "point --modified": (lambda ws, out: [
         "point", *gap_args(ws), "--data", str(ws / "data"), "--modified",
         "--calibrate-split", str(ws / "data"), "--report", str(out / "r.txt")], 2),
+    "faithfulness": (lambda ws, out: [
+        "faithfulness", *gap_args(ws), "--data", str(ws / "data"), "--methods",
+        "gradcam,backprop", "--patch", "9", "--stride", "8", "--report", str(out / "r.txt")], 1),
 }
 
 

@@ -17,6 +17,7 @@ from camlab.evaluation import (BBox, NoSegmentError, ProtocolError,
                                calibrate_pointing_threshold, extract_bbox,
                                heatmap_argmax, iou, modified_pointing,
                                pointing_game, rank_correlation)
+from camlab.occlusion import OcclusionConfig
 
 
 # ----------------------------------------------------------------- boxes
@@ -245,6 +246,30 @@ def test_protocols_do_not_depend_on_the_batch_boundaries(request, monkeypatch, t
         assert nn.batch_size(spec) == size
         runs.append(_protocol_metrics(spec, weights, examples, calibration))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_faithfulness_does_not_depend_on_the_batch_boundaries(request, monkeypatch, test_set,
+                                                              arch):
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    methods = ["gradcam", "guided-gradcam", "backprop", "counterfactual"]
+    if arch == "gap":
+        methods.append("cam")
+    per_image = 6 * 5 * 5 * 24 * 24 * 8   # the c2 im2col matrix, see nn.BATCH_BYTES
+    runs = []
+    # one image a batch; 3 a batch, so 6 = 3 + 3 and 7 = 3 + 3 + 1; the
+    # default 4, so 6 = 4 + 2 and 7 = 4 + 3
+    for size, budget in ((1, per_image), (3, 3 * per_image), (4, nn.BATCH_BYTES)):
+        monkeypatch.setattr(nn, "BATCH_BYTES", budget)
+        assert nn.batch_size(spec) == size
+        runs.append([evaluation.faithfulness(spec, weights, examples, methods,
+                                             OcclusionConfig(patch=5, stride=4))
+                     for examples in (test_set[:6], test_set[6:13])])
+    assert all(len(rhos[m]) == len(examples) for (_, rhos), examples
+               in zip(runs[0], (test_set[:6], test_set[6:13])) for m in methods)
+    np.testing.assert_equal(runs[1], runs[0])
+    np.testing.assert_equal(runs[2], runs[0])
 
 
 def test_protocols_check_the_weights_once_per_split(monkeypatch, gap_spec, test_set,

@@ -506,7 +506,7 @@ def test_params_only_backward_skips_the_input_cotangent(make_spec, rng, monkeypa
 def tape_bytes(tape):
     """Bytes of the arrays a tape holds, each buffer once; the params are
     the WeightStore's arrays, not the tape's."""
-    arrays = [tape.input, tape.scores]
+    arrays = [tape.scores]
     for rec in tape.records:
         arrays += [rec.x, rec.y, *rec.extras.values()]
     owners = {}

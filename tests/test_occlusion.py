@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import camlab
-from camlab import evaluation, nn, occlusion, ops
+from camlab import autodiff, evaluation, nn, occlusion, ops
 from camlab.occlusion import OcclusionConfig, default_patch, occlusion_map
 
 
@@ -132,8 +132,7 @@ def rescoring_loop(spec, weights, image, category, cfg):
     fill = image.mean(axis=(1, 2))
     half = cfg.patch // 2
     base = score(image)
-    rows = occlusion.grid_positions(h, cfg.stride)
-    cols = occlusion.grid_positions(w, cfg.stride)
+    rows, cols = range(0, h, cfg.stride), range(0, w, cfg.stride)
     coarse = np.zeros((len(rows), len(cols)), dtype=np.float32)
     for ri, i in enumerate(rows):
         for ci, j in enumerate(cols):
@@ -191,8 +190,7 @@ def remasked_map(spec, weights, image, category, cfg):
 
     base = score(image[None])[0]
     half = cfg.patch // 2
-    rows = occlusion.grid_positions(h, cfg.stride)
-    cols = occlusion.grid_positions(w, cfg.stride)
+    rows, cols = range(0, h, cfg.stride), range(0, w, cfg.stride)
     masked = np.repeat(image[None], len(rows) * len(cols), axis=0)
     for img, (i, j) in zip(masked, [(i, j) for i in rows for j in cols]):
         img[:, max(0, i - half):i + half + 1, max(0, j - half):j + half + 1] = \
@@ -275,6 +273,66 @@ def test_windowed_map_equals_remasking_on_random_chains(case):
                                rtol=0, atol=1e-6)
 
 
+# ------------------------------------------------------ tapes of N images
+
+def assert_maps_of_each_image(spec, weights, images, categories, cfg):
+    """The maps of tapes of the first n images, n = 1..N, equal, byte for
+    byte, each image's maps on its own tape, for one category or one list
+    per image."""
+    want = [occlusion_map(tape_of(spec, weights, img), cats, cfg).tobytes()
+            for img, cats in zip(images, categories)]
+    for n in range(1, len(images) + 1):
+        heat = occlusion_map(tape_of(spec, weights, images[:n]), categories[:n], cfg)
+        assert heat.shape == np.shape(categories[:n]) + images.shape[2:]
+        assert [got.tobytes() for got in heat] == want[:n]
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_maps_of_a_tape_of_images_equal_one_image_maps(request, test_set, arch):
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    images = np.stack([ex.image for ex in test_set[:5]])
+    labels = [ex.label for ex in test_set[:5]]
+    cfg = OcclusionConfig(patch=5, stride=2)
+    assert_maps_of_each_image(spec, weights, images, labels, cfg)
+    # a list of two per image, in an order of its own
+    assert_maps_of_each_image(spec, weights, images, [[c, (c + 2) % 3] for c in labels], cfg)
+
+
+@given(chain_cases(), st.integers(1, 4))
+def test_maps_of_a_tape_of_images_equal_one_image_maps_on_random_chains(case, n):
+    spec, seed, cfg, category = case
+    weights = nn.init_weights(spec, rng_seed=seed % 1000)
+    images = np.random.default_rng(seed).random((n,) + spec.input_shape).astype(np.float32)
+    categories = [(category + k) % 3 for k in range(n)]
+    assert_maps_of_each_image(spec, weights, images, categories, cfg)
+    assert_maps_of_each_image(spec, weights, images, [[c, 2 - c] for c in categories], cfg)
+
+
+def test_one_image_tape_takes_a_category_or_a_list(rng):
+    spec, weights = small_model()
+    tape = tape_of(spec, weights, rng.random(spec.input_shape).astype(np.float32))
+    cfg = OcclusionConfig(patch=3)
+    heat = occlusion_map(tape, [1, 0, 1], cfg)
+    assert heat.shape == (3, 8, 8)
+    for c, got in zip([1, 0, 1], heat):
+        assert got.tobytes() == occlusion_map(tape, c, cfg).tobytes()
+
+
+def test_categories_of_the_wrong_shape_are_refused(rng):
+    spec, weights = small_model()
+    images = rng.random((2,) + spec.input_shape).astype(np.float32)
+    cfg = OcclusionConfig(patch=3)
+    with pytest.raises(autodiff.SeedError):
+        occlusion_map(tape_of(spec, weights, images), 1, cfg)
+    with pytest.raises(autodiff.SeedError):
+        occlusion_map(tape_of(spec, weights, images), [0, 1, 1], cfg)
+    with pytest.raises(autodiff.SeedError):
+        occlusion_map(tape_of(spec, weights, images[0]), [[0], [1]], cfg)
+    with pytest.raises(autodiff.CategoryError):
+        occlusion_map(tape_of(spec, weights, images), [0, 2], cfg)
+
+
 @given(chain_cases(), st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
                                          st.floats(0, 1)), min_size=1, max_size=9))
 def test_score_occluded_rows_equal_masked_scores(case, corners):
@@ -293,7 +351,7 @@ def test_score_occluded_rows_equal_masked_scores(case, corners):
         m[:, y0:y1, x0:x1] = fill[:, None, None]
     tape = tape_of(spec, weights, img)
     with mock.patch.object(nn, "BATCH_BYTES", 8 * 10_000):
-        got = nn.score_occluded(tape, boxes, fill)
+        got = occlusion.score_occluded(tape, 0, boxes, fill)
     np.testing.assert_allclose(got, nn.score_batch(spec, weights, masked), rtol=0, atol=1e-6)
     # the windows start from the tape, whose scores are byte for byte those of score_batch
     assert tape.scores.tobytes() == nn.score_batch(spec, weights, img[None])[0].tobytes()
@@ -316,20 +374,12 @@ def test_occlusion_map_runs_no_forward_of_its_own(monkeypatch, rng):
     assert runs == []
 
 
-def test_faithfulness_runs_one_forward_per_image(monkeypatch, test_set):
+def test_faithfulness_runs_one_forward_per_batch(monkeypatch, test_set):
     spec = nn.fix_gap_spec()
     weights = nn.init_weights(spec, rng_seed=4)
+    # two images a batch: the c2 im2col matrix of each, see nn.BATCH_BYTES
+    monkeypatch.setattr(nn, "BATCH_BYTES", 2 * 6 * 5 * 5 * 24 * 24 * 8)
     runs = count_runs(monkeypatch)
-    evaluation.faithfulness(spec, weights, test_set[:3], ["gradcam", "backprop"],
+    evaluation.faithfulness(spec, weights, test_set[:5], ["gradcam", "backprop"],
                             OcclusionConfig(patch=5, stride=4))
-    assert runs == [spec.input_shape] * 3
-
-
-def test_occlusion_reads_the_tape_of_one_image(rng):
-    spec, weights = small_model()
-    images = rng.random((2,) + spec.input_shape).astype(np.float32)
-    tape = tape_of(spec, weights, images)
-    with pytest.raises(ops.DimensionError, match="one image"):
-        occlusion_map(tape, 1, OcclusionConfig(patch=3))
-    with pytest.raises(ops.DimensionError, match="one image"):
-        nn.score_occluded(tape, [(0, 2, 0, 2)], np.zeros(spec.input_shape[0]))
+    assert runs == [(2,) + spec.input_shape] * 2 + [(1,) + spec.input_shape]

@@ -477,7 +477,7 @@ def maxpool2d_grad_add_at(g, argmax, x_shape):
 
 
 @st.composite
-def pool_cases(draw):
+def pool_grad_cases(draw):
     window = draw(st.integers(1, 4))
     return dict(c=draw(st.integers(1, 4)), h=draw(st.integers(window, 10)),
                 w=draw(st.integers(window, 10)), window=window,
@@ -485,7 +485,7 @@ def pool_cases(draw):
                 seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
-@given(pool_cases())
+@given(pool_grad_cases())
 def test_maxpool2d_grad_equals_add_at_reference_byte_for_byte(case):
     rng = np.random.default_rng(case["seed"])
     # few distinct levels give ties and, with stride < window, one input
@@ -563,7 +563,7 @@ def test_conv2d_input_grad_of_stacked_cotangents_equals_each_alone(case):
         assert row.tobytes() == ops.conv2d_input_grad(seed, x.shape, kern, stride, pad).tobytes()
 
 
-@given(pool_cases(), st.integers(1, 4))
+@given(pool_grad_cases(), st.integers(1, 4))
 def test_maxpool2d_grad_of_stacked_cotangents_equals_each_alone(case, s):
     rng = np.random.default_rng(case["seed"])
     x = rng.integers(0, case["levels"], (case["c"], case["h"], case["w"])).astype(np.float32)
