@@ -30,7 +30,8 @@ class CategoryError(ValueError):
 class SeedError(ValueError):
     """Cotangent or categories of another shape than the tape's images take:
     [K] or [S, K] on a one-image tape, [N, K] or [N, S, K] on a tape of N
-    images; or a stack given with `param_grads`."""
+    images; or anything but one cotangent [K] of a one-image tape with
+    stop_at=None."""
 
 
 @dataclass
@@ -100,8 +101,7 @@ def _images(tape, lead, what):
     return n
 
 
-def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
-                            param_grads=None):
+def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input"):
     """Propagate score-vector cotangents down to `stop_at` in one walk of
     the tape.
 
@@ -109,24 +109,19 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     N images takes one per image [N, K] or S per image [N, S, K].  The walk
     runs on per-image stacks [N, S, ...] and returns the checkpoint's
     cotangents with the cotangent's leading axes: [...], [S, ...], [N, ...]
-    or [N, S, ...].  With `param_grads`, a dict, and one cotangent of a
-    one-image tape, also fills the dict with {layer: {param: gradient}}
-    for every layer with parameters that the walk passes.  stop_at=None
-    asks for those gradients only: the walk ends at the lowest layer with
-    parameters, once its parameter gradients are in, without computing its
-    input cotangent, and returns None.
+    or [N, S, ...].  stop_at=None asks for the parameter gradients of one
+    cotangent [K] of a one-image tape instead and returns them as
+    {layer: {param: gradient}}, top layer first: the walk ends at the
+    lowest layer with parameters, once its gradients are in, without
+    computing its input cotangent.
 
     The trainer passes its softmax cross-entropy cotangent; explanations
     go through `grad_at_layer`, which builds the cotangents of categories.
     """
     records = tape.records
-    last = None
     if stop_at is None:
-        if param_grads is None:
-            raise ValueError("stop_at=None computes only param_grads, which is None")
         # the walk ends at the lowest layer with parameters
         records = records[next(i for i, r in enumerate(records) if r.step.kind.param_backward):]
-        last = records[0]
     else:
         tape.checkpoint(stop_at)  # CheckpointError for an unknown name
     if policy not in RELU_POLICIES:
@@ -136,18 +131,19 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input",
     if g.shape[-1:] != (k,):
         raise SeedError(f"cotangent of shape {g.shape} does not end in the {k} scores")
     n = _images(tape, g.shape[:-1], "cotangent")
-    if param_grads is not None and g.ndim > 1:
+    if stop_at is None and g.ndim > 1:
         raise SeedError("parameter gradients take one cotangent of a one-image tape")
     out_shape = g.shape[:-1]
     g = g.reshape(n, -1, k)
+    grads = {}
     for rec in reversed(records):
         if rec.name == stop_at:
             break
         kind = rec.step.kind
-        if param_grads is not None and kind.param_backward:
-            param_grads[rec.name] = kind.param_backward(rec, g[0, 0])
-        if rec is last:
-            return None
+        if stop_at is None and kind.param_backward:
+            grads[rec.name] = kind.param_backward(rec, g[0, 0])
+            if rec is records[0]:
+                return grads
         g = kind.backward(rec, g, policy)
     return g.reshape(out_shape + g.shape[2:])
 

@@ -198,8 +198,9 @@ def adversarial_attack(spec, weights, image, target_category, epsilon,
     lo = np.clip(image - epsilon, 0, 1)
     hi = np.clip(image + epsilon, 0, 1)
     used = 0
+    params = nn._layer_params(spec, weights, np.float32)   # one weight check per attack
     while True:
-        scores, tape = nn.forward(spec, weights, adv)
+        scores, tape = nn._tape(spec, params, adv, np.float32, "tape")
         prob = float(softmax(scores)[target_category])
         if prob > 0.9999 or used >= steps:
             break

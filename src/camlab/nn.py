@@ -100,7 +100,7 @@ class _Kind:
     """Everything that depends on a layer kind; `_KINDS` maps names to these."""
     out_shape: object       # (params, per-image input shape) -> output shape
     # (x, params, weight arrays, mode "tape" or "train") -> (y, record
-    # extras) for one image or a batch [N, ...]; see _run_layers
+    # extras) for one image or a batch [N, ...]; see _tape
     forward: object
     # (record, cotangents [N, S, ...], relu policy) -> input cotangents
     # [N, S, ...]: S cotangents of each of the N images the record holds
@@ -452,17 +452,18 @@ def _layer_params(spec, weights, dtype):
              for key in step.param_shapes} for step in spec._plan]
 
 
-def _run_layers(spec, params, x, mode):
-    """The layer loop on `params`, the `_layer_params` of x's dtype; returns
-    the scores and the LayerRecords.
+def _tape(spec, params, images, dtype, mode):
+    """(scores, tape) of one image [C, H, W] or of a batch [N, C, H, W] in
+    `dtype`, on `params`, the `_layer_params` of that dtype: the one layer
+    loop, which `forward`, `tapes`, the trainer and the attack run.
 
-    Takes one image [C, H, W], which the ops run as their batch of one, to
-    scores [K], or a batch [N, C, H, W] to scores [N, K]; records every
-    layer, its input and output with a leading image axis ([1, ...] for one
-    image).  Only the "train" records, not the "tape" ones, keep a conv's
-    float64 im2col matrix and a dense layer's float64 weights, for the
-    trainer's gradients.
+    One image, which the ops run as their batch of one, gives scores [K],
+    a batch scores [N, K]; every layer is recorded, its input and output
+    with a leading image axis ([1, ...] for one image).  Only the "train"
+    records, not the "tape" ones, keep a conv's float64 im2col matrix and
+    a dense layer's float64 weights, for the trainer's gradients.
     """
+    x = np.asarray(images, dtype=dtype)
     single = x.ndim == len(spec.input_shape)
     if tuple(x.shape[not single:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
@@ -474,15 +475,7 @@ def _run_layers(spec, params, x, mode):
         records.append(LayerRecord(layer.name, layer.kind, step, x[None] if single else x,
                                    y[None] if single else y, arrays, extras))
         x = y
-    return x, records
-
-
-def _tape(spec, params, images, dtype, mode):
-    """(scores, tape) of one image [C, H, W] or of a batch [N, C, H, W]; see
-    `forward`."""
-    images = np.asarray(images, dtype=dtype)
-    scores, records = _run_layers(spec, params, images, mode)
-    return scores, ActivationTape(records=records, scores=scores)
+    return x, ActivationTape(records=records, scores=x)
 
 
 def forward(spec, weights, images, dtype=np.float32):
@@ -509,9 +502,16 @@ def tapes(spec, weights, images):
     """Float32 tapes of a split, `batch_size(spec)` images at a time.
 
     Yields (slice, tape): the tape of the batch images[slice], each equal
-    to the `forward` of that batch.  The weights are checked against the
-    spec once, before the first batch; a mismatch raises WeightStoreError.
+    to the `forward` of that batch.  Before the first batch, each image's
+    shape is checked against the spec's input, a mismatch raising
+    DimensionError that names the image's index, and the weights against
+    the spec, a mismatch raising WeightStoreError.
     """
+    want = tuple(spec.input_shape)
+    for i, image in enumerate(images):
+        if np.shape(image) != want:
+            raise ops.DimensionError(f"image {i} of the split: shape {np.shape(image)} "
+                                     f"!= spec input {want}")
     params = _layer_params(spec, weights, np.float32)
     size = batch_size(spec)
     for start in range(0, len(images), size):
@@ -614,9 +614,7 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
                 total_loss += loss
                 cot = probs.astype(np.float32)
                 cot[label] -= 1
-                grads = {}
-                backward_from_cotangent(tape, cot, stop_at=None, param_grads=grads)
-                for name, group in grads.items():
+                for name, group in backward_from_cotangent(tape, cot, stop_at=None).items():
                     for key, g in group.items():
                         # the rounding of `-= lr * g`, without a temporary
                         np.multiply(g, lr, out=g)

@@ -11,10 +11,10 @@ example is run as the batch of one, through the same code.  The input
 gradients (`conv2d_input_grad`, `maxpool2d_grad`) take leading axes of
 stacked cotangents instead, all for inputs of one per-example shape
 `x_shape`: S cotangents of one example's output, or N·S of N examples
-(S per example), with a single cotangent run as one.  `conv2d_input_grad`
-reads only the input's shape, so it takes the N·S cotangents as one stack
-[N·S, K, h, w]; `maxpool2d_grad` routes each example's cotangents
-[N, S, C, h, w] through that example's argmax [N, 1, C, h, w].
+(S per example).  `conv2d_input_grad` reads only the input's shape, so it
+takes the N·S cotangents as one stack [N·S, K, h, w]; `maxpool2d_grad`
+routes each example's cotangents [N, S, C, h, w] through that example's
+argmax [N, 1, C, h, w].
 
 `conv2d` can hand back the float64 im2col matrix it built, and
 `conv2d_param_grad` can reuse it instead of building the same matrix
@@ -143,10 +143,10 @@ def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
 
 
 def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
-    """Gradient of conv2d w.r.t. its input [C,H,W] = x_shape, given the
-    output cotangent [K,h_out,w_out], or a stack of S of them
-    [S,K,h_out,w_out]: S cotangents of one input, or of several inputs of
-    that shape, since only the shape is read.
+    """Gradients [S,C,H,W] of conv2d w.r.t. its input [C,H,W] = x_shape,
+    given a stack of S output cotangents [S,K,h_out,w_out]: S cotangents
+    of one input, or of several inputs of that shape, since only the shape
+    is read.
 
     Output (i, j) of kernel offset (di, dj) feeds padded input pixel
     (i*stride + di, j*stride + dj).  Round the padded extents Hp, Wp up to
@@ -169,7 +169,9 @@ def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
     seed matches its own call, or the scatter, in float32 except when that
     bit decides the rounding.
     """
-    g, single = _batched(grad_out, 3, "conv2d_input_grad")
+    g = np.asarray(grad_out)
+    if g.ndim != 4:
+        raise DimensionError(f"conv2d_input_grad expects [S, K, h, w] cotangents, got {g.shape}")
     c, h, w = x_shape
     k, _, kh, kw = kernels.shape
     s, _, h_out, w_out = g.shape
@@ -191,8 +193,7 @@ def conv2d_input_grad(grad_out, x_shape, kernels, stride=1, padding=0):
             o = di * wp + dj
             xp[o:o + stride * n:stride] += terms[dj]
     gx = xp[:stride * n].reshape(c, s, hp, wp)[:, :, padding:h + padding, padding:w + padding]
-    gx = np.ascontiguousarray(gx.swapaxes(0, 1), dtype=g.dtype)
-    return gx[0] if single else gx
+    return np.ascontiguousarray(gx.swapaxes(0, 1), dtype=g.dtype)
 
 
 def conv2d_param_grad(grad_out, x, kernel_shape, stride=1, padding=0, cols=None):

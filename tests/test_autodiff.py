@@ -259,8 +259,7 @@ def test_param_grads_match_finite_differences(rng):
     img = rng.random(spec.input_shape)
     scores, tape = camlab.forward(spec, weights, img, dtype=np.float64)
     cot = np.array([0.3, -1.2, 0.9])
-    grads = {}
-    backward_from_cotangent(tape, cot, param_grads=grads)
+    grads = backward_from_cotangent(tape, cot, stop_at=None)
     eps = 1e-6
     for name in ("fc1", "head"):
         for key in ("weights", "bias"):
@@ -275,6 +274,40 @@ def test_param_grads_match_finite_differences(rng):
                 arr[i] = orig
                 fd = float(((sp - sm) * cot).sum()) / (2 * eps)
                 assert abs(fd - grads[name][key][i]) < 1e-4
+
+
+@given(chain_cases())
+def test_param_grads_match_central_differences_on_random_chains(case):
+    """stop_at=None gradients of float64 weights: each conv and dense
+    layer's weights and bias against central differences of the scores."""
+    spec, seed, _, _ = case
+    rng = np.random.default_rng(seed)
+    weights = nn.WeightStore({
+        name: {key: arr.astype(np.float64) for key, arr in group.items()}
+        for name, group in nn.init_weights(spec, rng_seed=seed % 1000).params.items()})
+    for group in weights.params.values():
+        # nonzero biases, so no ReLU input sits on its kink at 0
+        group["bias"][:] = rng.uniform(0.05, 0.5, group["bias"].shape) * rng.choice([-1, 1])
+    img = rng.random(spec.input_shape)
+    scores, tape = nn.forward(spec, weights, img, dtype=np.float64)
+    cot = rng.standard_normal(scores.shape)
+    grads = backward_from_cotangent(tape, cot, stop_at=None)
+    assert set(grads) == set(spec.parameter_shapes())
+    eps = 1e-6
+    for name, group in grads.items():
+        for key, grad in group.items():
+            assert grad.dtype == np.float64
+            arr = weights.params[name][key]
+            for _ in range(3):
+                i = tuple(rng.integers(0, d) for d in arr.shape)
+                orig = arr[i]
+                arr[i] = orig + eps
+                sp = nn.forward(spec, weights, img, dtype=np.float64)[0]
+                arr[i] = orig - eps
+                sm = nn.forward(spec, weights, img, dtype=np.float64)[0]
+                arr[i] = orig
+                fd = float((sp - sm) @ cot) / (2 * eps)
+                assert abs(fd - grad[i]) <= 1e-6 * (1 + abs(fd)), (name, key, i)
 
 
 # ------------------------------------------------------ many seeds, one walk
@@ -325,7 +358,7 @@ def test_stacked_seeds_are_checked_row_by_row():
     with pytest.raises(autodiff.CategoryError):
         grad_at_layer(tape, [0, 3], "input")
     with pytest.raises(SeedError):    # parameter gradients take one cotangent
-        backward_from_cotangent(tape, one_hot([0, 1], 3), param_grads={})
+        backward_from_cotangent(tape, one_hot([0, 1], 3), stop_at=None)
 
 
 def test_a_tape_of_images_takes_cotangents_and_categories_per_image():
@@ -348,8 +381,9 @@ def test_a_tape_of_images_takes_cotangents_and_categories_per_image():
             camlab.gradcam(tape, categories, "input")
     with pytest.raises(autodiff.CategoryError):
         grad_at_layer(tape, [0, 3, 1], "input")
-    with pytest.raises(SeedError):    # parameter gradients take a one-image tape
-        backward_from_cotangent(tape, one_hot([0, 1, 2], 3), param_grads={})
+    for cot in (one_hot([0, 1, 2], 3), one_hot(0, 3)):   # parameter gradients
+        with pytest.raises(SeedError):                   # take a one-image tape
+            backward_from_cotangent(tape, cot, stop_at=None)
     _, alone = nn.forward(spec, weights, images[:1])   # a batch of one is a batch
     assert not alone.single and alone.checkpoint("r1").shape == (1, 5)
     assert grad_at_layer(alone, [1], "input").shape == (1, 1, 4, 4)

@@ -192,6 +192,18 @@ def _non_ascii(tmp, name):
     return str(tmp / name)
 
 
+def _mixed_shape_split(ws, tmp):
+    # image 5 of six, in the second batch of four, is 32 x 32 among 48 x 48
+    examples = camlab.fixtures.make_shapes_dataset(6, 48, 0)
+    examples[5] = camlab.fixtures.make_shapes_dataset(1, 32, 0)[0]
+    examples[5].image_id = "00005"
+    camlab.fixtures.save_dataset(examples, tmp / "mixed")
+    return str(tmp / "mixed")
+
+
+MIXED_SHAPES = "image 5 of the split: shape (1, 32, 32) != spec input (1, 48, 48)"
+
+
 def _small_image(ws, tmp):
     imaging.write_image(np.zeros((32, 32), np.uint8), tmp / "small.pgm")
     return str(tmp / "small.pgm")
@@ -315,6 +327,17 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["explain", *_overlapping_weights(ws, tmp), "--image", first_image(ws),
                       "--category", "0", "--method", "gradcam"],
      "manifest line 2: c1.bias starts at byte 0"),
+    # a split of mixed image shapes: numpy's stack error, exit 1
+    (lambda ws, tmp: ["localize", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
+                      "--report", str(tmp / "r.txt")], MIXED_SHAPES),
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
+                      "--report", str(tmp / "r.txt")], MIXED_SHAPES),
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
+                      "--modified", "--calibrate-split", str(ws / "data"),
+                      "--report", str(tmp / "r.txt")], MIXED_SHAPES),
+    (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
+                      "--methods", "gradcam", "--patch", "9", "--stride", "8",
+                      "--report", str(tmp / "r.txt")], MIXED_SHAPES),
 ])
 def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
     assert main(argv(workspace, tmp_path)) == 3
@@ -642,26 +665,33 @@ def test_faithfulness_writes_report(workspace, tmp_path):
     assert "mean_rank_correlation.guided-backprop=" in text
 
 
-# each command line, as (workspace, output directory) -> argv, and the
-# weight checks it makes: one per split it reads, or one for its image
+# each command line, as (workspace, output directory) -> argv, the weight
+# checks it makes (one per split it reads, or one for its image) and its
+# exit code
 WEIGHT_CHECKS = {
     "explain": (lambda ws, out: [
         "explain", *gap_args(ws), "--image", first_image(ws), "--top-k", "2",
-        "--method", "guided-gradcam", "--out-heat", str(out / "h.fmap")], 1),
+        "--method", "guided-gradcam", "--out-heat", str(out / "h.fmap")], 1, 0),
     "occlude": (lambda ws, out: [
         "occlude", *gap_args(ws), "--image", first_image(ws), "--category", "1",
-        "--patch", "9", "--stride", "8", "--out-heat", str(out / "o.fmap")], 1),
+        "--patch", "9", "--stride", "8", "--out-heat", str(out / "o.fmap")], 1, 0),
     "localize": (lambda ws, out: [
         "localize", *gap_args(ws), "--data", str(ws / "data"),
-        "--report", str(out / "r.txt")], 1),
+        "--report", str(out / "r.txt")], 1, 0),
     "point": (lambda ws, out: [
-        "point", *gap_args(ws), "--data", str(ws / "data"), "--report", str(out / "r.txt")], 1),
+        "point", *gap_args(ws), "--data", str(ws / "data"), "--report", str(out / "r.txt")],
+        1, 0),
     "point --modified": (lambda ws, out: [
         "point", *gap_args(ws), "--data", str(ws / "data"), "--modified",
-        "--calibrate-split", str(ws / "data"), "--report", str(out / "r.txt")], 2),
+        "--calibrate-split", str(ws / "data"), "--report", str(out / "r.txt")], 2, 0),
     "faithfulness": (lambda ws, out: [
         "faithfulness", *gap_args(ws), "--data", str(ws / "data"), "--methods",
-        "gradcam,backprop", "--patch", "9", "--stride", "8", "--report", str(out / "r.txt")], 1),
+        "gradcam,backprop", "--patch", "9", "--stride", "8", "--report", str(out / "r.txt")],
+        1, 0),
+    # a budget too small to succeed: all 5 steps run, and exit 3
+    "attack": (lambda ws, out: [
+        "attack", *fc_args(ws), "--image", first_image(ws), "--target", "2",
+        "--epsilon", "0.0001", "--steps", "5", "--out", str(out / "a.pgm")], 1, 3),
 }
 
 
@@ -673,8 +703,8 @@ def test_a_command_checks_the_weights_once_per_split(workspace, tmp_path, monkey
     check_against = nn.WeightStore.check_against
     monkeypatch.setattr(nn.WeightStore, "check_against",
                         lambda self, s: checked.append(s) or check_against(self, s))
-    argv, checks = WEIGHT_CHECKS[command]
-    assert main(argv(workspace, tmp_path)) == 0
+    argv, checks, code = WEIGHT_CHECKS[command]
+    assert main(argv(workspace, tmp_path)) == code
     assert len(checked) == checks
 
 

@@ -188,12 +188,12 @@ def test_attack_with_zero_budget_returns_input(fc_spec, fc_weights, test_set):
 def test_attack_scores_each_iterate_once(fc_spec, fc_weights, test_set, monkeypatch):
     # an early stop used to score its last iterate a second time
     calls = []
-    forward = nn.forward
+    tape = nn._tape
 
     def counted(*args):
         calls.append(args)
-        return forward(*args)
-    monkeypatch.setattr(nn, "forward", counted)
+        return tape(*args)
+    monkeypatch.setattr(nn, "_tape", counted)
     ex = test_set[1]
     res = adversarial_attack(fc_spec, fc_weights, ex.image, (ex.label + 1) % 3,
                              epsilon=8 / 255, steps=80)

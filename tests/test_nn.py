@@ -1,6 +1,7 @@
 """Model specs, weight persistence, forward pass, trainer."""
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -136,10 +137,9 @@ def test_layer_table_agrees_with_forward_backward_and_init(text):
     image = np.linspace(-1, 1, int(np.prod(spec.input_shape)), dtype=np.float32)
     scores, tape = nn.forward(spec, weights, image.reshape(spec.input_shape))
     assert {rec.name: rec.y.shape[1:] for rec in tape.records} == spec.shapes()
-    grads = {}
-    g = camlab.autodiff.backward_from_cotangent(tape, np.ones_like(scores),
-                                                param_grads=grads)
+    g = camlab.autodiff.backward_from_cotangent(tape, np.ones_like(scores))
     assert g.shape == spec.input_shape
+    grads = camlab.autodiff.backward_from_cotangent(tape, np.ones_like(scores), stop_at=None)
     assert {name: {key: arr.shape for key, arr in group.items()}
             for name, group in grads.items()} == want
 
@@ -313,6 +313,21 @@ def test_accuracy_rejects_a_label_outside_the_categories(gap_spec):
         nn.accuracy(gap_spec, nn.init_weights(gap_spec), [(image, 7)])
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 8, 8), (8, 8)])
+def test_accuracy_of_a_split_of_mixed_image_shapes_is_a_dimension_error(shape, monkeypatch):
+    # it was numpy's "all input arrays must have the same shape"
+    spec = nn.parse_model_spec(TOY_SPEC)
+    data = separable_toy_set(12)
+    data[9] = (np.zeros(shape, np.float32), 0)   # in the second batch of 5
+    monkeypatch.setattr(nn, "BATCH_BYTES", 5 * 9 * 64 * 8)
+    runs, tape = [], nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda *a: runs.append(a) or tape(*a))
+    with pytest.raises(ops.DimensionError,
+                       match=re.escape(f"image 9 of the split: shape {shape} != spec input")):
+        nn.accuracy(spec, nn.init_weights(spec), data)
+    assert runs == []   # refused before the first batch
+
+
 # ---------------------------------------------------------------- trainer
 
 def separable_toy_set(n=60, seed=0):
@@ -437,8 +452,10 @@ def test_fixture_weights_are_pinned_byte_for_byte(fixture, request):
 
 
 def reference_sgd(spec, dataset, epochs, learning_rate, rng_seed):
-    """train_fixture's SGD, with the backward walked down to the input and
-    each conv kernel gradient taken from a fresh im2col matrix."""
+    """train_fixture's SGD, each layer's parameter gradients computed from
+    its own walk down to the layer's output: a conv's from a fresh im2col
+    matrix, a dense layer's as the outer product of that cotangent and the
+    layer's recorded input."""
     pairs = [(ex.image, ex.label) for ex in dataset]
     rng = np.random.default_rng(rng_seed)
     weights = nn.init_weights(spec, rng_seed)
@@ -450,15 +467,17 @@ def reference_sgd(spec, dataset, epochs, learning_rate, rng_seed):
             cot = ops.softmax(scores).astype(np.float32)
             cot[label] -= 1
             grads = {}
-            g = autodiff.backward_from_cotangent(tape, cot, stop_at="input", param_grads=grads)
-            assert g.shape == image.shape
             for rec in tape.records:
+                if rec.kind not in ("conv", "dense"):
+                    continue
+                g = autodiff.backward_from_cotangent(tape, cot, stop_at=rec.name)
                 if rec.kind == "conv":
-                    g = autodiff.backward_from_cotangent(tape, cot, stop_at=rec.name)
                     dk, db = ops.conv2d_param_grad(g, rec.x[0], rec.params["weights"].shape,
                                                    rec.step.params["stride"],
                                                    rec.step.params["pad"])
-                    grads[rec.name] = {"weights": dk, "bias": db}
+                else:
+                    dk, db = np.outer(g, rec.x[0]), g
+                grads[rec.name] = {"weights": dk, "bias": db}
             for name, group in grads.items():
                 for key, grad in group.items():
                     weights.params[name][key] -= lr * grad
@@ -487,20 +506,17 @@ def test_params_only_backward_skips_the_input_cotangent(make_spec, rng, monkeypa
     monkeypatch.setattr(ops, "conv2d_input_grad",
                         lambda g, x_shape, *a: input_grads.append(x_shape)
                         or conv2d_input_grad(g, x_shape, *a))
-    full, only = {}, {}
-    g = autodiff.backward_from_cotangent(tape, cot, param_grads=full)
+    g = autodiff.backward_from_cotangent(tape, cot)
     assert g.shape == image.shape
     assert input_grads == [(6, 24, 24), spec.input_shape]
     del input_grads[:]
-    assert autodiff.backward_from_cotangent(tape, cot, stop_at=None, param_grads=only) is None
+    grads = autodiff.backward_from_cotangent(tape, cot, stop_at=None)
     assert input_grads == [(6, 24, 24)]   # c2's only: the walk ends at c1
-    assert list(only) == list(full) and set(only) == set(spec.parameter_shapes())
-    for name, group in full.items():
-        assert group.keys() == only[name].keys()
-        for key, arr in group.items():
-            assert arr.tobytes() == only[name][key].tobytes()
-    with pytest.raises(ValueError, match="param_grads"):
-        autodiff.backward_from_cotangent(tape, cot, stop_at=None)
+    # top layer first, each with the shapes of its parameters
+    names = [rec.name for rec in reversed(tape.records) if rec.kind in ("conv", "dense")]
+    assert list(grads) == names
+    assert {name: {key: arr.shape for key, arr in group.items()}
+            for name, group in grads.items()} == spec.parameter_shapes()
 
 
 def tape_bytes(tape):
@@ -559,9 +575,8 @@ def test_param_grads_of_a_forward_tape_equal_the_trainers(make_spec, rng):
     assert all("cols" in rec.extras for rec in kept.records if rec.kind == "conv")
     assert kept.scores.tobytes() == scores.tobytes()
     cot = rng.standard_normal(scores.shape).astype(np.float32)
-    got, want = {}, {}
-    autodiff.backward_from_cotangent(lean, cot, stop_at=None, param_grads=got)
-    autodiff.backward_from_cotangent(kept, cot, stop_at=None, param_grads=want)
+    got = autodiff.backward_from_cotangent(lean, cot, stop_at=None)
+    want = autodiff.backward_from_cotangent(kept, cot, stop_at=None)
     assert list(got) == list(want) and set(got) == set(spec.parameter_shapes())
     for name, group in want.items():
         assert group.keys() == got[name].keys()

@@ -358,10 +358,10 @@ def test_score_occluded_rows_equal_masked_scores(case, corners):
 
 
 def count_runs(monkeypatch):
-    """The input shape of each nn._run_layers call from now on."""
-    runs, run_layers = [], nn._run_layers
-    monkeypatch.setattr(nn, "_run_layers", lambda *a, **k: runs.append(a[2].shape)
-                        or run_layers(*a, **k))
+    """The input shape of each nn._tape call from now on."""
+    runs, tape = [], nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda *a, **k: runs.append(np.shape(a[2]))
+                        or tape(*a, **k))
     return runs
 
 

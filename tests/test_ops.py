@@ -97,7 +97,7 @@ def test_conv2d_grads_match_finite_differences(rng):
     def score(xv, kv, bv):
         return float((ops.conv2d(xv, kv, bv, 1, 1) * g_out).sum())
 
-    gx = ops.conv2d_input_grad(g_out, x.shape, kern, 1, 1)
+    gx = ops.conv2d_input_grad(g_out[None], x.shape, kern, 1, 1)[0]
     gk, gb = ops.conv2d_param_grad(g_out, x, kern.shape, 1, 1)
     eps = 1e-6
     for _ in range(5):
@@ -433,7 +433,7 @@ def test_conv2d_grads_match_loop_reference(case):
     x, kern, _, g = conv_operands(case, np.float64)
     stride, pad = case["stride"], case["pad"]
     want_x, want_k, want_b = conv2d_grads_loop(g, x, kern, stride, pad)
-    np.testing.assert_allclose(ops.conv2d_input_grad(g, x.shape, kern, stride, pad),
+    np.testing.assert_allclose(ops.conv2d_input_grad(g[None], x.shape, kern, stride, pad)[0],
                                want_x, rtol=1e-10, atol=1e-10)
     gk, gb = ops.conv2d_param_grad(g, x, kern.shape, stride, pad)
     np.testing.assert_allclose(gk, want_k, rtol=1e-10, atol=1e-10)
@@ -560,7 +560,8 @@ def test_conv2d_input_grad_of_stacked_cotangents_equals_each_alone(case):
     got = ops.conv2d_input_grad(seeds, x.shape, kern, stride, pad)
     assert got.shape == (case["n"],) + x.shape and got.dtype == np.float32
     for seed, row in zip(seeds, got):
-        assert row.tobytes() == ops.conv2d_input_grad(seed, x.shape, kern, stride, pad).tobytes()
+        alone = ops.conv2d_input_grad(seed[None], x.shape, kern, stride, pad)[0]
+        assert row.tobytes() == alone.tobytes()
 
 
 @given(pool_grad_cases(), st.integers(1, 4))
@@ -576,8 +577,10 @@ def test_maxpool2d_grad_of_stacked_cotangents_equals_each_alone(case, s):
 
 
 def test_backward_ops_reject_a_cotangent_of_the_wrong_rank():
-    with pytest.raises(ops.DimensionError):
-        ops.conv2d_input_grad(np.zeros((1, 1, 1, 2, 2), np.float32), (1, 4, 4),
-                              np.zeros((1, 1, 3, 3), np.float32))
+    # the conv input gradient takes only a stack [S, K, h, w], not one cotangent
+    for shape in ((1, 1, 1, 2, 2), (1, 2, 2)):
+        with pytest.raises(ops.DimensionError):
+            ops.conv2d_input_grad(np.zeros(shape, np.float32), (1, 4, 4),
+                                  np.zeros((1, 1, 3, 3), np.float32))
     with pytest.raises(ops.DimensionError):
         ops.maxpool2d_grad(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.int64), (1, 4, 4))
