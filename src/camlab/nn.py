@@ -427,7 +427,10 @@ class WeightStore:
 # Byte budget of one batched forward.  Each image in a batch costs its
 # largest float64 buffer, an im2col matrix or an activation; both fixture
 # specs need 691 200 bytes per image for the c2 im2col matrix, so a batch
-# holds 4 images.  `occlusion.score_occluded` budgets a box for its largest
+# holds 4 images.  `ops.conv2d` builds that matrix in blocks of at most
+# `ops.IM2COL_BYTES` (one image, here), but the budget still counts it
+# whole, which keeps the batches, and the backward stacks that follow them,
+# at their size.  `occlusion.score_occluded` budgets a box for its largest
 # window buffer plus the whole map at the first global layer: at patch 5
 # that is the c2 window im2col matrix and r2 (GAP, 20 boxes a batch) or p2
 # (FC, 28).
@@ -507,11 +510,7 @@ def tapes(spec, weights, images):
     DimensionError that names the image's index, and the weights against
     the spec, a mismatch raising WeightStoreError.
     """
-    want = tuple(spec.input_shape)
-    for i, image in enumerate(images):
-        if np.shape(image) != want:
-            raise ops.DimensionError(f"image {i} of the split: shape {np.shape(image)} "
-                                     f"!= spec input {want}")
+    _check_shapes(spec, images)
     params = _layer_params(spec, weights, np.float32)
     size = batch_size(spec)
     for start in range(0, len(images), size):
@@ -576,6 +575,16 @@ def check_labels(spec, examples):
                 raise DatasetError(f"label {label} out of range for {n} categories")
 
 
+def _check_shapes(spec, images):
+    """Raise DimensionError, naming the first image whose shape is not the
+    spec's input, by its index in `images`."""
+    want = tuple(spec.input_shape)
+    for i, image in enumerate(images):
+        if np.shape(image) != want:
+            raise ops.DimensionError(f"image {i} of the split: shape {np.shape(image)} "
+                                     f"!= spec input {want}")
+
+
 def _as_pair(ex):
     if isinstance(ex, tuple):
         return ex
@@ -586,8 +595,11 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
     """Plain per-example SGD on softmax cross-entropy.
 
     Deterministic given rng_seed.  Returns the trained WeightStore; the mean
-    loss of each epoch is logged.  Raises TrainingError (naming the epoch)
-    if the loss goes non-finite, or a weight does by the end of an epoch.
+    loss of each epoch is logged.  Before the first step, raises
+    DatasetError for an empty dataset or a label outside the categories,
+    and DimensionError naming the first image of another shape than the
+    spec's input, by its index.  Raises TrainingError (naming the epoch) if
+    the loss goes non-finite, or a weight does by the end of an epoch.
     numpy's overflow and invalid-value warnings are silenced, as these
     checks name the failure.
     """
@@ -595,6 +607,7 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
         raise DatasetError("dataset is empty")
     check_labels(spec, dataset)
     pairs = [_as_pair(ex) for ex in dataset]
+    _check_shapes(spec, [image for image, _ in pairs])
     rng = np.random.default_rng(rng_seed)
     weights = init_weights(spec, rng_seed)
     # the WeightStore's own arrays, which the steps update in place

@@ -98,7 +98,8 @@ def score_occluded(tape, n, boxes, fill):
     At the first global layer the window is pasted into a copy of the whole
     recorded map, and the rest of the chain runs in full.  Boxes run in
     batches that keep the largest window buffer plus that whole map within
-    `nn.BATCH_BYTES`.
+    `nn.BATCH_BYTES`; the window buffer counted is a conv's whole im2col
+    matrix, which `ops.conv2d` builds in blocks of `ops.IM2COL_BYTES`.
     """
     image = tape.records[0].x[n]
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 2, 2)

@@ -16,9 +16,10 @@ takes the N·S cotangents as one stack [N·S, K, h, w]; `maxpool2d_grad`
 routes each example's cotangents [N, S, C, h, w] through that example's
 argmax [N, 1, C, h, w].
 
-`conv2d` can hand back the float64 im2col matrix it built, and
-`conv2d_param_grad` can reuse it instead of building the same matrix
-again; the gradient is the same, bit for bit.
+`conv2d` builds its float64 im2col matrix one block of images at a time,
+each block's within `IM2COL_BYTES`.  It can hand back the matrix of the
+whole batch as one block, and `conv2d_param_grad` can reuse it instead of
+building the same matrix again; the gradient is the same, bit for bit.
 
 The conv kernels make each float64 operand once, in long copies: the
 im2col matrix takes 1 + min(stride, kh) copies of the unpadded input (see
@@ -54,6 +55,14 @@ class DimensionError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+# Most bytes of float64 im2col matrix that conv2d builds at once (unless one
+# image's matrix is larger).  A block's matrix can stay in a core's L2 cache
+# between its build and its GEMM; a whole batch's is 2-3 MB on the fixtures'
+# 4-image tapes and occlusion batches.  Of 128 KiB to 4 MiB, 512 KiB ran the
+# `faithfulness` benchmark, mostly occlusion maps, fastest (BENCH_25.json).
+IM2COL_BYTES = 512 << 10
+
+
 def _out_extent(size, k, stride, padding):
     return (size + 2 * padding - k) // stride + 1
 
@@ -73,7 +82,7 @@ def _batched(x, ndim, op):
 
 
 def _im2col(xb, kh, kw, stride, padding, h_out, w_out):
-    """float64 im2col matrix [C*kh*kw, N*h_out*w_out] of a batch [N, C, H, W].
+    """float64 im2col matrix [C*kh*kw, N*h_out*w_out] of a block [N, C, H, W].
 
     Row (c, di, dj), column (n, i, j) holds padded pixel (i*stride + di,
     j*stride + dj) of channel c of image n.  That is row i + di // stride
@@ -111,13 +120,19 @@ def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
     """Cross-correlation of [C,H,W] with [K,C,kh,kw] kernels (no flip).
 
     Zero padding; output extent floor((H + 2p - kh)/stride) + 1.  A batch
-    [N,C,H,W] gives [N,K,h_out,w_out] from one float64 im2col matrix of
-    N*h_out*w_out columns and one GEMM.  The BLAS sums each output column
-    in the same order whatever N is, so a batch equals its examples run one
-    by one, bit for bit (the tests check this).  The matrix holds the
+    [N,C,H,W] gives [N,K,h_out,w_out], one block of images at a time: each
+    block's float64 im2col matrix, as many images as keep it within
+    IM2COL_BYTES (at least one), goes through one GEMM, and the output
+    columns are cast into their place in the result.  The matrix holds the
     input's values exactly, whatever its dtype, and the bias is added to
-    the GEMM's result in place.  With `return_cols`, returns (output,
-    im2col matrix [C*kh*kw, N*h_out*w_out]).
+    the GEMM's result in place.  A float64 GEMM column may round in its
+    last bit with the number of columns (OpenBLAS runs small products
+    through kernels of their own), so float64 results may differ in that
+    bit between blocks of other sizes, or a batch and its examples run one
+    by one; float32 results match, bit for bit, except when that bit
+    decides the rounding to float32 (the tests check the bytes).  With
+    `return_cols`, the whole batch is one block, and the call returns
+    (output, im2col matrix [C*kh*kw, N*h_out*w_out]).
     """
     xb, single = _batched(x, 3, "conv2d")
     kernels = np.asarray(kernels)
@@ -132,12 +147,22 @@ def conv2d(x, kernels, bias, stride=1, padding=0, return_cols=False):
         raise DimensionError("kernel larger than padded input")
     h_out = _out_extent(h, kh, stride, padding)
     w_out = _out_extent(w, kw, stride, padding)
-    cols = _im2col(xb, kh, kw, stride, padding, h_out, w_out)
+    block = n if return_cols else IM2COL_BYTES // (8 * c * kh * kw * h_out * w_out)
+    block = max(1, block)
     wmat = kernels.reshape(k, c * kh * kw).astype(np.float64)
-    out = wmat @ cols
-    out += bias.astype(np.float64)[:, None]
-    out = out.reshape(k, n, h_out, w_out)
-    out = np.ascontiguousarray(out.swapaxes(0, 1), dtype=xb.dtype)
+    bias = bias.astype(np.float64)[:, None]
+    out = np.empty((n, k, h_out, w_out), dtype=xb.dtype)
+    # an empty batch still makes its empty matrix, for return_cols
+    for start in range(0, max(n, 1), block):
+        # free the last block's matrix and product before this block's are
+        # made: with two blocks' at once, the allocator gave the heap's top
+        # back to the system after each call and faulted it in again
+        cols = y = None
+        xs = xb[start:start + block]
+        cols = _im2col(xs, kh, kw, stride, padding, h_out, w_out)
+        y = wmat @ cols
+        y += bias
+        out[start:start + block] = y.reshape(k, len(xs), h_out, w_out).swapaxes(0, 1)
     out = out[0] if single else out
     return (out, cols) if return_cols else out
 

@@ -4,6 +4,8 @@ Everything is deterministic: dataset seeds 1/2/3 and training seeds are
 pinned, so all downstream metrics are exactly reproducible.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -61,3 +63,22 @@ def fc_weights(fc_spec, train_set):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def traced_peak():
+    """peak(f): the most bytes that f() held at once, as tracemalloc counts
+    them; numpy reports its arrays' buffers to tracemalloc."""
+    def peak(f):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+    return peak

@@ -327,7 +327,7 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["explain", *_overlapping_weights(ws, tmp), "--image", first_image(ws),
                       "--category", "0", "--method", "gradcam"],
      "manifest line 2: c1.bias starts at byte 0"),
-    # a split of mixed image shapes: numpy's stack error, exit 1
+    # a split of mixed image shapes, refused before the first batch or step
     (lambda ws, tmp: ["localize", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
                       "--report", str(tmp / "r.txt")], MIXED_SHAPES),
     (lambda ws, tmp: ["point", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
@@ -338,6 +338,9 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
                       "--methods", "gradcam", "--patch", "9", "--stride", "8",
                       "--report", str(tmp / "r.txt")], MIXED_SHAPES),
+    (lambda ws, tmp: ["train", "--spec", str(ws / "gap.spec"), "--data",
+                      _mixed_shape_split(ws, tmp), "--out", str(tmp / "w"), "--epochs", "1"],
+     MIXED_SHAPES),
 ])
 def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
     assert main(argv(workspace, tmp_path)) == 3

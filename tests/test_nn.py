@@ -387,6 +387,21 @@ def test_trainer_dataset_errors_are_named():
         nn.train_fixture(spec, [], epochs=1, learning_rate=0.1)
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 8, 8), (8, 8)])
+def test_training_on_a_split_of_mixed_image_shapes_is_a_dimension_error(shape, monkeypatch):
+    # it was refused at that image's step, up to an epoch of steps in, by a
+    # message that named no image
+    spec = nn.parse_model_spec(TOY_SPEC)
+    data = separable_toy_set(12)
+    data[9] = (np.zeros(shape, np.float32), 0)
+    runs, tape = [], nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda *a: runs.append(a) or tape(*a))
+    with pytest.raises(ops.DimensionError,
+                       match=re.escape(f"image 9 of the split: shape {shape} != spec input")):
+        nn.train_fixture(spec, data, epochs=1, learning_rate=0.1)
+    assert runs == []   # refused before the first step
+
+
 def test_trainer_checks_the_weights_once_per_training(monkeypatch):
     spec = nn.parse_model_spec(TOY_SPEC)
     checked = []
@@ -562,6 +577,17 @@ def test_trainer_builds_each_im2col_matrix_once_per_step(make_spec, rng, monkeyp
     nn.train_fixture(spec, [(image, 1)], epochs=1, learning_rate=0.05)
     # the forward's matrices serve the parameter gradients
     assert inputs == [(1,) + spec.input_shape, (1, 6, 24, 24)]
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_a_four_image_forward_peaks_below_1_5_mb(request, test_set, traced_peak, arch):
+    # 3.2 MB while the c2 conv built the batch's whole 2.76 MB im2col matrix
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    images = np.stack([ex.image for ex in test_set[:4]])
+    assert nn.batch_size(spec) == 4
+    nn.forward(spec, weights, images)   # anything made once per process
+    assert traced_peak(lambda: nn.forward(spec, weights, images)) < 1.5e6
 
 
 @pytest.mark.parametrize("make_spec", [camlab.fix_gap_spec, camlab.fix_fc_spec])

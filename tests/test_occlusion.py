@@ -175,6 +175,36 @@ def test_boxes_per_batch_fill_the_byte_budget(monkeypatch, rng, make_spec, per_b
     assert sum(batches[::2]) == 576
 
 
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_no_im2col_matrix_exceeds_the_block_bytes(request, test_set, monkeypatch, arch):
+    # a whole batch's matrix was 2.76 MB on a 4-image tape, and 1.94 MB (GAP)
+    # or 2.72 MB (FC) on a batch of occlusion boxes
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    sizes, im2col = [], ops._im2col
+
+    def recorded(xb, *args):
+        cols = im2col(xb, *args)
+        sizes.append((cols.nbytes, cols.nbytes // len(xb)))   # (matrix, one image's)
+        return cols
+
+    monkeypatch.setattr(ops, "_im2col", recorded)
+    images = np.stack([ex.image for ex in test_set[:4]])
+    (at, tape), = nn.tapes(spec, weights, images)
+    assert at == slice(0, 4)
+    occlusion_map(tape_of(spec, weights, images[0]), 0, OcclusionConfig(patch=5, stride=2))
+    assert max(per_image for _, per_image in sizes) > ops.IM2COL_BYTES   # the tape's c2
+    assert all(size <= max(ops.IM2COL_BYTES, per_image) for size, per_image in sizes)
+
+
+def test_an_fc_occlusion_map_peaks_below_3_5_mb(fc_spec, fc_weights, test_set, traced_peak):
+    # 5.1 MB while each batch of 28 boxes built one 2.72 MB c2 im2col matrix
+    tape = tape_of(fc_spec, fc_weights, test_set[0].image)
+    cfg = OcclusionConfig(patch=5, stride=2)
+    occlusion_map(tape, 0, cfg)   # anything made once per process
+    assert traced_peak(lambda: occlusion_map(tape, 0, cfg)) < 3.5e6
+
+
 # -------------------------------------- windowed scoring against re-masking
 
 def remasked_map(spec, weights, image, category, cfg):

@@ -361,6 +361,56 @@ def test_conv2d_batch_property(case):
                                    rtol=1e-5, atol=1e-5)
 
 
+@st.composite
+def blocked_conv_cases(draw):
+    """A conv case of up to 7 images, its output extents, and an IM2COL_BYTES
+    that holds from no image's matrix to all of them and more, so the blocks
+    are single images, leave a partial last block, or are the whole batch."""
+    case = dict(draw(conv_cases()), n=draw(st.integers(1, 7)))
+    case["h_out"], case["w_out"] = ((e + 2 * case["pad"] - case["kh"]) // case["stride"] + 1
+                                    for e in (case["h"], case["w"]))
+    case["per_image"] = 8 * case["c"] * case["kh"] ** 2 * case["h_out"] * case["w_out"]
+    images = draw(st.integers(0, case["n"] + 1))
+    return case, images * case["per_image"] + draw(st.integers(0, case["per_image"] - 1))
+
+
+@given(blocked_conv_cases(), st.sampled_from([np.float32, np.float64]))
+def test_conv2d_blocks_equal_one_gemm_and_each_image_alone(blocked, dtype):
+    case, budget = blocked
+    n, k, c, kh, stride, pad = (case[key] for key in ("n", "k", "c", "kh", "stride", "pad"))
+    rng = np.random.default_rng(case["seed"])
+    x = rng.standard_normal((n, c, case["h"], case["w"])).astype(dtype)
+    kern = rng.standard_normal((k, c, kh, kh)).astype(dtype)
+    bias = rng.standard_normal(k).astype(dtype)
+    def images_first(a):   # [K, N*h_out*w_out] -> [N, K, h_out, w_out]
+        return a.reshape(k, n, case["h_out"], case["w_out"]).swapaxes(0, 1)
+
+    # one GEMM over the whole batch's matrix
+    wmat = kern.reshape(k, -1).astype(np.float64)
+    cols = ops._im2col(x, kh, kh, stride, pad, case["h_out"], case["w_out"])
+    y = wmat @ cols
+    y += bias.astype(np.float64)[:, None]
+    want = np.ascontiguousarray(images_first(y), dtype=dtype)
+    blocks, im2col = [], ops._im2col
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "IM2COL_BYTES", budget)
+        mp.setattr(ops, "_im2col", lambda xb, *a: blocks.append(len(xb)) or im2col(xb, *a))
+        got = ops.conv2d(x, kern, bias, stride, pad)
+    per_block = max(1, budget // case["per_image"])
+    assert blocks == [per_block] * (n // per_block) + [n % per_block] * (n % per_block > 0)
+    alone = np.stack([ops.conv2d(xi, kern, bias, stride, pad) for xi in x])
+    assert got.dtype == alone.dtype == dtype
+    if dtype == np.float32:
+        assert got.tobytes() == want.tobytes() == alone.tobytes()
+    else:
+        # a float64 column may round in its last bits with the GEMM's column
+        # count: within twice the error bound of a sum of r terms in any
+        # order, plus the rounding of the bias add
+        terms = np.abs(wmat) @ np.abs(cols) + np.abs(bias)[:, None]
+        bound = images_first((2 * wmat.shape[1] + 4) * np.finfo(np.float64).eps * terms)
+        assert (np.abs(got - want) <= bound).all() and (np.abs(alone - want) <= bound).all()
+
+
 # ---------------------------------------------------- backward oracles
 
 def conv2d_grads_loop(g_out, x, kernels, stride, padding):
