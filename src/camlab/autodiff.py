@@ -28,16 +28,15 @@ class CategoryError(ValueError):
 
 
 class SeedError(ValueError):
-    """Cotangent or categories of another shape than the tape's images take:
-    [K] or [S, K] on a one-image tape, [N, K] or [N, S, K] on a tape of N
-    images; or anything but one cotangent [K] of a one-image tape with
-    stop_at=None."""
+    """Cotangent or categories of another shape than the tape's images take
+    (see `_images`), or anything but one cotangent [K] of a tape of one
+    image with stop_at=None."""
 
 
 @dataclass
 class LayerRecord:
-    """One layer of a recorded forward; x and y carry a leading image axis,
-    [N, ...] on a tape of N images and [1, ...] on a one-image tape."""
+    """One layer of a recorded forward; x and y carry the leading image
+    axis [N, ...]."""
     name: str
     kind: str  # conv | relu | maxpool | gap | flatten | dense
     step: object  # its nn._Step: resolved params, and step.kind's backward rules
@@ -51,30 +50,22 @@ class LayerRecord:
 
 @dataclass
 class ActivationTape:
-    """Recorded forward pass of one image or of N; immutable once built,
-    safe to share.
+    """Recorded forward pass of N images (N = 1 for one image); immutable
+    once built, safe to share.
 
-    A one-image tape holds `scores` [K] and a tape of N images `scores`
-    [N, K].  The first record's input is the image, the checkpoint
-    "input": [C, H, W] on a one-image tape and [N, C, H, W] on a tape of
-    N images, the leading axis that every checkpoint has.
+    It holds `scores` [N, K].  The first record's input is the images, the
+    checkpoint "input" [N, C, H, W]; every checkpoint has the image axis.
     """
     records: list
     scores: np.ndarray
 
-    @property
-    def single(self):
-        """Whether the tape holds one image rather than a batch."""
-        return self.scores.ndim == 1
-
     def checkpoint(self, name):
         if name == "input":
-            x = self.records[0].x
-        else:
-            x = next((rec.y for rec in self.records if rec.name == name), None)
-            if x is None:
-                raise CheckpointError(f"no checkpoint named {name!r}")
-        return x[0] if self.single else x
+            return self.records[0].x
+        x = next((rec.y for rec in self.records if rec.name == name), None)
+        if x is None:
+            raise CheckpointError(f"no checkpoint named {name!r}")
+        return x
 
 
 def _relu_backward(g, x, policy):
@@ -89,15 +80,13 @@ def _relu_backward(g, x, policy):
 
 def _images(tape, lead, what):
     """N, the tape's image count, once `lead`, the leading axes of a
-    cotangent or of categories, is checked: () or (S,) on a one-image tape,
-    (N,) or (N, S) on a tape of N images, S >= 1.  Raises SeedError."""
-    if tape.single:
-        n, ok, want = 1, len(lead) <= 1, "nothing or [S]"
-    else:
-        n = len(tape.scores)
-        ok, want = lead[:1] == (n,) and len(lead) <= 2, f"[{n}] or [{n}, S]"
-    if not ok or 0 in lead:
-        raise SeedError(f"{what} with leading axes {lead}; the tape takes {want}, S >= 1")
+    cotangent or of categories, is checked: (N,) or (N, S), and on a tape
+    of one image also () or (S,), S >= 1.  Raises SeedError."""
+    n = len(tape.scores)
+    per_image = lead[:1] == (n,) and len(lead) <= 2
+    if not (per_image or n == 1 and len(lead) <= 1) or 0 in lead:
+        raise SeedError(f"{what} with leading axes {lead}; a tape of N = {n} images takes "
+                        "[N] or [N, S], S >= 1")
     return n
 
 
@@ -105,12 +94,12 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input")
     """Propagate score-vector cotangents down to `stop_at` in one walk of
     the tape.
 
-    A one-image tape takes one cotangent [K] or S of them [S, K]; a tape of
-    N images takes one per image [N, K] or S per image [N, S, K].  The walk
-    runs on per-image stacks [N, S, ...] and returns the checkpoint's
-    cotangents with the cotangent's leading axes: [...], [S, ...], [N, ...]
-    or [N, S, ...].  stop_at=None asks for the parameter gradients of one
-    cotangent [K] of a one-image tape instead and returns them as
+    A tape of N images takes one cotangent per image [N, K] or S per image
+    [N, S, K]; a tape of one image also takes one cotangent [K] or S of
+    them [S, K].  The walk runs on per-image stacks [N, S, ...] and returns
+    the checkpoint's cotangents with the cotangent's leading axes.
+    stop_at=None asks for the parameter gradients of one cotangent [K] of
+    a tape of one image instead and returns them as
     {layer: {param: gradient}}, top layer first: the walk ends at the
     lowest layer with parameters, once its gradients are in, without
     computing its input cotangent.
@@ -132,7 +121,7 @@ def backward_from_cotangent(tape, cotangent, policy="standard", stop_at="input")
         raise SeedError(f"cotangent of shape {g.shape} does not end in the {k} scores")
     n = _images(tape, g.shape[:-1], "cotangent")
     if stop_at is None and g.ndim > 1:
-        raise SeedError("parameter gradients take one cotangent of a one-image tape")
+        raise SeedError("parameter gradients take one cotangent [K] of a tape of one image")
     out_shape = g.shape[:-1]
     g = g.reshape(n, -1, k)
     grads = {}
@@ -159,8 +148,8 @@ def check_category(categories, n):
 def check_categories(tape, categories):
     """Raise CategoryError unless each category is one of the tape's scores,
     and SeedError unless the categories have a shape that the tape takes:
-    a category or a list on a one-image tape, one or a list per image on a
-    tape of N images (see `grad_at_layer`)."""
+    one category or a list per image, and on a tape of one image also a
+    category or a list (see `grad_at_layer`)."""
     check_category(categories, tape.scores.shape[-1])
     _images(tape, np.shape(categories), "categories")
 
@@ -192,14 +181,14 @@ def grad_at_layer(tape, categories, layer, policy="standard", score_point="pre_s
     """Full gradient of a class score w.r.t. a spatial checkpoint.
 
     `layer` names the rectified feature maps of a convolutional stage, or
-    "input" for the pixel gradient.  On a one-image tape the result has the
-    checkpoint's shape for one category, and is a stack [S, ...] for a
-    list of S.  A tape of N images takes one category per image, giving
-    [N, ...], or a list of S per image ([N, S] categories), giving
-    [N, S, ...].  Either way all the gradients come from one walk.
+    "input" for the pixel gradient.  The categories are one per image,
+    giving [N, ...] (N the tape's images), or a list of S per image ([N, S]
+    categories), giving [N, S, ...]; on a tape of one image a category
+    gives the checkpoint's per-image shape [...], and a list of S a stack
+    [S, ...].  Either way all the gradients come from one walk.
     """
     target = tape.checkpoint(layer)
-    if target.ndim != 3 + (not tape.single):
+    if target.ndim != 4:
         raise ops.DimensionError(
             f"checkpoint {layer!r} is not spatial (shape {target.shape})")
     return backward_from_cotangent(tape, _cotangents(tape, categories, score_point),

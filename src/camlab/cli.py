@@ -78,13 +78,15 @@ def cmd_train(args):
 def cmd_explain(args):
     spec, weights = _load_model(args)
     image = _load_image(args.image)
-    _, tape = nn.forward(spec, weights, image)
+    if args.layer is not None and args.method == "cam":
+        explain.cam_layer(spec.layers, args.layer)
+    scores, tape = nn.forward(spec, weights, image)
     layer = args.layer or explain.default_target_layer(spec)
     config = _config_from(args)
     if args.category is not None:
         categories = [args.category]
     else:
-        categories = evaluation.top_k(tape.scores, args.top_k)
+        categories = evaluation.top_k(scores, args.top_k)
     heats = explain.METHODS[args.method](tape, categories, layer, config)
     multi = len(categories) > 1
     for category, heat in zip(categories, heats):

@@ -225,6 +225,8 @@ def _target_layer(spec, examples, layer, methods=()):
                                 + ", ".join(explain.METHODS))
         if methods.count(method) > 1:
             raise ProtocolError(f"method {method!r} is named more than once")
+    if layer is not None and "cam" in methods:
+        explain.cam_layer(spec.layers, layer)
     return layer or explain.default_target_layer(spec)
 
 
@@ -246,13 +248,13 @@ def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
     top1 = top5 = 0
     for batch, tape in _batches(spec, weights, examples):
         heats = explain.METHODS[method](tape, [ex.label for ex in batch], layer, config)
-        for ex, scores, heat in zip(batch, tape.scores, heats):
+        h, w = batch[0].gt_mask.shape    # each mask has its image's shape
+        for ex, scores, heat in zip(batch, tape.scores, bilinear_resize(heats, w, h)):
             preds = top_k(scores, 5)
             hit = False
             if ex.label in preds:
-                h, w = ex.gt_mask.shape
                 try:
-                    box = extract_bbox(bilinear_resize(heat, w, h), threshold_frac)
+                    box = extract_bbox(heat, threshold_frac)
                     hit = iou(box, ex.gt_box) >= iou_threshold
                 except NoSegmentError:
                     pass

@@ -7,11 +7,12 @@ computed from the learned head weights.  Counterfactual maps negate the
 gradient before pooling.  Guided Grad-CAM fuses the upsampled heatmap with
 a guided-backprop saliency map.
 
-Each explanation takes a category or a list of them on the tape of one
-image, and one category or one list per image on the tape of N images.  A
-list of S gives a stack [S, ...] of the maps, and a tape of N images a
-leading axis N ([N, ...] or [N, S, ...]), all from one backward walk of
-the tape, each map equal to that of its category on its image alone.
+Each explanation reads a tape of N images (N = 1 for one image) and takes
+the categories that `autodiff.grad_at_layer` takes: one or a list of S per
+image, giving maps [N, ...] or [N, S, ...], and on a tape of one image
+also a category or a list, giving [...] or [S, ...].  All of them come
+from one backward walk of the tape, each map equal to that of its
+category on its image alone.
 """
 
 from dataclasses import dataclass, replace
@@ -84,9 +85,9 @@ def neuron_weights(grads, config=None):
 
 
 def _weigh_maps(alpha, amaps):
-    """Float64 sum over k of alpha[..., k] * amaps[k] per image: weights
-    [(N,) (S,) K] and a checkpoint [(N,) K, u, v] give [(N,) (S,) u, v], one
-    GEMV (S absent) or GEMM per image."""
+    """Float64 sum over k of alpha[..., k] * amaps[n, k] per image n:
+    weights [(N,) (S,) K] and a checkpoint [N, K, u, v] give
+    [(N,) (S,) u, v], one GEMV (S absent) or GEMM per image."""
     k, u, v = amaps.shape[-3:]
     maps = amaps.astype(np.float64).reshape(-1, k, u * v)
     weights = alpha.astype(np.float64).reshape(len(maps), -1, k)
@@ -94,8 +95,8 @@ def _weigh_maps(alpha, amaps):
 
 
 def gradcam(tape, categories, layer, config=None):
-    """Grad-CAM heatmap [u,v] at the named spatial checkpoint; [S,u,v] for a
-    list of S categories; [N,u,v] or [N,S,u,v] on a tape of N images."""
+    """Grad-CAM heatmaps [u,v] at the named spatial checkpoint, with the
+    categories' leading axes."""
     config = config or GradCamConfig()
     grads = grad_at_layer(tape, categories, layer,
                           policy=config.relu_policy,
@@ -106,22 +107,31 @@ def gradcam(tape, categories, layer, config=None):
     return heat.astype(np.float32)
 
 
+def cam_layer(layers, named=None):
+    """Name of the layer whose maps feed GAP -> dense scores, of a spec's
+    layers or a tape's records.  Raises CamIncompatibleError without one,
+    or if `named`, a layer a caller names for CAM, is another: CAM reads
+    no other."""
+    if len(layers) < 3 or layers[-1].kind != "dense" or layers[-2].kind != "gap":
+        raise CamIncompatibleError(
+            "CAM needs spatial maps -> global average pooling -> dense scores")
+    if named not in (None, layers[-3].name):
+        raise CamIncompatibleError(f"CAM reads layer {layers[-3].name!r}, the maps that "
+                                   f"feed GAP, not {named!r}")
+    return layers[-3].name
+
+
 def cam(tape, categories):
-    """CAM heatmap [u,v] from the learned head weights (GAP-head models
-    only); [S,u,v] for a list of S categories; [N,u,v] or [N,S,u,v] on a
-    tape of N images.
+    """CAM heatmaps [u,v] from the learned head weights (GAP-head models
+    only), with the categories' leading axes.
 
     No ReLU is applied; callers comparing against Grad-CAM rectify both
     sides themselves.
     """
-    recs = tape.records
-    if (len(recs) < 3 or recs[-1].kind != "dense" or recs[-2].kind != "gap"
-            or recs[-3].y.ndim != 4):
-        raise CamIncompatibleError(
-            "CAM needs spatial maps -> global average pooling -> dense scores")
+    maps = cam_layer(tape.records)
     check_categories(tape, categories)
-    w = recs[-1].params["weights"].astype(np.float64)[categories]
-    return _weigh_maps(w, tape.checkpoint(recs[-3].name)).astype(np.float32)
+    w = tape.records[-1].params["weights"].astype(np.float64)[categories]
+    return _weigh_maps(w, tape.checkpoint(maps)).astype(np.float32)
 
 
 def counterfactual(tape, categories, layer, config=None):
@@ -132,8 +142,7 @@ def counterfactual(tape, categories, layer, config=None):
 
 def pixel_saliency(tape, categories, policy="guided"):
     """Gradient of the class score w.r.t. input pixels under a ReLU policy:
-    [C,H,W], or [S,C,H,W] for a list of S categories, with a leading N on a
-    tape of N images.
+    [C,H,W] with the categories' leading axes.
 
     policy "standard" is the plain-backprop baseline; "guided" and "deconv"
     are the sharpened variants used for fusion.
@@ -142,12 +151,12 @@ def pixel_saliency(tape, categories, policy="guided"):
 
 
 def normalize_heatmap(heat):
-    """Scale so the max positive value maps to 1; all-zero maps stay zero."""
+    """Scale so the max positive value maps to 1; all-zero maps stay zero.
+    A stack [..., h, w] scales each map by its own max."""
     heat = np.asarray(heat, dtype=np.float32)
-    m = float(heat.max(initial=0.0))
-    if m <= 0:
-        return np.zeros_like(heat)
-    return heat / m
+    m = heat.max(axis=(-2, -1), keepdims=True, initial=0.0)
+    # a map whose max is NaN is divided by it, not zeroed
+    return np.divide(heat, m, out=np.zeros_like(heat), where=~(m <= 0))
 
 
 def guided_gradcam(saliency, heat):
@@ -158,12 +167,10 @@ def guided_gradcam(saliency, heat):
     stack of saliencies [..., C,H,W] and one of heatmaps [..., u,v] fuse
     pairwise.
     """
-    if np.ndim(heat) > 2:
-        return np.stack([guided_gradcam(s, h) for s, h in zip(saliency, heat)])
     saliency = np.asarray(saliency, dtype=np.float32)
     h, w = saliency.shape[-2], saliency.shape[-1]
     up = normalize_heatmap(bilinear_resize(heat, w, h))
-    return (saliency * up).astype(np.float32)
+    return (saliency * up[..., None, :, :]).astype(np.float32)
 
 
 def saliency_to_heatmap(saliency):
@@ -176,9 +183,10 @@ def saliency_to_heatmap(saliency):
 
 
 # Scalar heatmap of each method, called as (tape, categories, layer, config)
-# with the categories that `grad_at_layer` takes (a category or a list on a
-# one-image tape, one or a list per image on a tape of N images): feature
-# resolution for the CAM family, image resolution for pixel saliency.
+# with the categories that `grad_at_layer` takes: feature resolution for the
+# CAM family, image resolution for pixel saliency.  CAM reads the maps that
+# feed GAP whatever `layer` is; callers that take a layer from the user
+# check it first with `cam_layer`.
 # The entries look the functions up by name at call time, so rebinding a
 # module attribute (a tracer, a test) also reaches calls made through here.
 METHODS = {

@@ -182,22 +182,23 @@ def bilinear_resize(grid, new_w, new_h):
     Source coordinate of destination pixel d is (d + 0.5) * scale - 0.5.
     Each source row is blended along x once, then rows are blended along y;
     per pixel this is the same float64 expression as blending the four
-    corner gathers.
+    corner gathers.  A stack of grids [..., h, w] gives [..., new_h, new_w],
+    each map byte for byte that of its grid alone.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2:
-        raise ValueError(f"expected a 2-D grid, got shape {grid.shape}")
-    h, w = grid.shape
+    if grid.ndim < 2:
+        raise ValueError(f"expected a 2-D grid or a stack of them, got shape {grid.shape}")
+    h, w = grid.shape[-2:]
     if new_w < 1 or new_h < 1:
         raise ValueError("target dims must be >= 1")
     if (new_h, new_w) == (h, w):
         return grid.astype(np.float32)
     ylo, yhi, fy = _axis_coords(h, new_h)
     xlo, xhi, fx = _axis_coords(w, new_w)
-    left = grid[:, xlo]
-    rows = left + (grid[:, xhi] - left) * fx
-    top = rows[ylo]
-    return (top + (rows[yhi] - top) * fy[:, None]).astype(np.float32)
+    left = grid[..., xlo]
+    rows = left + (grid[..., xhi] - left) * fx
+    top = rows[..., ylo, :]
+    return (top + (rows[..., yhi, :] - top) * fy[:, None]).astype(np.float32)
 
 
 # ------------------------------------------------------------ rendering

@@ -234,7 +234,8 @@ _KINDS = {
         rank=3,
         out_shape=lambda p, shape: (shape[0],) + _slide(shape, p["window"], p["stride"], 0),
         forward=_maxpool_forward,
-        # a one-image record's argmax has no image axis
+        # the argmax of one image, which the ops run in their one-example
+        # form, has no image axis
         backward=lambda rec, g, policy: ops.maxpool2d_grad(
             g, rec.extras["argmax"].reshape(rec.y.shape)[:, None], rec.x.shape[1:]),
         window=lambda p: (p["window"], p["stride"], 0)),
@@ -460,17 +461,22 @@ def _tape(spec, params, images, dtype, mode):
     `dtype`, on `params`, the `_layer_params` of that dtype: the one layer
     loop, which `forward`, `tapes`, the trainer and the attack run.
 
-    One image, which the ops run as their batch of one, gives scores [K],
-    a batch scores [N, K]; every layer is recorded, its input and output
-    with a leading image axis ([1, ...] for one image).  Only the "train"
-    records, not the "tape" ones, keep a conv's float64 im2col matrix and
-    a dense layer's float64 weights, for the trainer's gradients.
+    One image gives scores [K] and a batch scores [N, K]; either way the
+    tape is a tape of N images (N = 1 for one image), its `scores` [N, K]
+    and every record's input and output with the leading image axis.  Only
+    the "train" records, not the "tape" ones, keep a conv's float64 im2col
+    matrix and a dense layer's float64 weights, for the trainer's gradients.
     """
     x = np.asarray(images, dtype=dtype)
     single = x.ndim == len(spec.input_shape)
     if tuple(x.shape[not single:]) != tuple(spec.input_shape):
         raise ops.DimensionError(
             f"image shape {x.shape[not single:]} != spec input {tuple(spec.input_shape)}")
+    # One image runs through the ops in their one-example form, not as
+    # x[None]: perfbench's ShapeTagger tags each op by its per-image
+    # operand shapes, and perfbench's tests pin those tags.  Once it tags
+    # batched operands, one image can run as x[None], and `ops._batched`
+    # with its four call sites can go.
     records = []
     for step, arrays in zip(spec._plan, params):
         y, extras = step.kind.forward(x, step.params, arrays, mode)
@@ -478,29 +484,27 @@ def _tape(spec, params, images, dtype, mode):
         records.append(LayerRecord(layer.name, layer.kind, step, x[None] if single else x,
                                    y[None] if single else y, arrays, extras))
         x = y
-    return x, ActivationTape(records=records, scores=x)
+    return x, ActivationTape(records=records, scores=records[-1].y)
 
 
 def forward(spec, weights, images, dtype=np.float32):
     """Run the chain on one image [C, H, W] or a batch [N, C, H, W]; returns
     (pre-softmax scores [K] or [N, K], activation tape).
 
-    One image gives a one-image tape (see `ActivationTape`), the N=1 case
-    of the same layer loop and the same backward walk; the scores of a
-    batch, and its tape's checkpoints and explanations, equal those of its
-    images run one by one, byte for byte.  The tape is all that the
-    explanations, occlusion maps among them, read; each record carries its
-    layer's `_Step`.  Where the weights already have `dtype`, the tape's
-    conv and dense params are the WeightStore arrays themselves, so do not
-    update those in place while the tape is still in use.  The records keep the
-    layers' inputs and outputs and the max-pool argmax, but no im2col
-    matrix: a fixture tape holds ~0.1 MB per image, and its parameter
-    gradients build each conv's matrix again.  Raises WeightStoreError
-    unless the weights match the spec.
+    The tape is a tape of N images, N = 1 for one image: the same tape as
+    that of the batch x[None].  The scores of a batch, and its tape's
+    checkpoints and explanations, equal those of its images run one by
+    one, byte for byte.  The tape is all that the explanations, occlusion
+    maps among them, read; each record carries its layer's `_Step`.  Where
+    the weights already have `dtype`, the tape's conv and dense params are
+    the WeightStore arrays themselves, so do not update those in place
+    while the tape is still in use.  The records keep the layers' inputs
+    and outputs and the max-pool argmax, but no im2col matrix: a fixture
+    tape holds ~0.1 MB per image, and its parameter gradients build each
+    conv's matrix again.  Raises WeightStoreError unless the weights match
+    the spec.
     """
     return _tape(spec, _layer_params(spec, weights, dtype), images, dtype, "tape")
-
-
 def tapes(spec, weights, images):
     """Float32 tapes of a split, `batch_size(spec)` images at a time.
 
@@ -516,20 +520,6 @@ def tapes(spec, weights, images):
     for start in range(0, len(images), size):
         at = slice(start, start + size)
         yield at, _tape(spec, params, np.stack(images[at]), np.float32, "tape")[1]
-
-
-def score_batch(spec, weights, images):
-    """Float32 pre-softmax scores [N, K] of a batch [N, C, H, W].
-
-    The scores of `forward` on the batch, computed from whole images; the
-    reference that the tests hold `occlusion.score_occluded` to.  Raises
-    DimensionError for anything but a batch, WeightStoreError unless the
-    weights match the spec.
-    """
-    if np.ndim(images) != len(spec.input_shape) + 1:
-        raise ops.DimensionError(f"a batch [N, C, H, W] needs {len(spec.input_shape) + 1} "
-                                 f"axes, got {np.ndim(images)}")
-    return forward(spec, weights, images)[0]
 
 
 def init_weights(spec, rng_seed=0):

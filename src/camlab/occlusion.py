@@ -6,14 +6,14 @@ pre-softmax class score, so positive values mark evidence for the class.  The im
 conceptually zero-padded: patches centered near the border are cropped, and
 the map always has the input's spatial size.
 
-Like every explanation, the maps read an activation tape, of one image or
-of N: each image's base score, and the records from which `score_occluded`
+Like every explanation, the maps read an activation tape of N images:
+each image's base score, and the records from which `score_occluded`
 scores its masked images without building them.  A patch changes only a
 window of each convolution, ReLU and max-pool output, so only that window
 is computed again, and the layers from the first global one (GAP, flatten,
 dense) run on the whole patched map.  Each score equals, byte for byte, the
-score of the masked image through `nn.score_batch`; the tests hold the map
-to that.
+score of the masked image through `nn.forward`; the tests hold the map to
+that.
 """
 
 import math
@@ -87,7 +87,7 @@ def score_occluded(tape, n, boxes, fill):
     boxes[b] = (y0, y1, x0, x1), rows [y0, y1) and columns [x0, x1), set to
     `fill` (one value per channel, or one for all), in the tape's dtype.
 
-    Row b equals, byte for byte, the `nn.score_batch` row of image n masked
+    Row b equals, byte for byte, the `nn.forward` scores of image n masked
     by box b (on a float32 tape).  A box changes only a window of each
     spatially local layer's output (a kind with a `window`), so only that
     window is computed again: from a crop of the layer's zero-padded
@@ -161,11 +161,10 @@ def score_occluded(tape, n, boxes, fill):
 def occlusion_map(tape, categories, config):
     """Signed heatmaps of the tape's images: score(original) - score(masked at p).
 
-    Takes categories as the explanations do (`autodiff.check_categories`):
-    a category or a list of S on a one-image tape, giving [H, W] or
-    [S, H, W]; one category or one list per image on a tape of N images,
-    giving [N, H, W] or [N, S, H, W].  The original's score is the tape's;
-    the masked images are scored by `score_occluded`, one image at a time.
+    Takes categories as the explanations do (`autodiff.grad_at_layer`),
+    and gives maps [H, W] with their leading axes.  The original's score is
+    the tape's; the masked images are scored by `score_occluded`, one image
+    at a time.
     """
     check_categories(tape, categories)
     x = tape.records[0].x
@@ -180,8 +179,7 @@ def occlusion_map(tape, categories, config):
     ridx = np.clip(np.round(np.arange(h) / stride).astype(int), 0, len(rows) - 1)
     cidx = np.clip(np.round(np.arange(w) / stride).astype(int), 0, len(cols) - 1)
     maps = []
-    for n, (scores, cats) in enumerate(zip(tape.scores.reshape(len(x), -1),
-                                           np.reshape(categories, (len(x), -1)))):
+    for n, (scores, cats) in enumerate(zip(tape.scores, np.reshape(categories, (len(x), -1)))):
         fill = x[n].mean(axis=(1, 2)) if config.fill is None else config.fill
         drops = (scores[cats].astype(np.float64)
                  - score_occluded(tape, n, boxes, fill)[:, cats].astype(np.float64))

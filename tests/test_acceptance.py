@@ -14,6 +14,7 @@ import camlab
 from camlab import (autodiff, evaluation, explain, fixtures, imaging, nn,
                     occlusion)
 from camlab.cli import main as cli_main
+from test_autodiff import activation_patterns_match
 
 SIDE = 48
 
@@ -25,16 +26,6 @@ def _upsampled(heat, side=SIDE):
 
 
 # --------------------------------------------------------------- 1. oracle
-
-def _activation_patterns_match(tape_a, tape_b):
-    for ra, rb in zip(tape_a.records, tape_b.records):
-        if ra.kind == "relu" and not np.array_equal(ra.y > 0, rb.y > 0):
-            return False
-        if ra.kind == "maxpool" and not np.array_equal(
-                ra.extras["argmax"], rb.extras["argmax"]):
-            return False
-    return True
-
 
 def test_criterion_1_gradient_matches_finite_differences(gap_spec, fc_spec):
     """Standard-policy backward vs central differences (eps=1e-3), 50
@@ -61,8 +52,8 @@ def test_criterion_1_gradient_matches_finite_differences(gap_spec, fc_spec):
             minus = img.copy(); minus[i] -= eps
             sp, tp = camlab.forward(spec, weights, plus, dtype=np.float64)
             sm, tm = camlab.forward(spec, weights, minus, dtype=np.float64)
-            if not (_activation_patterns_match(tp, tape)
-                    and _activation_patterns_match(tm, tape)):
+            if not (activation_patterns_match(tp, tape)
+                    and activation_patterns_match(tm, tape)):
                 continue
             fd = (sp[c] - sm[c]) / (2 * eps)
             rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8)
@@ -84,7 +75,7 @@ def test_criterion_2_cam_equivalence(gap_spec, gap_weights, test_set):
         scores, tape = camlab.forward(gap_spec, gap_weights, ex.image)
         c = int(np.argmax(scores))
         amaps = tape.checkpoint("r2")
-        z = amaps.shape[1] * amaps.shape[2]
+        z = amaps.shape[-2] * amaps.shape[-1]
         gc = explain.gradcam(tape, c, "r2")
         cm = explain.cam(tape, c)
         worst_dev = max(worst_dev,

@@ -60,17 +60,17 @@ def test_checkpoint_lookup():
     spec, weights = tiny_dense_model()
     img = np.ones(spec.input_shape, np.float32)
     _, tape = nn.forward(spec, weights, img)
-    # the image is the first record's input
+    # the image, with its image axis, is the first record's input
     point = tape.checkpoint("input")
-    assert point.shape == img.shape and np.shares_memory(point, tape.records[0].x)
-    np.testing.assert_array_equal(point, img)
+    assert point.shape == (1,) + img.shape and np.shares_memory(point, tape.records[0].x)
+    np.testing.assert_array_equal(point[0], img)
     images = np.stack([img, 2 * img])
     assert nn.forward(spec, weights, images)[1].checkpoint("input").tobytes() == images.tobytes()
     for rec in tape.records:
-        # the record's one image, without a copy
+        # the record's output, with its image axis, without a copy
         point = tape.checkpoint(rec.name)
-        assert point.shape == rec.y.shape[1:] and np.shares_memory(point, rec.y)
-        np.testing.assert_array_equal(point, rec.y[0])
+        assert point.shape == rec.y.shape and np.shares_memory(point, rec.y)
+        np.testing.assert_array_equal(point, rec.y)
     with pytest.raises(CheckpointError):
         tape.checkpoint("r9")
 
@@ -84,7 +84,9 @@ def test_stop_at_returns_cotangent_at_that_layer():
                                atol=1e-6)
 
 
-def _activation_patterns_match(tape_a, tape_b):
+def activation_patterns_match(tape_a, tape_b):
+    """Whether two tapes of one chain share every ReLU mask and max-pool
+    winner: the finite-difference checks skip probes that change either."""
     for ra, rb in zip(tape_a.records, tape_b.records):
         if ra.kind == "relu" and not np.array_equal(ra.y > 0, rb.y > 0):
             return False
@@ -113,8 +115,8 @@ def finite_difference_check(spec, weights, img, n_coords, eps, rng, rel_tol):
         minus = img.copy(); minus[i] -= eps
         sp, tp = camlab.forward(spec, weights, plus, dtype=np.float64)
         sm, tm = camlab.forward(spec, weights, minus, dtype=np.float64)
-        if not (_activation_patterns_match(tp, tape)
-                and _activation_patterns_match(tm, tape)):
+        if not (activation_patterns_match(tp, tape)
+                and activation_patterns_match(tm, tape)):
             continue
         fd = (sp[c] - sm[c]) / (2 * eps)
         rel = abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-8)
@@ -177,7 +179,7 @@ def test_guided_gradient_support_on_one_relu_net_exhaustively():
         w2 = np.array([signs[4:6]], np.float32)
         spec, weights = one_relu_net(w1, w2)
         _, tape = nn.forward(spec, weights, x)
-        pre = tape.checkpoint("fc1")
+        pre = tape.checkpoint("fc1")[0]
         expected = np.zeros(4, np.float64)
         for u in range(2):
             incoming = float(w2[0, u])
@@ -224,7 +226,7 @@ head dense units=3
     scores, tape = camlab.forward(spec, weights, img, dtype=np.float64)
     c = 1
     g = grad_at_layer(tape, c, "r1", score_point="post_softmax")
-    target = tape.checkpoint("r1")
+    target = tape.checkpoint("r1")[0]
     eps = 1e-6
     # differentiate the softmax probability w.r.t. the feature map by
     # replaying only the head (gap + dense) on perturbed activations
@@ -331,7 +333,7 @@ def test_stacked_seeds_walk_equals_one_walk_per_category(case, data):
         for policy in autodiff.RELU_POLICIES:
             for stop_at in ["input"] + [rec.name for rec in tape.records]:
                 got = backward_from_cotangent(tape, block, policy, stop_at)
-                assert got.shape == (len(categories),) + tape.checkpoint(stop_at).shape
+                assert got.shape == (len(categories),) + tape.checkpoint(stop_at).shape[1:]
                 for row, g in zip(block, got):
                     want = backward_from_cotangent(tape, row, policy, stop_at)
                     assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
@@ -352,7 +354,8 @@ def test_grad_at_layer_of_a_list_is_one_walk(monkeypatch, gap_spec, gap_weights,
 def test_stacked_seeds_are_checked_row_by_row():
     spec, weights = tiny_dense_model()
     _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
-    for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+    for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 4)), np.zeros((2, 1, 3)),
+                np.zeros((1, 1, 2, 3))):
         with pytest.raises(SeedError):
             backward_from_cotangent(tape, np.array(bad, np.float32))
     with pytest.raises(autodiff.CategoryError):
@@ -365,7 +368,7 @@ def test_a_tape_of_images_takes_cotangents_and_categories_per_image():
     spec, weights = tiny_dense_model()
     images = np.linspace(-1, 1, 3 * 16, dtype=np.float32).reshape(3, 1, 4, 4)
     scores, tape = nn.forward(spec, weights, images)
-    assert not tape.single and scores.shape == (3, 3)
+    assert scores.shape == tape.scores.shape == (3, 3)
     assert backward_from_cotangent(tape, one_hot([0, 2, 1], 3)).shape == (3, 1, 4, 4)
     assert backward_from_cotangent(tape, one_hot([[0, 1]] * 3, 3)).shape == (3, 2, 1, 4, 4)
     assert grad_at_layer(tape, [[2], [1], [0]], "input").shape == (3, 1, 1, 4, 4)
@@ -381,9 +384,9 @@ def test_a_tape_of_images_takes_cotangents_and_categories_per_image():
             camlab.gradcam(tape, categories, "input")
     with pytest.raises(autodiff.CategoryError):
         grad_at_layer(tape, [0, 3, 1], "input")
-    for cot in (one_hot([0, 1, 2], 3), one_hot(0, 3)):   # parameter gradients
-        with pytest.raises(SeedError):                   # take a one-image tape
+    for cot in (one_hot([0, 1, 2], 3), one_hot(0, 3)):   # parameter gradients take
+        with pytest.raises(SeedError):                   # a tape of one image
             backward_from_cotangent(tape, cot, stop_at=None)
-    _, alone = nn.forward(spec, weights, images[:1])   # a batch of one is a batch
-    assert not alone.single and alone.checkpoint("r1").shape == (1, 5)
+    _, alone = nn.forward(spec, weights, images[:1])   # a batch of one is N = 1
+    assert alone.checkpoint("r1").shape == (1, 5)
     assert grad_at_layer(alone, [1], "input").shape == (1, 1, 4, 4)

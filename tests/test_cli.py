@@ -341,6 +341,17 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["train", "--spec", str(ws / "gap.spec"), "--data",
                       _mixed_shape_split(ws, tmp), "--out", str(tmp / "w"), "--epochs", "1"],
      MIXED_SHAPES),
+    # ran to exit 0 and wrote the r2 CAM map: CAM reads no other layer
+    (lambda ws, tmp: ["explain", *gap_args(ws), "--image", first_image(ws), "--category", "0",
+                      "--method", "cam", "--layer", "r1", "--out-heat", str(tmp / "r.txt")],
+     "CAM reads layer 'r2', the maps that feed GAP, not 'r1'"),
+    (lambda ws, tmp: ["explain", *gap_args(ws), "--image", first_image(ws), "--category", "0",
+                      "--method", "cam", "--layer", "c1", "--out-heat", str(tmp / "r.txt")],
+     "CAM reads layer 'r2', the maps that feed GAP, not 'c1'"),
+    (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", str(ws / "data"),
+                      "--methods", "gradcam,cam", "--layer", "r1", "--patch", "9",
+                      "--stride", "8", "--report", str(tmp / "r.txt")],
+     "CAM reads layer 'r2', the maps that feed GAP, not 'r1'"),
 ])
 def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
     assert main(argv(workspace, tmp_path)) == 3
@@ -599,6 +610,16 @@ def test_top_k_suffix_goes_into_the_file_name(workspace, tmp_path):
                  "--out-heat", str(tmp_path / "runs.v1" / "heat")]) == 0
     assert sorted(p.name for p in (tmp_path / "runs.v1").iterdir()) == [
         "heat.c0", "heat.c1", "heat.c2"]
+
+
+def test_cam_with_the_layer_that_feeds_gap_named_writes_the_same_map(workspace, tmp_path):
+    maps = []
+    for extra in ([], ["--layer", "r2"]):
+        out = tmp_path / f"cam{len(extra)}.fmap"
+        assert main(["explain", *gap_args(workspace), "--image", first_image(workspace),
+                     "--category", "0", "--method", "cam", "--out-heat", str(out), *extra]) == 0
+        maps.append(out.read_bytes())
+    assert maps[0] == maps[1]
 
 
 def test_explain_flag_variants_run(workspace, tmp_path):

@@ -183,8 +183,8 @@ def _reference_localization_error(spec, weights, examples, config):
     """
     top1 = top5 = 0
     for ex in examples:
-        _, tape = nn.forward(spec, weights, ex.image)
-        preds = [int(c) for c in np.argsort(-tape.scores, kind="stable")[:5]]
+        scores, tape = nn.forward(spec, weights, ex.image)
+        preds = [int(c) for c in np.argsort(-scores, kind="stable")[:5]]
         ok = []
         for c in preds:
             heat = explain.gradcam(tape, c, "r2", config)

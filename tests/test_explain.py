@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import camlab
 from camlab import explain, nn
@@ -74,7 +75,7 @@ def test_single_nonnegative_map_with_unit_weight_is_identity():
     _, tape = camlab.forward(spec, weights, img)
     heat = gradcam(tape, 0, "r1")
     # alpha = mean grad = head weight / Z = 1, map non-negative
-    np.testing.assert_allclose(heat, tape.checkpoint("r1")[0], atol=1e-6)
+    np.testing.assert_allclose(heat, tape.checkpoint("r1")[0, 0], atol=1e-6)
 
 
 def test_counterfactual_zero_when_evidence_is_all_positive():
@@ -102,7 +103,7 @@ def test_cam_equivalence_on_gap_model(gap_spec, gap_weights, test_set):
     scores, tape = camlab.forward(gap_spec, gap_weights, ex.image)
     c = int(np.argmax(scores))
     amaps = tape.checkpoint("r2")
-    z = amaps.shape[1] * amaps.shape[2]
+    z = amaps.shape[-2] * amaps.shape[-1]
     gc = gradcam(tape, c, "r2")
     cm = cam(tape, c)
     assert np.abs(np.maximum(cm, 0) / z - gc).max() <= 1e-5
@@ -211,6 +212,18 @@ def test_normalize_heatmap_contract():
     np.testing.assert_allclose(h, [[0.0, 1.0]])
 
 
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=4, max_side=5),
+                  elements=st.floats(-4, 4, width=32)
+                  | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])))
+def test_normalize_heatmap_of_a_stack_equals_its_maps_bytewise(stack):
+    # all-zero, all-negative and NaN maps among them
+    with np.errstate(invalid="ignore"):
+        got = normalize_heatmap(stack)
+        assert got.dtype == np.float32 and got.shape == stack.shape
+        for at in np.ndindex(stack.shape[:-2]):
+            assert got[at].tobytes() == normalize_heatmap(stack[at]).tobytes()
+
+
 def test_guided_gradcam_identity_when_heat_is_flat():
     sal = np.arange(12, dtype=np.float32).reshape(3, 2, 2) - 5
     out = guided_gradcam(sal, np.ones((1, 1), np.float32))
@@ -267,6 +280,47 @@ def test_guided_gradcam_fuses_stacks_pairwise(rng):
 
 # ------------------------------------------------------ tapes of N images
 
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_a_tape_of_one_image_is_a_tape_of_n_1(request, test_set, arch):
+    """forward(x), forward(x[None]) and the nn.tapes shard of x give the same
+    tape: scores [1, K], every checkpoint with its image axis, and the same
+    maps, byte for byte, for every METHODS entry and the occlusion map, for
+    a category, [c], [c0, c1] and [[c0, c1]]."""
+    spec = request.getfixturevalue(f"{arch}_spec")
+    weights = request.getfixturevalue(f"{arch}_weights")
+    x = test_set[0].image
+    tapes = [nn.forward(spec, weights, x)[1], nn.forward(spec, weights, x[None])[1],
+             next(nn.tapes(spec, weights, [x]))[1]]
+    shapes = dict(input=spec.input_shape, **spec.shapes())
+    for tape in tapes:
+        assert tape.scores.shape == (1, spec.num_categories)
+        assert tape.scores.tobytes() == tapes[0].scores.tobytes()
+        for name, shape in shapes.items():
+            assert tape.checkpoint(name).shape == (1,) + tuple(shape)
+            assert tape.checkpoint(name).tobytes() == tapes[0].checkpoint(name).tobytes()
+    occlude = camlab.OcclusionConfig(patch=5, stride=2)
+    runs = dict(explain.METHODS, occlusion=lambda tape, c, layer, config:
+                camlab.occlusion_map(tape, c, occlude))
+    if arch == "fc":
+        for tape in tapes:
+            with pytest.raises(CamIncompatibleError):
+                runs["cam"](tape, 0, "r2", None)
+        del runs["cam"]
+    c0, c1 = test_set[0].label, (test_set[0].label + 1) % spec.num_categories
+    for run in runs.values():
+        maps = []
+        for categories in (c0, [c0], [c0, c1], [[c0, c1]]):
+            got = [run(tape, categories, "r2", None) for tape in tapes]
+            assert got[0].ndim == np.ndim(categories) + 2
+            for heat in got[1:]:
+                assert heat.dtype == got[0].dtype and heat.tobytes() == got[0].tobytes()
+            maps.append(got[0])
+        one, listed, pair, nested = maps
+        # [c] is c's map with a leading axis, [[c0, c1]] that of [c0, c1]
+        assert listed.tobytes() == one.tobytes() and nested.tobytes() == pair.tobytes()
+        assert pair[0].tobytes() == one.tobytes()
+
+
 def assert_tape_of_images_equals_one_image_tapes(spec, weights, images, rng):
     """A tape of N images against N one-image tapes, byte for byte: the
     scores, every checkpoint, `grad_at_layer` under each ReLU policy and
@@ -280,9 +334,9 @@ def assert_tape_of_images_equals_one_image_tapes(spec, weights, images, rng):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    same(scores, [t.scores for t in alone])
+    same(scores, [t.scores[0] for t in alone])
     for name in ["input"] + [rec.name for rec in tape.records]:
-        same(tape.checkpoint(name), [t.checkpoint(name) for t in alone])
+        same(tape.checkpoint(name), [t.checkpoint(name)[0] for t in alone])
     try:
         layer = default_target_layer(spec)
     except CheckpointError:   # no conv: Grad-CAM on the image itself

@@ -260,7 +260,7 @@ def test_bilinear_downsample_constant_map():
 
 def test_bilinear_validates_arguments():
     with pytest.raises(ValueError):
-        bilinear_resize(np.zeros((2, 2, 2)), 4, 4)
+        bilinear_resize(np.zeros(2), 4, 4)
     with pytest.raises(ValueError):
         bilinear_resize(np.zeros((2, 2)), 0, 4)
 
@@ -299,6 +299,17 @@ def test_bilinear_matches_four_gather_oracle_bytewise(grid, new_w, new_h, expone
         want = _four_gather_resize(grid, new_w, new_h)
     assert got.dtype == np.float32 and got.shape == (new_h, new_w)
     assert got.tobytes() == want.tobytes()
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=4, max_side=6),
+                  elements=st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf, np.nan])),
+       st.integers(1, 12), st.integers(1, 12))
+def test_bilinear_of_a_stack_equals_its_maps_bytewise(stack, new_w, new_h):
+    with np.errstate(invalid="ignore"):
+        got = bilinear_resize(stack, new_w, new_h)
+        assert got.dtype == np.float32 and got.shape == stack.shape[:-2] + (new_h, new_w)
+        for at in np.ndindex(stack.shape[:-2]):
+            assert got[at].tobytes() == bilinear_resize(stack[at], new_w, new_h).tobytes()
 
 
 # ------------------------------------------------------------- rendering

