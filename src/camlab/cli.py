@@ -78,10 +78,8 @@ def cmd_train(args):
 def cmd_explain(args):
     spec, weights = _load_model(args)
     image = _load_image(args.image)
-    if args.layer is not None and args.method == "cam":
-        explain.cam_layer(spec.layers, args.layer)
+    layer = explain.target_layer(spec, args.layer, [args.method])
     scores, tape = nn.forward(spec, weights, image)
-    layer = args.layer or explain.default_target_layer(spec)
     config = _config_from(args)
     if args.category is not None:
         categories = [args.category]

@@ -225,9 +225,7 @@ def _target_layer(spec, examples, layer, methods=()):
                                 + ", ".join(explain.METHODS))
         if methods.count(method) > 1:
             raise ProtocolError(f"method {method!r} is named more than once")
-    if layer is not None and "cam" in methods:
-        explain.cam_layer(spec.layers, layer)
-    return layer or explain.default_target_layer(spec)
+    return explain.target_layer(spec, layer, methods)
 
 
 def _batches(spec, weights, examples):

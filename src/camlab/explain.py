@@ -70,6 +70,25 @@ def default_target_layer(spec):
     return best
 
 
+def target_layer(spec, named=None, methods=()):
+    """The layer whose maps `methods` explain: `named`, or else the spec's
+    `default_target_layer`.  Checked before any forward, whatever the
+    method: a named layer must be "input" or a layer whose output is maps
+    [C, H, W] (CheckpointError otherwise), and the one CAM reads if "cam"
+    is among the methods (CamIncompatibleError otherwise)."""
+    if named is None:
+        return default_target_layer(spec)
+    shapes = spec.shapes()
+    maps = ["input"] + [name for name, shape in shapes.items() if len(shape) == 3]
+    if named not in maps:
+        what = (f"no checkpoint named {named!r}" if named not in shapes
+                else f"checkpoint {named!r} is not spatial (shape {shapes[named]})")
+        raise CheckpointError(f"{what}; choose from " + ", ".join(maps))
+    if "cam" in methods:
+        cam_layer(spec.layers, named)
+    return named
+
+
 def neuron_weights(grads, config=None):
     """Pool a [K,u,v] gradient block into per-map importance weights [K];
     a stack [S,K,u,v] gives [S,K]."""

@@ -431,10 +431,13 @@ class WeightStore:
 # holds 4 images.  `ops.conv2d` builds that matrix in blocks of at most
 # `ops.IM2COL_BYTES` (one image, here), but the budget still counts it
 # whole, which keeps the batches, and the backward stacks that follow them,
-# at their size.  `occlusion.score_occluded` budgets a box for its largest
-# window buffer plus the whole map at the first global layer: at patch 5
-# that is the c2 window im2col matrix and r2 (GAP, 20 boxes a batch) or p2
-# (FC, 28).
+# at their size.  `occlusion.score_occluded` runs a leading step over all
+# boxes at once while all boxes' crops and windows for it fit in this
+# budget: the masking, c1 and r1 at patch 5, whose windows are small, so
+# that each runs in one call rather than one per batch.  From the first
+# step that does not fit, c2, it budgets a box for its largest window
+# im2col matrix plus the whole map at the first global layer: the c2 window
+# matrix and r2 (GAP, 20 boxes a batch) or p2 (FC, 28).
 BATCH_BYTES = 3 << 20
 
 

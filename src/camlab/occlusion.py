@@ -10,10 +10,13 @@ Like every explanation, the maps read an activation tape of N images:
 each image's base score, and the records from which `score_occluded`
 scores its masked images without building them.  A patch changes only a
 window of each convolution, ReLU and max-pool output, so only that window
-is computed again, and the layers from the first global one (GAP, flatten,
-dense) run on the whole patched map.  Each score equals, byte for byte, the
-score of the masked image through `nn.forward`; the tests hold the map to
-that.
+is computed again, from a copy of just the block of the recorded map that
+the layer reads; the layers from the first global one (GAP, flatten,
+dense) run on the whole patched map.  Steps that fit within
+`nn.BATCH_BYTES` for all patches at once run once, not once per batch
+(the masking, c1 and r1 of the fixture specs at patch 5); the rest run in
+batches of patches.  Each score equals, byte for byte, the score of the
+masked image through `nn.forward`; the tests hold the map to that.
 """
 
 import math
@@ -57,29 +60,44 @@ def _blocks(x, size):
                                                     writeable=True)
 
 
-class _Canvas:
-    """Copies of a base map [C, H, W], each with a window of one box pasted
-    in, and the blocks read back from them.  The first batch of boxes, the
-    largest, sizes the copies; later batches reuse them."""
+def _cropper(base, pad, win_origin, win_size, crop_origin, crop):
+    """(crops, values): crops(win, at) gives the crops [N, C, *crop] at
+    crop_origin[at] of `base` [C, H, W] zero-padded by `pad`, each with its
+    window win[n] [C, *win_size] pasted at win_origin[at][n] (in padded
+    coordinates); values is a box's cost in float64 values, its block.  A
+    box copies only a block: its crop plus margins, the same for every box,
+    wide enough for any window that overhangs its crop, as one does over
+    rows that no output reads (where a stride exceeds the kernel, or at the
+    far border).
+    """
+    lo = np.maximum(0, (crop_origin - win_origin).max(axis=0, initial=0))
+    hi = np.maximum(0, (win_origin + win_size - crop_origin - crop).max(axis=0, initial=0))
+    # block b of the map padded by the margins too starts at crop_origin[b]
+    padded = np.pad(base, ((0, 0), (pad + lo[0], pad + hi[0]), (pad + lo[1], pad + hi[1])))
+    read = _blocks(padded[None], crop + lo + hi)
+    offset = win_origin + lo - crop_origin
 
-    def __init__(self, base, win_size, crop_size):
-        self.base, self.win_size, self.crop_size = base, win_size, crop_size
-        self.x = None
+    def crops(win, at):
+        origin = crop_origin[at]
+        block = read[0, :, origin[:, 0], origin[:, 1]]
+        _blocks(block, win_size)[np.arange(len(block)), :, offset[at, 0], offset[at, 1]] = win
+        return block[:, :, lo[0]:lo[0] + crop[0], lo[1]:lo[1] + crop[1]]
 
-    def paste(self, win, origin):
-        """Copies [N, C, H, W] of the base, copy n with win[n] at origin[n]."""
-        n = len(win)
-        if self.x is None:
-            self.x = np.empty((n,) + self.base.shape, dtype=self.base.dtype)
-            self.write = _blocks(self.x, self.win_size)
-            self.read = _blocks(self.x, self.crop_size)
-        self.x[:n] = self.base
-        self.write[np.arange(n), :, origin[:, 0], origin[:, 1]] = win
-        return self.x[:n]
+    return crops, base.shape[0] * math.prod(crop + lo + hi)
 
-    def crops(self, origin):
-        """Blocks [N, C, *crop_size] of the last N pasted copies at origin [N, 2]."""
-        return self.read[np.arange(len(origin)), :, origin[:, 0], origin[:, 1]]
+
+def _local(rec, crops):
+    """A local layer's stage: win -> its output window for the boxes `at`,
+    through the layer's forward with pad 0 on each box's crop (the crops
+    hold their padding already), or on the window itself where `crops` is
+    None: a pointwise layer reads just the previous window."""
+    params = dict(rec.step.params, pad=0)
+
+    def stage(win, at):
+        x = win if crops is None else crops(win, at)
+        return rec.step.kind.forward(x, params, rec.params, "tape")[0]
+
+    return stage
 
 
 def score_occluded(tape, n, boxes, fill):
@@ -96,10 +114,20 @@ def score_occluded(tape, n, boxes, fill):
     box can reach, and its origin is clamped into the map; where it is
     wider than the change it recomputes values equal to the recorded ones.
     At the first global layer the window is pasted into a copy of the whole
-    recorded map, and the rest of the chain runs in full.  Boxes run in
-    batches that keep the largest window buffer plus that whole map within
-    `nn.BATCH_BYTES`; the window buffer counted is a conv's whole im2col
-    matrix, which `ops.conv2d` builds in blocks of `ops.IM2COL_BYTES`.
+    recorded map (the crop is the whole map), and the rest of the chain
+    runs in full.
+
+    The steps run in order: masking the image windows, each local layer,
+    and the global rest.  Each leading step whose crops and windows for all
+    boxes at once fit within `nn.BATCH_BYTES`, counted as float64 values,
+    runs once over all boxes, one call where batches would make many small
+    ones; on the fixture specs at patch 5 that is the masking, c1 and r1,
+    whose windows are small.  From the first step that
+    does not fit, boxes run in batches that keep the largest conv im2col
+    matrix of a batched step plus the whole map at the first global layer
+    within `nn.BATCH_BYTES` (`ops.conv2d` builds that matrix in blocks of
+    `ops.IM2COL_BYTES`): c2 and the rest, 20 boxes a batch on GAP and 28 on
+    FC.  The global rest always runs in batches.
     """
     image = tape.records[0].x[n]
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 2, 2)
@@ -109,7 +137,19 @@ def score_occluded(tape, n, boxes, fill):
     extent = np.array(image.shape[1:])
     size = image_size = np.minimum(extent, (box_hi - box_lo).max(axis=0, initial=1))
     origin = image_origin = np.clip(box_lo, 0, extent - size)
-    local, buffer = [], 0     # local: (record, canvas, window origin, crop origin)
+    image_blocks = _blocks(image[None], image_size)
+    fill = np.asarray(fill, dtype=image.dtype).reshape(1, -1, 1, 1)
+
+    def mask(_, at):
+        rows = image_origin[at, :1] + np.arange(image_size[0])
+        cols = image_origin[at, 1:] + np.arange(image_size[1])
+        boxed = (((rows >= box_lo[at, :1]) & (rows < box_hi[at, :1]))[:, None, :, None]
+                 & ((cols >= box_lo[at, 1:]) & (cols < box_hi[at, 1:]))[:, None, None, :])
+        return np.where(boxed, fill, image_blocks[0, :, image_origin[at, 0], image_origin[at, 1]])
+
+    # (stage, float64 values per box of its crops and windows, im2col buffer)
+    stages = [(mask, 2 * image.shape[0] * math.prod(image_size), 0)]
+    local = 0
     for rec in tape.records:
         step = rec.step
         if step.kind.window is None:
@@ -121,37 +161,31 @@ def score_occluded(tape, n, boxes, fill):
         # ceil((origin + pad - k + 1) / s), clamped into the map
         out_origin = np.clip(-((k - 1 - pad - origin) // s), 0, extent - out)
         crop = (out - 1) * s + k
-        # a pointwise layer (a 1 x 1 window, stride 1) reads just the
-        # previous window; any other reads crops of its padded recorded input
-        canvas = None if (k, s, pad) == (1, 1, 0) else _Canvas(
-            np.pad(rec.x[n], ((0, 0), (pad, pad), (pad, pad))), size, crop)
-        local.append((rec, canvas, origin + pad, out_origin * s))
-        buffer = max(buffer, step.kind.buffer(step.params, (rec.x.shape[1], *crop),
-                                              (step.out_shape[0], *out)))
-        size, origin = out, out_origin
-    rest = tape.records[len(local):]
-    whole = _Canvas(rest[0].x[n], size, size)
-    per_box = buffer + max([whole.base.size] + [rec.step.buffer for rec in rest])
+        values = step.out_shape[0] * math.prod(out)
+        if (k, s, pad) == (1, 1, 0):
+            crops, block = None, values
+        else:
+            crops, block = _cropper(rec.x[n], pad, origin + pad, size, out_origin * s, crop)
+        stages.append((_local(rec, crops), block + values,
+                       step.kind.buffer(step.params, (rec.x.shape[1], *crop),
+                                        (step.out_shape[0], *out))))
+        size, origin, local = out, out_origin, local + 1
+    rest = tape.records[local:]
+    whole, _ = _cropper(rest[0].x[n], 0, origin, size, np.zeros_like(origin),
+                        np.array(rest[0].x.shape[2:]))
+    win, everyone = None, slice(None)
+    while stages and 8 * len(boxes) * stages[0][1] <= nn.BATCH_BYTES:
+        win = stages.pop(0)[0](win, everyone)
+    per_box = (max([buffer for _, _, buffer in stages], default=0)
+               + max([rest[0].x[n].size] + [rec.step.buffer for rec in rest]))
     batch = max(1, nn.BATCH_BYTES // (8 * per_box))
-    image_blocks = _blocks(image[None], image_size)[0]
-    fill = np.asarray(fill, dtype=image.dtype).reshape(1, -1, 1, 1)
     scores = np.empty((len(boxes),) + tape.scores.shape[-1:], dtype=tape.scores.dtype)
     for start in range(0, len(boxes), batch):
         at = slice(start, start + batch)
-        rows = image_origin[at, :1] + np.arange(image_size[0])
-        cols = image_origin[at, 1:] + np.arange(image_size[1])
-        boxed = (((rows >= box_lo[at, :1]) & (rows < box_hi[at, :1]))[:, None, :, None]
-                 & ((cols >= box_lo[at, 1:]) & (cols < box_hi[at, 1:]))[:, None, None, :])
-        win = image_blocks[:, image_origin[at, 0], image_origin[at, 1]].swapaxes(0, 1)
-        win = np.where(boxed, fill, win)
-        for rec, canvas, win_origin, crop_origin in local:
-            if canvas is not None:
-                canvas.paste(win, win_origin[at])
-                win = canvas.crops(crop_origin[at])
-            # the crops hold their padding already
-            win = rec.step.kind.forward(win, dict(rec.step.params, pad=0), rec.params,
-                                        "tape")[0]
-        x = whole.paste(win, origin[at])
+        x = None if win is None else win[at]
+        for stage, _, _ in stages:
+            x = stage(x, at)
+        x = whole(x, at)
         for rec in rest:
             x = rec.step.kind.forward(x, rec.step.params, rec.params, "tape")[0]
         scores[at] = x

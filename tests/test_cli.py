@@ -352,6 +352,22 @@ def _directory(tmp, name):
                       "--methods", "gradcam,cam", "--layer", "r1", "--patch", "9",
                       "--stride", "8", "--report", str(tmp / "r.txt")],
      "CAM reads layer 'r2', the maps that feed GAP, not 'r1'"),
+    # ran to exit 0 with the maps of the default layer: a pixel-space method
+    # reads no layer, but a name that is no layer's maps is still refused
+    (lambda ws, tmp: ["explain", *gap_args(ws), "--image", first_image(ws), "--category", "0",
+                      "--method", "guided-backprop", "--layer", "nowhere",
+                      "--out-heat", str(tmp / "r.txt")], "no checkpoint named 'nowhere'"),
+    (lambda ws, tmp: ["localize", *gap_args(ws), "--data", str(ws / "data"),
+                      "--method", "backprop", "--layer", "nowhere",
+                      "--report", str(tmp / "r.txt")], "no checkpoint named 'nowhere'"),
+    (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", str(ws / "data"),
+                      "--methods", "guided-backprop", "--layer", "nowhere", "--patch", "9",
+                      "--stride", "8", "--report", str(tmp / "r.txt")],
+     "no checkpoint named 'nowhere'"),
+    (lambda ws, tmp: ["explain", *gap_args(ws), "--image", first_image(ws), "--category", "0",
+                      "--method", "guided-backprop", "--layer", "gap",
+                      "--out-heat", str(tmp / "r.txt")],
+     "checkpoint 'gap' is not spatial (shape (12,)); choose from input, c1, r1, c2, r2"),
 ])
 def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, argv, message):
     assert main(argv(workspace, tmp_path)) == 3

@@ -160,19 +160,22 @@ def test_batched_map_equals_rescoring_loop_with_a_partial_last_batch(monkeypatch
 
 @pytest.mark.parametrize("make_spec,per_batch", [(nn.fix_gap_spec, 20), (nn.fix_fc_spec, 28)])
 def test_boxes_per_batch_fill_the_byte_budget(monkeypatch, rng, make_spec, per_batch):
-    # at patch 5 a box costs the c2 window's im2col matrix plus the whole
-    # map at the first global layer, r2 (GAP) or p2 (FC); see nn.BATCH_BYTES
+    # at patch 5 the c1 crops and windows of all 576 boxes fit in
+    # nn.BATCH_BYTES, so c1 runs once; c2 does not, and a box in a batch
+    # costs the c2 window's im2col matrix plus the whole map at the first
+    # global layer, r2 (GAP) or p2 (FC); see nn.BATCH_BYTES
     spec = make_spec()
     tape = tape_of(spec, nn.init_weights(spec, rng_seed=0),
                    rng.random(spec.input_shape).astype(np.float32))
-    batches, conv2d = [], ops.conv2d
-    monkeypatch.setattr(ops, "conv2d", lambda x, *a, **k: batches.append(len(x))
+    calls, conv2d = [], ops.conv2d
+    monkeypatch.setattr(ops, "conv2d", lambda x, *a, **k: calls.append(len(x))
                         or conv2d(x, *a, **k))
     occlusion_map(tape, 0, OcclusionConfig(patch=5, stride=2))
-    # each batch runs the c1 window, then the c2 window
-    assert batches[:-2] == [per_batch] * (len(batches) - 2)
-    assert batches[-2] == batches[-1] == 576 % per_batch
-    assert sum(batches[::2]) == 576
+    first, *batches = calls
+    assert first == 576
+    assert batches[:-1] == [per_batch] * (len(batches) - 1)
+    assert batches[-1] == 576 % per_batch
+    assert sum(batches) == 576
 
 
 @pytest.mark.parametrize("arch", ["gap", "fc"])
@@ -195,6 +198,15 @@ def test_no_im2col_matrix_exceeds_the_block_bytes(request, test_set, monkeypatch
     occlusion_map(tape_of(spec, weights, images[0]), 0, OcclusionConfig(patch=5, stride=2))
     assert max(per_image for _, per_image in sizes) > ops.IM2COL_BYTES   # the tape's c2
     assert all(size <= max(ops.IM2COL_BYTES, per_image) for size, per_image in sizes)
+
+
+def test_a_gap_occlusion_map_peaks_below_2_5_mb(gap_spec, gap_weights, test_set, traced_peak):
+    # 2.05 MB while each batch of 20 boxes pasted its windows into copies of
+    # the whole padded c1 input and c2 input
+    tape = tape_of(gap_spec, gap_weights, test_set[0].image)
+    cfg = OcclusionConfig(patch=5, stride=2)
+    occlusion_map(tape, 0, cfg)   # anything made once per process
+    assert traced_peak(lambda: occlusion_map(tape, 0, cfg)) < 2.5e6
 
 
 def test_an_fc_occlusion_map_peaks_below_3_5_mb(fc_spec, fc_weights, test_set, traced_peak):
@@ -243,6 +255,30 @@ def test_fixture_maps_equal_remasking_byte_for_byte(request, test_set, arch, pat
     for ex in test_set[:2]:
         heat = occlusion_map(tape_of(spec, weights, ex.image), ex.label, cfg)
         assert heat.tobytes() == remasked_map(spec, weights, ex.image, ex.label, cfg).tobytes()
+
+
+@pytest.mark.parametrize("layers,patch,stride", [
+    # between two outputs of a conv whose stride exceeds its kernel lie
+    # rows that no output reads: the windows overhang their crops there
+    ("c1 conv filters=2 kernel=2 stride=3\nr1 relu\nc2 conv filters=2 kernel=3 pad=1",
+     3, 1),
+    ("c1 conv filters=3 kernel=1 stride=2 pad=1\nc2 conv filters=2 kernel=2 stride=3",
+     5, 2),
+    # a 3 x 3 pool at stride 3 on 14 x 13 maps reads no output from rows 12
+    # and 13 or column 12, which the windows clamped at the far border hold
+    ("c1 conv filters=2 kernel=3 pad=1\np1 maxpool window=3", 3, 1),
+    ("c1 conv filters=2 kernel=3 stride=2\nr1 relu\np1 maxpool window=2 stride=3", 5, 3),
+], ids=["conv-stride-3-kernel-2", "conv-1x1-then-stride-3", "pool-far-border",
+        "strided-pool-far-border"])
+def test_windows_that_overhang_their_crops_equal_remasking(rng, layers, patch, stride):
+    spec = nn.parse_model_spec(f"img input shape=2x14x13\n{layers}\ngap gap\n"
+                               "head dense units=3\n")
+    weights = nn.init_weights(spec, rng_seed=4)
+    img = rng.random(spec.input_shape).astype(np.float32)
+    cfg = OcclusionConfig(patch=patch, stride=stride)
+    for category in range(3):
+        heat = occlusion_map(tape_of(spec, weights, img), category, cfg)
+        assert heat.tobytes() == remasked_map(spec, weights, img, category, cfg).tobytes()
 
 
 def test_spec_without_a_local_layer_equals_remasking(rng):
