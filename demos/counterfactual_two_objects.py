@@ -19,12 +19,6 @@ from camlab.fixtures import CATEGORIES
 OUT = "counterfactual_out"
 
 
-def save_overlay(image, heat, path):
-    up = imaging.bilinear_resize(heat, 48, 48)
-    rgb = imaging.colormap_jet(explain.normalize_heatmap(up))
-    imaging.write_image(imaging.overlay(imaging.tensor_to_image(image), rgb), path)
-
-
 def main():
     os.makedirs(OUT, exist_ok=True)
     train = camlab.make_shapes_dataset(400, 48, rng_seed=1)
@@ -43,11 +37,11 @@ def main():
               f"right={CATEGORIES[right]} predicted={CATEGORIES[pred]}")
         for cat in (left, right):
             heat = explain.gradcam(tape, cat, "r2")
-            save_overlay(ex.image, heat,
-                         os.path.join(OUT, f"{ex.image_id}_{CATEGORIES[cat]}.ppm"))
+            imaging.write_image(imaging.heatmap_overlay(ex.image, heat),
+                                os.path.join(OUT, f"{ex.image_id}_{CATEGORIES[cat]}.ppm"))
         cf = explain.counterfactual(tape, pred, "r2")
-        save_overlay(ex.image, cf,
-                     os.path.join(OUT, f"{ex.image_id}_counterfactual.ppm"))
+        imaging.write_image(imaging.heatmap_overlay(ex.image, cf),
+                            os.path.join(OUT, f"{ex.image_id}_counterfactual.ppm"))
         # report where the counterfactual mass sits
         up = imaging.bilinear_resize(cf, 48, 48).astype(np.float64)
         if up.sum() > 0:

@@ -43,12 +43,9 @@ def main():
     imaging.write_fmap(heat, os.path.join(OUT, "heat.fmap"))
 
     # 3. render an overlay ------------------------------------------------
-    up = imaging.bilinear_resize(heat, 48, 48)
-    rgb = imaging.colormap_jet(explain.normalize_heatmap(up))
-    base = imaging.tensor_to_image(ex.image)
-    imaging.write_image(imaging.overlay(base, rgb),
+    imaging.write_image(imaging.heatmap_overlay(ex.image, heat),
                         os.path.join(OUT, "overlay.ppm"))
-    imaging.write_image(base, os.path.join(OUT, "input.pgm"))
+    imaging.write_image(imaging.tensor_to_image(ex.image), os.path.join(OUT, "input.pgm"))
     print(f"wrote {OUT}/input.pgm, {OUT}/heat.fmap, {OUT}/overlay.ppm")
 
 

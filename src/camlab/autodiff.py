@@ -19,7 +19,7 @@ from . import ops
 RELU_POLICIES = ("standard", "guided", "deconv")
 
 
-class CheckpointError(KeyError):
+class CheckpointError(LookupError):
     """Unknown checkpoint name."""
 
 

@@ -50,11 +50,7 @@ def _emit(heat, image, args, suffix=""):
     if args.out_heat:
         imaging.write_fmap(np.asarray(heat, np.float32), with_suffix(args.out_heat))
     if args.out_png:
-        h, w = image.shape[1], image.shape[2]
-        up = imaging.bilinear_resize(heat, w, h)
-        rgb = imaging.colormap_jet(explain.normalize_heatmap(up))
-        imaging.write_image(imaging.overlay(imaging.tensor_to_image(image), rgb),
-                            with_suffix(args.out_png))
+        imaging.write_image(imaging.heatmap_overlay(image, heat), with_suffix(args.out_png))
 
 
 def cmd_make_dataset(args):

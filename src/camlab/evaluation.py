@@ -9,9 +9,9 @@ correlation between an explanation map and the occlusion map.
 `localize`, `point`, `modified_point` and `faithfulness` run a protocol
 over a split of ShapesExamples and return its metrics; the CLI and the
 acceptance suite both call them.  Each walks the split in the batches of
-`nn.tapes`: one forward and one backward walk per method and batch, for
-every map of its images; faithfulness adds each image's occlusion map,
-scored from the same tape.
+`nn.tapes`, which checks the split before any forward: one forward and
+one backward walk per method and batch, for every map of its images;
+faithfulness adds each image's occlusion map, scored from the same tape.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import explain, nn, occlusion
+from . import explain, nn, occlusion, ops
 from .imaging import bilinear_resize
 
 
@@ -214,11 +214,8 @@ def top_k(scores, k):
     return [int(c) for c in np.argsort(-scores, kind="stable")[:k]]
 
 
-def _target_layer(spec, examples, layer, methods=()):
-    """Check a protocol's split and methods; `layer` or the default target."""
-    if not examples:
-        raise ProtocolError("the split has no examples")
-    nn.check_labels(spec, examples)
+def _target_layer(spec, layer, methods=()):
+    """Check a protocol's methods; `layer` or the default target."""
     for method in methods:
         if method not in explain.METHODS:
             raise ProtocolError(f"unknown method {method!r}; choose from "
@@ -226,12 +223,6 @@ def _target_layer(spec, examples, layer, methods=()):
         if methods.count(method) > 1:
             raise ProtocolError(f"method {method!r} is named more than once")
     return explain.target_layer(spec, layer, methods)
-
-
-def _batches(spec, weights, examples):
-    """(examples of a batch, its tape) over the split, as `nn.tapes` runs it."""
-    for at, tape in nn.tapes(spec, weights, [ex.image for ex in examples]):
-        yield examples[at], tape
 
 
 def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
@@ -242,9 +233,9 @@ def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
     predictions and the tight box of that category's map reaches the IoU
     threshold.  No other map can score, so only that one is computed.
     """
-    layer = _target_layer(spec, examples, layer, [method])
+    layer = _target_layer(spec, layer, [method])
     top1 = top5 = 0
-    for batch, tape in _batches(spec, weights, examples):
+    for batch, tape in nn.tapes(spec, weights, examples):
         heats = explain.METHODS[method](tape, [ex.label for ex in batch], layer, config)
         h, w = batch[0].gt_mask.shape    # each mask has its image's shape
         for ex, scores, heat in zip(batch, tape.scores, bilinear_resize(heats, w, h)):
@@ -265,9 +256,9 @@ def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
 
 def point(spec, weights, examples, layer=None):
     """Pointing game on the Grad-CAM map of each image's true category."""
-    layer = _target_layer(spec, examples, layer)
+    layer = _target_layer(spec, layer)
     hits = 0
-    for batch, tape in _batches(spec, weights, examples):
+    for batch, tape in nn.tapes(spec, weights, examples):
         heats = explain.gradcam(tape, [ex.label for ex in batch], layer)
         hits += sum(pointing_game(heat, ex.gt_mask) for ex, heat in zip(batch, heats))
     return {"pointing_accuracy": hits / len(examples), "n_images": len(examples)}
@@ -275,12 +266,19 @@ def point(spec, weights, examples, layer=None):
 
 def modified_point(spec, weights, examples, calibration, layer=None):
     """Modified pointing game over each image's top-5 Grad-CAM maps, with the
-    threshold calibrated on every category's map over `calibration`."""
-    layer = _target_layer(spec, examples, layer)
-    nn.check_labels(spec, calibration)
+    threshold calibrated on every category's map over `calibration`.
+
+    Both splits are checked before any forward; an error of the calibration
+    split says so."""
+    layer = _target_layer(spec, layer)
+    walk = nn.tapes(spec, weights, examples)
+    try:
+        calibrating = nn.tapes(spec, weights, calibration)
+    except (nn.DatasetError, ops.DimensionError) as exc:
+        raise type(exc)(f"calibration split: {exc}") from None
     present, absent = [], []
     categories = list(range(spec.num_categories))
-    for batch, tape in _batches(spec, weights, calibration):
+    for batch, tape in calibrating:
         heats = explain.gradcam(tape, [categories] * len(batch), layer)
         for ex, maps in zip(batch, heats):
             labels = {obj.label for obj in ex.objects}
@@ -288,7 +286,7 @@ def modified_point(spec, weights, examples, calibration, layer=None):
                 (present if category in labels else absent).append(float(heat.max()))
     threshold = calibrate_pointing_threshold(present, absent)
     outcomes = []
-    for batch, tape in _batches(spec, weights, examples):
+    for batch, tape in walk:
         tops = [top_k(scores, 5) for scores in tape.scores]
         for ex, top, maps in zip(batch, tops, explain.gradcam(tape, tops, layer)):
             masks = {obj.label: obj.mask for obj in ex.objects}
@@ -306,9 +304,9 @@ def faithfulness(spec, weights, examples, methods, occlusion_config, layer=None)
     (NaN, without numpy's empty-mean warning, when there are none) and
     their count.
     """
-    layer = _target_layer(spec, examples, layer, methods)
+    layer = _target_layer(spec, layer, methods)
     rhos = {m: [] for m in methods}
-    for batch, tape in _batches(spec, weights, examples):
+    for batch, tape in nn.tapes(spec, weights, examples):
         labels = [ex.label for ex in batch]
         occ = occlusion.occlusion_map(tape, labels, occlusion_config)
         for m in methods:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import RELU_POLICIES, CheckpointError, check_categories, grad_at_layer
-from .imaging import bilinear_resize
+from .imaging import bilinear_resize, normalize_heatmap
 
 
 class CamIncompatibleError(ValueError):
@@ -167,15 +167,6 @@ def pixel_saliency(tape, categories, policy="guided"):
     are the sharpened variants used for fusion.
     """
     return grad_at_layer(tape, categories, "input", policy)
-
-
-def normalize_heatmap(heat):
-    """Scale so the max positive value maps to 1; all-zero maps stay zero.
-    A stack [..., h, w] scales each map by its own max."""
-    heat = np.asarray(heat, dtype=np.float32)
-    m = heat.max(axis=(-2, -1), keepdims=True, initial=0.0)
-    # a map whose max is NaN is divided by it, not zeroed
-    return np.divide(heat, m, out=np.zeros_like(heat), where=~(m <= 0))
 
 
 def guided_gradcam(saliency, heat):

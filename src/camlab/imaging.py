@@ -214,6 +214,15 @@ _JET_COLORS = np.array([
 ], dtype=np.float64)
 
 
+def normalize_heatmap(heat):
+    """Scale so the max positive value maps to 1; all-zero maps stay zero.
+    A stack [..., h, w] scales each map by its own max."""
+    heat = np.asarray(heat, dtype=np.float32)
+    m = heat.max(axis=(-2, -1), keepdims=True, initial=0.0)
+    # a map whose max is NaN is divided by it, not zeroed
+    return np.divide(heat, m, out=np.zeros_like(heat), where=~(m <= 0))
+
+
 def colormap_jet(norm):
     """Map a [0,1] grid through the jet colormap; returns uint8 [H,W,3]."""
     v = np.clip(np.asarray(norm, dtype=np.float64), 0.0, 1.0)
@@ -233,6 +242,14 @@ def overlay(image, heat_rgb, alpha=0.5):
         raise ValueError(f"shape mismatch {image.shape} vs {heat_rgb.shape}")
     out = alpha * heat_rgb + (1 - alpha) * image
     return np.floor(out + 0.5).astype(np.uint8)
+
+
+def heatmap_overlay(image, heat):
+    """A heatmap over its image [C,H,W]: resized to the image, normalized,
+    through the jet colormap and blended over it; uint8 [H,W,3]."""
+    h, w = np.shape(image)[-2:]
+    rgb = colormap_jet(normalize_heatmap(bilinear_resize(heat, w, h)))
+    return overlay(tensor_to_image(image), rgb)
 
 
 def tensor_to_image(x):

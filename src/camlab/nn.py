@@ -44,11 +44,12 @@ class TrainingError(RuntimeError):
 
 
 class DatasetError(ValueError):
-    """Unusable dataset: empty for training, a label outside the model's
-    categories, a malformed index line, a third object line for one image,
-    two object lines of one image naming the same category, a mask of
-    another shape than its image, an empty mask, a box other than its
-    mask's tight box, or too small an image side."""
+    """Unusable dataset: a split with no examples or with an object whose
+    label is outside the model's categories (checked once per split, by
+    `tapes` and `train_fixture`), a malformed index line, a third object
+    line for one image, two object lines of one image naming the same
+    category, a mask of another shape than its image, an empty mask, a box
+    other than its mask's tight box, or too small an image side."""
 
 
 @dataclass
@@ -508,21 +509,26 @@ def forward(spec, weights, images, dtype=np.float32):
     the spec.
     """
     return _tape(spec, _layer_params(spec, weights, dtype), images, dtype, "tape")
-def tapes(spec, weights, images):
-    """Float32 tapes of a split, `batch_size(spec)` images at a time.
 
-    Yields (slice, tape): the tape of the batch images[slice], each equal
-    to the `forward` of that batch.  Before the first batch, each image's
-    shape is checked against the spec's input, a mismatch raising
-    DimensionError that names the image's index, and the weights against
-    the spec, a mismatch raising WeightStoreError.
+
+def tapes(spec, weights, examples):
+    """Float32 tapes of a split of examples, `batch_size(spec)` at a time.
+
+    Checks the split (`_check_split`) and the weights against the spec
+    (WeightStoreError) when called, before any forward, and returns a lazy
+    walk that yields (the batch's examples, its tape), each tape equal to
+    the `forward` of the batch's images.
     """
-    _check_shapes(spec, images)
+    _check_split(spec, examples)
     params = _layer_params(spec, weights, np.float32)
     size = batch_size(spec)
-    for start in range(0, len(images), size):
-        at = slice(start, start + size)
-        yield at, _tape(spec, params, np.stack(images[at]), np.float32, "tape")[1]
+
+    def walk():
+        for start in range(0, len(examples), size):
+            batch = examples[start:start + size]
+            images = np.stack([ex.image for ex in batch])
+            yield batch, _tape(spec, params, images, np.float32, "tape")[1]
+    return walk()
 
 
 def init_weights(spec, rng_seed=0):
@@ -540,67 +546,43 @@ def init_weights(spec, rng_seed=0):
     return WeightStore(params)
 
 
-def accuracy(spec, weights, dataset):
-    """Top-1 accuracy over (image, label) pairs or ShapesExamples.
-
-    Raises DatasetError for an empty dataset or a label outside the
-    model's categories, as `train_fixture` does.
-    """
-    if not dataset:
-        raise DatasetError("dataset is empty")
-    check_labels(spec, dataset)
-    images, labels = zip(*map(_as_pair, dataset))
-    labels = np.array(labels)
+def accuracy(spec, weights, examples):
+    """Top-1 accuracy over a split of examples, checked as `tapes` checks it."""
     correct = 0
-    for at, tape in tapes(spec, weights, images):
-        correct += int((np.argmax(tape.scores, axis=1) == labels[at]).sum())
-    return correct / len(dataset)
+    for batch, tape in tapes(spec, weights, examples):
+        correct += int((np.argmax(tape.scores, axis=1) == [ex.label for ex in batch]).sum())
+    return correct / len(examples)
 
 
-def check_labels(spec, examples):
-    """Raise DatasetError unless each label of the examples, (image, label)
-    pairs or ShapesExamples with the labels of all their objects, is a
-    category of `spec`."""
-    n = spec.num_categories
-    for ex in examples:
-        for label in (ex[1],) if isinstance(ex, tuple) else (obj.label for obj in ex.objects):
-            if not 0 <= label < n:
-                raise DatasetError(f"label {label} out of range for {n} categories")
-
-
-def _check_shapes(spec, images):
-    """Raise DimensionError, naming the first image whose shape is not the
-    spec's input, by its index in `images`."""
-    want = tuple(spec.input_shape)
-    for i, image in enumerate(images):
-        if np.shape(image) != want:
-            raise ops.DimensionError(f"image {i} of the split: shape {np.shape(image)} "
+def _check_split(spec, examples):
+    """The one check of a split, made by `tapes` and `train_fixture`:
+    DatasetError for an empty split or an object's label outside the
+    categories, DimensionError naming by its index the first image of
+    another shape than the spec's input."""
+    if not examples:
+        raise DatasetError("the split has no examples")
+    n, want = spec.num_categories, tuple(spec.input_shape)
+    for i, ex in enumerate(examples):
+        for obj in ex.objects:
+            if not 0 <= obj.label < n:
+                raise DatasetError(f"label {obj.label} out of range for {n} categories")
+        if np.shape(ex.image) != want:
+            raise ops.DimensionError(f"image {i} of the split: shape {np.shape(ex.image)} "
                                      f"!= spec input {want}")
 
 
-def _as_pair(ex):
-    if isinstance(ex, tuple):
-        return ex
-    return ex.image, ex.label
-
-
-def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
-    """Plain per-example SGD on softmax cross-entropy.
+def train_fixture(spec, examples, epochs, learning_rate, rng_seed=0):
+    """Plain per-example SGD on softmax cross-entropy over a split of
+    examples.
 
     Deterministic given rng_seed.  Returns the trained WeightStore; the mean
-    loss of each epoch is logged.  Before the first step, raises
-    DatasetError for an empty dataset or a label outside the categories,
-    and DimensionError naming the first image of another shape than the
-    spec's input, by its index.  Raises TrainingError (naming the epoch) if
-    the loss goes non-finite, or a weight does by the end of an epoch.
-    numpy's overflow and invalid-value warnings are silenced, as these
-    checks name the failure.
+    loss of each epoch is logged.  Before the first step, checks the split
+    as `tapes` does.  Raises TrainingError (naming the epoch) if the loss
+    goes non-finite, or a weight does by the end of an epoch.  numpy's
+    overflow and invalid-value warnings are silenced, as these checks name
+    the failure.
     """
-    if not dataset:
-        raise DatasetError("dataset is empty")
-    check_labels(spec, dataset)
-    pairs = [_as_pair(ex) for ex in dataset]
-    _check_shapes(spec, [image for image, _ in pairs])
+    _check_split(spec, examples)
     rng = np.random.default_rng(rng_seed)
     weights = init_weights(spec, rng_seed)
     # the WeightStore's own arrays, which the steps update in place
@@ -608,11 +590,11 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
     with np.errstate(over="ignore", invalid="ignore"):
         lr = np.float32(learning_rate)
         for epoch in range(epochs):
-            order = rng.permutation(len(pairs))
+            order = rng.permutation(len(examples))
             total_loss = 0.0
             for idx in order:
-                image, label = pairs[idx]
-                scores, tape = _tape(spec, params, image, np.float32, "train")
+                label = examples[idx].label
+                scores, tape = _tape(spec, params, examples[idx].image, np.float32, "train")
                 probs = ops.softmax(scores)
                 loss = -np.log(max(float(probs[label]), 1e-30))
                 if not np.isfinite(loss):
@@ -631,7 +613,7 @@ def train_fixture(spec, dataset, epochs, learning_rate, rng_seed=0):
                     if bad:
                         raise TrainingError(f"non-finite weights at epoch {epoch}: "
                                             f"{name}.{key} holds {bad} non-finite values")
-            log.debug("epoch %d: mean loss %.4f", epoch, total_loss / len(pairs))
+            log.debug("epoch %d: mean loss %.4f", epoch, total_loss / len(examples))
     return weights
 
 

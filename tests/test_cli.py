@@ -124,11 +124,14 @@ def test_bad_category_or_top_k_is_rejected(workspace, tmp_path, capsys, argv, co
 
 
 @pytest.mark.parametrize("argv", [["localize"], ["point"],
-                                  ["faithfulness", "--methods", "gradcam"]])
-def test_empty_split_is_protocol_error(workspace, tmp_path, capsys, argv):
+                                  ["faithfulness", "--methods", "gradcam"], ["train"]])
+def test_empty_split_is_a_dataset_error(workspace, tmp_path, capsys, argv):
     camlab.fixtures.save_dataset([], tmp_path / "empty")
-    assert main([argv[0], *gap_args(workspace), "--data", str(tmp_path / "empty"),
-                 *argv[1:], "--report", str(tmp_path / "r.txt")]) == 3
+    model = (["--spec", str(workspace / "gap.spec")] if argv[0] == "train"
+             else gap_args(workspace))
+    out = "--out" if argv[0] == "train" else "--report"
+    assert main([argv[0], *model, "--data", str(tmp_path / "empty"),
+                 *argv[1:], out, str(tmp_path / "r.txt")]) == 3
     assert capsys.readouterr().err == "error: the split has no examples\n"
 
 
@@ -240,7 +243,7 @@ def _directory(tmp, name):
 # faithfulness row counted every image twice and exited 0.
 @pytest.mark.parametrize("argv,message", [
     (lambda ws, tmp: ["train", "--spec", str(ws / "gap.spec"), "--data", _empty_split(ws, tmp),
-                      "--out", str(tmp / "w")], "dataset is empty"),
+                      "--out", str(tmp / "w")], "the split has no examples"),
     (lambda ws, tmp: ["train", "--spec", _two_category_spec(ws, tmp), "--data",
                       str(ws / "data"), "--out", str(tmp / "w")],
      "out of range for 2 categories"),
@@ -335,6 +338,15 @@ def _directory(tmp, name):
     (lambda ws, tmp: ["point", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
                       "--modified", "--calibrate-split", str(ws / "data"),
                       "--report", str(tmp / "r.txt")], MIXED_SHAPES),
+    # named the calibration split's image as an image of the split
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data", str(ws / "data"), "--modified",
+                      "--calibrate-split", _mixed_shape_split(ws, tmp),
+                      "--report", str(tmp / "r.txt")], "calibration split: " + MIXED_SHAPES),
+    # was "calibration needs both present and absent maps"
+    (lambda ws, tmp: ["point", *gap_args(ws), "--data", str(ws / "data"), "--modified",
+                      "--calibrate-split", _empty_split(ws, tmp),
+                      "--report", str(tmp / "r.txt")],
+     "calibration split: the split has no examples"),
     (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", _mixed_shape_split(ws, tmp),
                       "--methods", "gradcam", "--patch", "9", "--stride", "8",
                       "--report", str(tmp / "r.txt")], MIXED_SHAPES),
@@ -375,6 +387,27 @@ def test_user_input_errors_are_named_domain_errors(workspace, tmp_path, capsys, 
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_modified_point_checks_the_split_before_any_forward(workspace, tmp_path, capsys,
+                                                           monkeypatch):
+    # a mis-shaped --data was refused only after the three forwards of the
+    # 12-image calibration split
+    runs, tape = [], nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda *a: runs.append(a) or tape(*a))
+    assert main(["point", *gap_args(workspace), "--data", _mixed_shape_split(workspace, tmp_path),
+                 "--modified", "--calibrate-split", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.txt")]) == 3
+    assert capsys.readouterr().err == f"error: {MIXED_SHAPES}\n"
+    assert runs == []
+
+
+def test_checkpoint_error_prints_its_message_unquoted(workspace, capsys):
+    # as a KeyError, whose str() is its message's repr, it printed in quotes
+    assert main(["explain", *gap_args(workspace), "--image", first_image(workspace),
+                 "--category", "0", "--method", "gradcam", "--layer", "nowhere"]) == 3
+    assert capsys.readouterr().err == ("error: no checkpoint named 'nowhere'; "
+                                       "choose from input, c1, r1, c2, r2\n")
 
 
 def test_bad_fill_is_usage_error(workspace, capsys):

@@ -290,7 +290,7 @@ def test_a_tape_of_one_image_is_a_tape_of_n_1(request, test_set, arch):
     weights = request.getfixturevalue(f"{arch}_weights")
     x = test_set[0].image
     tapes = [nn.forward(spec, weights, x)[1], nn.forward(spec, weights, x[None])[1],
-             next(nn.tapes(spec, weights, [x]))[1]]
+             next(nn.tapes(spec, weights, test_set[:1]))[1]]
     shapes = dict(input=spec.input_shape, **spec.shapes())
     for tape in tapes:
         assert tape.scores.shape == (1, spec.num_categories)

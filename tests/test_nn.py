@@ -228,7 +228,7 @@ def test_weight_store_spec_mismatch(gap_spec, fc_spec):
 
 @pytest.mark.parametrize("make_spec", [camlab.fix_fc_spec,
                                        lambda: camlab.fix_gap_spec(categories=4)])
-def test_forward_and_score_batch_reject_weights_of_another_spec(gap_spec, make_spec):
+def test_forward_rejects_weights_of_another_spec(gap_spec, make_spec):
     # other layers, or a head of another shape, which ops.dense would run
     spec = make_spec()
     w = nn.init_weights(gap_spec, rng_seed=0)
@@ -265,7 +265,7 @@ def test_forward_is_deterministic(gap_spec, rng):
 
 @pytest.mark.parametrize("make_spec", [nn.fix_gap_spec, nn.fix_fc_spec])
 @pytest.mark.parametrize("n", [1, 3, 7])
-def test_score_batch_equals_forward_per_image(make_spec, n, rng):
+def test_forward_of_a_batch_equals_forward_per_image(make_spec, n, rng):
     spec = make_spec()
     w = nn.init_weights(spec, rng_seed=3)
     images = rng.random((n, *spec.input_shape)).astype(np.float32)
@@ -289,14 +289,14 @@ def test_accuracy_matches_per_image_argmax(monkeypatch):
     assert nn.batch_size(spec) == 5
     data = separable_toy_set(23)
     w = nn.init_weights(spec, rng_seed=2)
-    want = sum(int(np.argmax(nn.forward(spec, w, img)[0]) == label)
-               for img, label in data) / len(data)
+    want = sum(int(np.argmax(nn.forward(spec, w, ex.image)[0]) == ex.label)
+               for ex in data) / len(data)
     assert nn.accuracy(spec, w, data) == want
 
 
 def test_accuracy_of_an_empty_split_is_a_dataset_error():
     spec = nn.parse_model_spec(TOY_SPEC)
-    with pytest.raises(nn.DatasetError, match="empty"):
+    with pytest.raises(nn.DatasetError, match="the split has no examples"):
         nn.accuracy(spec, nn.init_weights(spec), [])
 
 
@@ -304,7 +304,7 @@ def test_accuracy_rejects_a_label_outside_the_categories(gap_spec):
     # it was scored as a miss
     image = np.zeros(gap_spec.input_shape, np.float32)
     with pytest.raises(nn.DatasetError, match="label 7 out of range for 3"):
-        nn.accuracy(gap_spec, nn.init_weights(gap_spec), [(image, 7)])
+        nn.accuracy(gap_spec, nn.init_weights(gap_spec), [toy_example(image, 7)])
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 8, 8), (8, 8)])
@@ -312,7 +312,7 @@ def test_accuracy_of_a_split_of_mixed_image_shapes_is_a_dimension_error(shape, m
     # it was numpy's "all input arrays must have the same shape"
     spec = nn.parse_model_spec(TOY_SPEC)
     data = separable_toy_set(12)
-    data[9] = (np.zeros(shape, np.float32), 0)   # in the second batch of 5
+    data[9] = toy_example(np.zeros(shape, np.float32), 0)   # in the second batch of 5
     monkeypatch.setattr(nn, "BATCH_BYTES", 5 * 9 * 64 * 8)
     runs, tape = [], nn._tape
     monkeypatch.setattr(nn, "_tape", lambda *a: runs.append(a) or tape(*a))
@@ -323,6 +323,11 @@ def test_accuracy_of_a_split_of_mixed_image_shapes_is_a_dimension_error(shape, m
 
 
 # ---------------------------------------------------------------- trainer
+
+def toy_example(image, label):
+    """An example of one object, `label`, with no box or mask."""
+    return fixtures.ShapesExample(image, (fixtures.Annotation(label, None, None),))
+
 
 def separable_toy_set(n=60, seed=0):
     """Trivially separable 2-category set: bright left vs bright right."""
@@ -335,7 +340,7 @@ def separable_toy_set(n=60, seed=0):
             img[:, :, :4] += 0.7
         else:
             img[:, :, 4:] += 0.7
-        out.append((img, label))
+        out.append(toy_example(img, label))
     return out
 
 
@@ -366,7 +371,7 @@ def test_trainer_is_deterministic():
 def test_trainer_rejects_bad_labels():
     spec = nn.parse_model_spec(TOY_SPEC)
     with pytest.raises(ValueError):
-        nn.train_fixture(spec, [(np.zeros((1, 8, 8), np.float32), 5)],
+        nn.train_fixture(spec, [toy_example(np.zeros((1, 8, 8), np.float32), 5)],
                          epochs=1, learning_rate=0.1)
     with pytest.raises(ValueError):
         nn.train_fixture(spec, [], epochs=1, learning_rate=0.1)
@@ -375,9 +380,9 @@ def test_trainer_rejects_bad_labels():
 def test_trainer_dataset_errors_are_named():
     spec = nn.parse_model_spec(TOY_SPEC)
     with pytest.raises(nn.DatasetError, match="label 5 out of range for 2"):
-        nn.train_fixture(spec, [(np.zeros((1, 8, 8), np.float32), 5)],
+        nn.train_fixture(spec, [toy_example(np.zeros((1, 8, 8), np.float32), 5)],
                          epochs=1, learning_rate=0.1)
-    with pytest.raises(nn.DatasetError, match="empty"):
+    with pytest.raises(nn.DatasetError, match="the split has no examples"):
         nn.train_fixture(spec, [], epochs=1, learning_rate=0.1)
 
 
@@ -387,7 +392,7 @@ def test_training_on_a_split_of_mixed_image_shapes_is_a_dimension_error(shape, m
     # message that named no image
     spec = nn.parse_model_spec(TOY_SPEC)
     data = separable_toy_set(12)
-    data[9] = (np.zeros(shape, np.float32), 0)
+    data[9] = toy_example(np.zeros(shape, np.float32), 0)
     runs, tape = [], nn._tape
     monkeypatch.setattr(nn, "_tape", lambda *a: runs.append(a) or tape(*a))
     with pytest.raises(ops.DimensionError,
@@ -568,7 +573,7 @@ def test_trainer_builds_each_im2col_matrix_once_per_step(make_spec, rng, monkeyp
     monkeypatch.setattr(ops, "_im2col", lambda xb, *a: inputs.append(xb.shape)
                         or im2col(xb, *a))
     image = rng.random(spec.input_shape).astype(np.float32)
-    nn.train_fixture(spec, [(image, 1)], epochs=1, learning_rate=0.05)
+    nn.train_fixture(spec, [toy_example(image, 1)], epochs=1, learning_rate=0.05)
     # the forward's matrices serve the parameter gradients
     assert inputs == [(1,) + spec.input_shape, (1, 6, 24, 24)]
 

@@ -192,10 +192,9 @@ def test_no_im2col_matrix_exceeds_the_block_bytes(request, test_set, monkeypatch
         return cols
 
     monkeypatch.setattr(ops, "_im2col", recorded)
-    images = np.stack([ex.image for ex in test_set[:4]])
-    (at, tape), = nn.tapes(spec, weights, images)
-    assert at == slice(0, 4)
-    occlusion_map(tape_of(spec, weights, images[0]), 0, OcclusionConfig(patch=5, stride=2))
+    (batch, tape), = nn.tapes(spec, weights, test_set[:4])
+    assert batch == test_set[:4]
+    occlusion_map(tape_of(spec, weights, test_set[0].image), 0, OcclusionConfig(patch=5, stride=2))
     assert max(per_image for _, per_image in sizes) > ops.IM2COL_BYTES   # the tape's c2
     assert all(size <= max(ops.IM2COL_BYTES, per_image) for size, per_image in sizes)
 

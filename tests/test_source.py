@@ -8,6 +8,7 @@ import pathlib
 import pkgutil
 
 import camlab
+from camlab import autodiff, cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -85,3 +86,15 @@ def test_every_per_layer_metric_names_code():
     bad = ["nn._tape.us", "nn.run_layers.us", "ops.conv2d.c9.us", "ops.conv2d.c1.mean",
            "nn.WeightStore.params.us", "nn.SpecError.us", "evaluation.c1.us", "imaging"]
     assert _unnamed(bad + ["ops.self_ms", "ops.dense.fc1.us"], names, layers) == bad
+
+
+def test_every_camlab_error_is_a_cli_domain_error():
+    """An error class that `cli.DOMAIN_ERRORS` leaves out ends in a
+    traceback.  Only `autodiff.SeedError` is left out: it marks misuse of
+    the API, and the CLI builds every cotangent itself."""
+    errors = {obj for info in pkgutil.iter_modules(camlab.__path__)
+              for obj in vars(importlib.import_module(f"camlab.{info.name}")).values()
+              if inspect.isclass(obj) and issubclass(obj, BaseException)
+              and obj.__module__.startswith("camlab.")}
+    assert len(errors) > 10
+    assert errors - set(cli.DOMAIN_ERRORS) == {autodiff.SeedError}
