@@ -2,8 +2,10 @@
 
 The tape is a linear sequence of layer executions (the networks here are
 plain chains), with each layer's output addressable by name as a checkpoint.
-The ReLU backward rule is pluggable, which realizes standard backprop,
-Guided Backpropagation and Deconvolution in one mechanism:
+The ReLU backward rule is pluggable, one rule (incoming gradient g,
+forward input x) -> gradient of x per entry of `RELU_POLICIES`, which
+realizes standard backprop, Guided Backpropagation and Deconvolution in
+one mechanism:
 
     standard  gradient passes where the forward input was positive
     guided    ... and the incoming gradient is positive
@@ -16,7 +18,11 @@ import numpy as np
 
 from . import ops
 
-RELU_POLICIES = ("standard", "guided", "deconv")
+RELU_POLICIES = {
+    "standard": lambda g, x: g * (x > 0),
+    "guided": lambda g, x: g * (x > 0) * (g > 0),
+    "deconv": lambda g, x: g * (g > 0),
+}
 
 
 class CheckpointError(LookupError):
@@ -66,16 +72,6 @@ class ActivationTape:
         if x is None:
             raise CheckpointError(f"no checkpoint named {name!r}")
         return x
-
-
-def _relu_backward(g, x, policy):
-    if policy == "standard":
-        return g * (x > 0)
-    if policy == "guided":
-        return g * (x > 0) * (g > 0)
-    if policy == "deconv":
-        return g * (g > 0)
-    raise ValueError(f"unknown relu policy {policy!r}")
 
 
 def _images(tape, lead, what):
@@ -181,15 +177,16 @@ def grad_at_layer(tape, categories, layer, policy="standard", score_point="pre_s
     """Full gradient of a class score w.r.t. a spatial checkpoint.
 
     `layer` names the rectified feature maps of a convolutional stage, or
-    "input" for the pixel gradient.  The categories are one per image,
-    giving [N, ...] (N the tape's images), or a list of S per image ([N, S]
+    "input" for the pixel gradient; any other layer is a CheckpointError,
+    as an unknown one is.  The categories are one per image, giving
+    [N, ...] (N the tape's images), or a list of S per image ([N, S]
     categories), giving [N, S, ...]; on a tape of one image a category
     gives the checkpoint's per-image shape [...], and a list of S a stack
     [S, ...].  Either way all the gradients come from one walk.
     """
     target = tape.checkpoint(layer)
     if target.ndim != 4:
-        raise ops.DimensionError(
+        raise CheckpointError(
             f"checkpoint {layer!r} is not spatial (shape {target.shape})")
     return backward_from_cotangent(tape, _cotangents(tape, categories, score_point),
                                    policy=policy, stop_at=layer)

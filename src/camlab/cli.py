@@ -1,7 +1,7 @@
 """Command-line surface for the whole pipeline.
 
-Exit codes: 0 success, 2 usage error, 3 domain error (no segment above
-threshold, CAM on an incompatible architecture, failed attack, ...).
+Exit codes: 0 success, 2 usage error, 3 domain error (CAM on an
+incompatible architecture, failed attack, ...).
 All outputs are deterministic given flags and seeds.
 """
 
@@ -42,6 +42,18 @@ def _config_from(args):
     )
 
 
+def _refuses_unread_flag(method, config):
+    """Print the usage error and return 2 if `method` reads no GradCamConfig
+    and an ablation flag sets `config` away from the default."""
+    default = explain.GradCamConfig()
+    for field, flag in (("weight_pooling", "--pool"), ("apply_relu", "--no-relu"),
+                        ("absolute_gradients", "--abs-grads"),
+                        ("relu_policy", "--relu-policy"), ("score_point", "--score")):
+        if method in explain.CONFIG_FREE and getattr(config, field) != getattr(default, field):
+            print(f"error: --method {method} does not read {flag}", file=sys.stderr)
+            return 2
+
+
 def _emit(heat, image, args, suffix=""):
     def with_suffix(path):
         stem, ext = os.path.splitext(path)
@@ -72,11 +84,13 @@ def cmd_train(args):
 
 
 def cmd_explain(args):
+    config = _config_from(args)
+    if _refuses_unread_flag(args.method, config):
+        return 2
     spec, weights = _load_model(args)
     image = _load_image(args.image)
     layer = explain.target_layer(spec, args.layer, [args.method])
     scores, tape = nn.forward(spec, weights, image)
-    config = _config_from(args)
     if args.category is not None:
         categories = [args.category]
     else:
@@ -125,8 +139,10 @@ def _is_stdout(path):
 
 
 def cmd_localize(args):
-    spec, weights = _load_model(args)
     config = explain.GradCamConfig(apply_relu=not args.no_relu)
+    if _refuses_unread_flag(args.method, config):
+        return 2
+    spec, weights = _load_model(args)
     return _report(evaluation.localize(
         spec, weights, fixtures.load_dataset(args.data), args.method, args.layer, config,
         args.threshold_frac, args.iou), args.report)

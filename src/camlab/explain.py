@@ -53,40 +53,26 @@ class GradCamConfig:
                                      f"got {self.relu_policy!r}")
 
 
-def default_target_layer(spec):
-    """Last rectified convolutional checkpoint (relu directly after a conv)."""
-    prev_kind = None
-    best = None
-    for layer in spec.layers:
-        if layer.kind == "relu" and prev_kind == "conv":
-            best = layer.name
-        prev_kind = layer.kind
-    if best is None:
-        for layer in spec.layers:
-            if layer.kind == "conv":
-                best = layer.name
-    if best is None:
-        raise CheckpointError("model has no convolutional checkpoint")
-    return best
-
-
 def target_layer(spec, named=None, methods=()):
-    """The layer whose maps `methods` explain: `named`, or else the spec's
-    `default_target_layer`.  Checked before any forward, whatever the
-    method: a named layer must be "input" or a layer whose output is maps
-    [C, H, W] (CheckpointError otherwise), and the one CAM reads if "cam"
-    is among the methods (CamIncompatibleError otherwise)."""
-    if named is None:
-        return default_target_layer(spec)
-    shapes = spec.shapes()
+    """The layer whose maps `methods` explain, checked before any forward,
+    whatever the method: `named`, "input" or a layer whose output is maps
+    [C, H, W], or else the last relu that directly follows a conv, else the
+    last conv (CheckpointError otherwise).  With "cam" among the methods,
+    the spec must have the head CAM reads, and `named` be the layer it
+    reads (CamIncompatibleError otherwise)."""
+    layers, shapes = spec.layers, spec.shapes()
+    picks = ([b.name for a, b in zip(layers, layers[1:]) if (a.kind, b.kind) == ("conv", "relu")]
+             or [layer.name for layer in layers if layer.kind == "conv"])
     maps = ["input"] + [name for name, shape in shapes.items() if len(shape) == 3]
-    if named not in maps:
+    if named is None and not picks:
+        raise CheckpointError("model has no convolutional checkpoint")
+    if named not in maps + [None]:
         what = (f"no checkpoint named {named!r}" if named not in shapes
                 else f"checkpoint {named!r} is not spatial (shape {shapes[named]})")
         raise CheckpointError(f"{what}; choose from " + ", ".join(maps))
     if "cam" in methods:
-        cam_layer(spec.layers, named)
-    return named
+        cam_layer(layers, named)
+    return picks[-1] if named is None else named
 
 
 def neuron_weights(grads, config=None):
@@ -154,9 +140,9 @@ def cam(tape, categories):
 
 
 def counterfactual(tape, categories, layer, config=None):
-    """Regions whose removal would raise the category score."""
-    cfg = replace(config or GradCamConfig(), apply_relu=True, gradient_sign=-1)
-    return gradcam(tape, categories, layer, cfg)
+    """Regions whose removal would raise the category score: Grad-CAM of
+    `config` with the gradient negated."""
+    return gradcam(tape, categories, layer, replace(config or GradCamConfig(), gradient_sign=-1))
 
 
 def pixel_saliency(tape, categories, policy="guided"):
@@ -196,7 +182,7 @@ def saliency_to_heatmap(saliency):
 # with the categories that `grad_at_layer` takes: feature resolution for the
 # CAM family, image resolution for pixel saliency.  CAM reads the maps that
 # feed GAP whatever `layer` is; callers that take a layer from the user
-# check it first with `cam_layer`.
+# check it first with `target_layer`.
 # The entries look the functions up by name at call time, so rebinding a
 # module attribute (a tracer, a test) also reaches calls made through here.
 METHODS = {
@@ -212,3 +198,7 @@ METHODS = {
     "backprop": lambda tape, c, layer, config: saliency_to_heatmap(
         pixel_saliency(tape, c, "standard")),
 }
+
+# The methods of METHODS that read no GradCamConfig: `config` changes none
+# of their maps.
+CONFIG_FREE = ("cam", "guided-backprop", "deconv", "backprop")

@@ -228,7 +228,7 @@ _KINDS = {
     "relu": _Kind(
         out_shape=lambda p, shape: shape,
         forward=lambda x, p, params, mode: (ops.relu(x), {}),
-        backward=lambda rec, g, policy: autodiff._relu_backward(g, rec.x[:, None], policy),
+        backward=lambda rec, g, policy: autodiff.RELU_POLICIES[policy](g, rec.x[:, None]),
         window=lambda p: (1, 1, 0)),
     "maxpool": _Kind(
         schema={"window": (1, None), "stride": (1, "window")},
@@ -617,6 +617,20 @@ def train_fixture(spec, examples, epochs, learning_rate, rng_seed=0):
     return weights
 
 
+def _fixture_spec(neck, image_side, channels, categories):
+    """A fixture spec: the convolutional trunk c1 r1 c2 r2, the spec lines
+    `neck`, and the score layer."""
+    return parse_model_spec(f"""
+img input shape={channels}x{image_side}x{image_side}
+c1 conv filters=6 kernel=5 stride=2 pad=2
+r1 relu
+c2 conv filters=12 kernel=5 stride=1 pad=2
+r2 relu
+{neck}
+head dense units={categories}
+""")
+
+
 def fix_gap_spec(image_side=48, channels=1, categories=3):
     """CAM-compatible fixture: conv stack -> GAP -> dense scores.
 
@@ -625,16 +639,7 @@ def fix_gap_spec(image_side=48, channels=1, categories=3):
     cues; this keeps its class activation maps tight around the object.
     The explanation target layer is ``r2``.
     """
-    text = f"""
-img input shape={channels}x{image_side}x{image_side}
-c1 conv filters=6 kernel=5 stride=2 pad=2
-r1 relu
-c2 conv filters=12 kernel=5 stride=1 pad=2
-r2 relu
-gap gap
-head dense units={categories}
-"""
-    return parse_model_spec(text)
+    return _fixture_spec("gap gap", image_side, channels, categories)
 
 
 def fix_fc_spec(image_side=48, channels=1, categories=3):
@@ -644,16 +649,7 @@ def fix_fc_spec(image_side=48, channels=1, categories=3):
     explanation target layer, but the fully-connected head makes the class
     activation mapping construction inapplicable.
     """
-    text = f"""
-img input shape={channels}x{image_side}x{image_side}
-c1 conv filters=6 kernel=5 stride=2 pad=2
-r1 relu
-c2 conv filters=12 kernel=5 stride=1 pad=2
-r2 relu
-p2 maxpool window=2 stride=2
+    return _fixture_spec("""p2 maxpool window=2 stride=2
 fl flatten
 fc1 dense units=32
-r3 relu
-head dense units={categories}
-"""
-    return parse_model_spec(text)
+r3 relu""", image_side, channels, categories)

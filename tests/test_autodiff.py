@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import camlab
 from camlab import autodiff, nn, ops
-from camlab.autodiff import (ActivationTape, CheckpointError, SeedError,
-                             backward_from_cotangent, grad_at_layer,
-                             one_hot, _relu_backward)
+from camlab.autodiff import (RELU_POLICIES, ActivationTape, CheckpointError, SeedError,
+                             backward_from_cotangent, grad_at_layer, one_hot)
 from test_occlusion import chain_cases
 
 
@@ -26,13 +25,15 @@ from test_occlusion import chain_cases
 ])
 def test_relu_backward_policy_table(x, g, expected):
     for policy, want in zip(("standard", "guided", "deconv"), expected):
-        got = _relu_backward(np.array([g]), np.array([x]), policy)
+        got = RELU_POLICIES[policy](np.array([g]), np.array([x]))
         assert got[0] == want
 
 
 def test_unknown_policy_rejected():
+    spec, weights = tiny_dense_model()
+    _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
     with pytest.raises(ValueError):
-        _relu_backward(np.ones(1), np.ones(1), "mystery")
+        backward_from_cotangent(tape, np.ones(tape.scores.shape[-1]), "mystery")
 
 
 # --------------------------------------------------------- small helpers
@@ -209,7 +210,7 @@ head dense units=2
 def test_grad_at_layer_requires_spatial_checkpoint():
     spec, weights = tiny_dense_model()
     _, tape = nn.forward(spec, weights, np.ones(spec.input_shape, np.float32))
-    with pytest.raises(ops.DimensionError):
+    with pytest.raises(CheckpointError):
         grad_at_layer(tape, 0, "fc1")
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import camlab
-from camlab import autodiff, cli, explain, imaging, nn
+from camlab import autodiff, cli, evaluation, explain, imaging, nn
 from camlab.cli import main
 
 
@@ -79,6 +79,46 @@ def test_cam_on_fc_architecture_is_domain_error(workspace):
                  "--method", "cam",
                  "--out-heat", str(workspace / "cam.fmap")])
     assert code == 3
+
+
+def test_cam_on_fc_architecture_is_refused_before_any_forward(workspace, tmp_path, capsys,
+                                                               monkeypatch):
+    # without --layer each ran a forward first, faithfulness also four
+    # occlusion maps from it
+    ws, out = workspace, str(tmp_path / "out")
+    runs, tape = [], nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda *a: runs.append(a) or tape(*a))
+    for argv in (["explain", "--image", first_image(ws), "--category", "0", "--method", "cam",
+                  "--out-heat", out],
+                 ["faithfulness", "--data", str(ws / "data"), "--methods", "gradcam,cam",
+                  "--report", out]):
+        assert main([argv[0], *fc_args(ws), *argv[1:]]) == 3
+        assert capsys.readouterr().err == ("error: CAM needs spatial maps -> global average "
+                                           "pooling -> dense scores\n")
+    # the localize command offers no cam, the protocol takes every method
+    with pytest.raises(explain.CamIncompatibleError):
+        evaluation.localize(nn.load_model_spec(ws / "fc.spec"), nn.WeightStore.load(ws / "fc_w"),
+                            camlab.load_dataset(ws / "data"), "cam")
+    assert runs == []
+    assert not (tmp_path / "out").exists()
+
+
+# Each of these exited 0 and wrote, byte for byte, the map or report it
+# writes without the flag
+@pytest.mark.parametrize("argv", [
+    *(["explain", method, *flag] for method in ("cam", "guided-backprop", "deconv", "backprop")
+      for flag in (["--pool", "max"], ["--no-relu"], ["--abs-grads"],
+                   ["--relu-policy", "deconv"], ["--score", "post"])),
+    ["localize", "backprop", "--no-relu"],
+])
+def test_a_flag_the_method_does_not_read_is_usage_error(workspace, tmp_path, capsys, argv):
+    command, method, *flag = argv
+    out = tmp_path / "out"
+    rest = (["--image", first_image(workspace), "--category", "0", "--out-heat", str(out)]
+            if command == "explain" else ["--data", str(workspace / "data"), "--report", str(out)])
+    assert main([command, *gap_args(workspace), "--method", method, *flag, *rest]) == 2
+    assert capsys.readouterr().err == f"error: --method {method} does not read {flag[0]}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec_text,extra,message", [
@@ -626,7 +666,7 @@ def test_explain_emits_fmap_matching_in_process_pipeline(workspace, tmp_path):
     weights = nn.WeightStore.load(workspace / "gap_w")
     image = imaging.image_to_tensor(imaging.read_image(first_image(workspace)))
     _, tape = camlab.forward(spec, weights, image)
-    direct = explain.gradcam(tape, 1, explain.default_target_layer(spec))
+    direct = explain.gradcam(tape, 1, explain.target_layer(spec))
     assert emitted.tobytes() == np.asarray(direct, np.float32).tobytes()
     assert png_path.exists()
 
@@ -684,6 +724,22 @@ def test_explain_flag_variants_run(workspace, tmp_path):
             args[args.index("gradcam")] = extra[1]
             extra = []
         assert main([*args, *extra]) == 0
+
+
+def test_counterfactual_reads_no_relu(workspace, tmp_path):
+    # the map was rectified whatever the flag said
+    out = tmp_path / "cf.fmap"
+    assert main(["explain", *gap_args(workspace), "--image", first_image(workspace),
+                 "--category", "0", "--method", "counterfactual", "--no-relu",
+                 "--out-heat", str(out)]) == 0
+    spec = nn.load_model_spec(workspace / "gap.spec")
+    weights = nn.WeightStore.load(workspace / "gap_w")
+    image = imaging.image_to_tensor(imaging.read_image(first_image(workspace)))
+    _, tape = camlab.forward(spec, weights, image)
+    want = explain.gradcam(tape, 0, "r2",
+                           explain.GradCamConfig(gradient_sign=-1, apply_relu=False))
+    assert want.min() < 0
+    assert imaging.read_fmap(out).tobytes() == want.tobytes()
 
 
 def test_occlude_emits_signed_fmap(workspace, tmp_path):

@@ -10,9 +10,9 @@ import camlab
 from camlab import explain, nn
 from camlab.autodiff import RELU_POLICIES, CheckpointError
 from camlab.explain import (CamIncompatibleError, GradCamConfig, cam,
-                            counterfactual, default_target_layer, gradcam,
-                            guided_gradcam, neuron_weights, normalize_heatmap,
-                            pixel_saliency, saliency_to_heatmap)
+                            counterfactual, gradcam, guided_gradcam,
+                            neuron_weights, normalize_heatmap, pixel_saliency,
+                            saliency_to_heatmap, target_layer)
 from test_occlusion import chain_cases
 
 
@@ -33,8 +33,8 @@ def test_config_errors_are_named():
 
 
 def test_default_target_layer_is_last_rectified_conv(gap_spec, fc_spec):
-    assert default_target_layer(gap_spec) == "r2"
-    assert default_target_layer(fc_spec) == "r2"
+    assert target_layer(gap_spec) == "r2"
+    assert target_layer(fc_spec) == "r2"
 
 
 def test_neuron_weights_pooling_modes():
@@ -161,6 +161,19 @@ def test_ablation_flags_produce_distinct_maps(gap_spec, gap_weights, test_set):
     # deconv policy changes nothing
     for config in (GradCamConfig(weight_pooling="max"), GradCamConfig(relu_policy="deconv")):
         assert_gap_maps_equal_the_default(gap_spec, gap_weights, test_set, config)
+
+
+@pytest.mark.parametrize("method", list(explain.METHODS))
+def test_config_free_methods_are_those_the_config_leaves_alone(gap_spec, gap_weights,
+                                                               test_set, method):
+    # the CLI refuses the ablation flags for the methods of CONFIG_FREE
+    assert set(explain.CONFIG_FREE) <= set(explain.METHODS)
+    scores, tape = camlab.forward(gap_spec, gap_weights, test_set[0].image)
+    c, layer, run = int(np.argmax(scores)), target_layer(gap_spec), explain.METHODS[method]
+    config = GradCamConfig(absolute_gradients=True, score_point="post_softmax",
+                           apply_relu=False)
+    same = run(tape, c, layer, config).tobytes() == run(tape, c, layer, None).tobytes()
+    assert same == (method in explain.CONFIG_FREE)
 
 
 def assert_gap_maps_equal_the_default(gap_spec, gap_weights, test_set, config):
@@ -338,7 +351,7 @@ def assert_tape_of_images_equals_one_image_tapes(spec, weights, images, rng):
     for name in ["input"] + [rec.name for rec in tape.records]:
         same(tape.checkpoint(name), [t.checkpoint(name)[0] for t in alone])
     try:
-        layer = default_target_layer(spec)
+        layer = target_layer(spec)
     except CheckpointError:   # no conv: Grad-CAM on the image itself
         layer = "input"
     k = spec.num_categories

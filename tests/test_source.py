@@ -6,6 +6,7 @@ import inspect
 import json
 import pathlib
 import pkgutil
+import re
 
 import camlab
 from camlab import autodiff, cli
@@ -98,3 +99,28 @@ def test_every_camlab_error_is_a_cli_domain_error():
               and obj.__module__.startswith("camlab.")}
     assert len(errors) > 10
     assert errors - set(cli.DOMAIN_ERRORS) == {autodiff.SeedError}
+
+
+def _resolves(name):
+    """Whether a dotted name, led by camlab or one of its modules, names
+    an attribute through getattr."""
+    head, *rest = name.split(".")
+    obj = camlab if head == "camlab" else importlib.import_module(f"camlab.{head}")
+    try:
+        for part in rest:
+            obj = getattr(obj, part)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_camlab_name_in_the_readme_resolves():
+    """A README that names a deleted or renamed function sends its reader
+    looking for nothing."""
+    modules = {info.name for info in pkgutil.iter_modules(camlab.__path__)} | {"camlab"}
+    names = {name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`",
+                                         (ROOT / "README.md").read_text())
+             if name.split(".")[0] in modules}
+    assert len(names) >= 20
+    assert sorted(name for name in names if not _resolves(name)) == []
+    assert not _resolves("explain.no_such_name")
