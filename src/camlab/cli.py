@@ -3,9 +3,13 @@
 Exit codes: 0 success, 2 usage error, 3 domain error (CAM on an
 incompatible architecture, failed attack, ...).
 All outputs are deterministic given flags and seeds.
+Each command's parser is built once per process and shared by every
+in-process `main` call; the spec, weights, images and datasets are read
+anew at each call.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -321,20 +325,23 @@ def build_parser(command=None):
     When `command` names one of COMMANDS, only that command's sub-parser is
     built, which is all that parsing its arguments needs; otherwise (None,
     an unknown name, --help) every sub-parser is, so usage errors and help
-    list all commands.
+    list all commands. Each of these len(COMMANDS) + 1 parsers is built once
+    per process and shared, so a caller must not change it; parsing leaves
+    no state in it.
     """
-    names = [command] if command in COMMANDS else list(COMMANDS)
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.cache
+def _parser(command):
+    names = [command] if command else list(COMMANDS)
     parser = argparse.ArgumentParser(prog="camlab")
     # the usage line names every command even when one sub-parser is built
     sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        "{" + ",".join(COMMANDS) + "}" if command in COMMANDS else None))
+        "{" + ",".join(COMMANDS) + "}" if command else None))
     for name in names:
         help_text, add_flags = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_flags(p)
-        # looked up by name now, so a rebound module attribute (a tracer, a
-        # test) is the function that runs
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -346,7 +353,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        # looked up by name at each call, so a rebound module attribute (a
+        # tracer, a test) is the function that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -407,12 +407,12 @@ class WeightStore:
                                        f"byte {offset}, not {total} where the one before ends")
             if key in params.get(name, {}):
                 raise WeightStoreError(f"manifest line {lineno}: {name}.{key} appears twice")
-            nbytes = int(np.prod(shape)) * 4
+            nbytes = math.prod(shape) * 4
             if offset + nbytes > len(blob):
                 raise WeightStoreError(
                     f"manifest line {lineno}: {name}.{key} needs bytes "
                     f"[{offset}, {offset + nbytes}) but blob has {len(blob)}")
-            arr = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)),
+            arr = np.frombuffer(blob, dtype="<f4", count=nbytes // 4,
                                 offset=offset).reshape(shape).copy()
             bad = arr.size - np.count_nonzero(np.isfinite(arr))
             if bad:

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, emitted files, reproducibility."""
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
+import io
 import os
 import pkgutil
 import subprocess
@@ -11,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import camlab
 from camlab import autodiff, cli, evaluation, explain, imaging, nn
@@ -543,6 +547,132 @@ def test_command_parser_is_the_same_alone_or_with_the_others(command):
     assert list(sub.choices) == [command]
     assert _actions(alone, command) == _actions(full, command)
     assert alone.format_usage() == full.format_usage()
+
+
+# ------------------------------------------------- one shared parser per command
+
+def test_each_command_has_one_shared_parser():
+    for command in cli.COMMANDS:
+        assert cli.build_parser(command) is cli.build_parser(command)
+    # help, usage errors and unknown names share the one full parser
+    full = cli.build_parser()
+    assert cli.build_parser("--help") is full and cli.build_parser("telepathy") is full
+    sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+
+
+def test_a_second_round_of_calls_builds_no_parser(workspace, tmp_path, monkeypatch, capsys):
+    def one_round(out):
+        out.mkdir()
+        for command in cli.COMMANDS:
+            argv, code = _run_argv(command, workspace, out)
+            assert main([command, *argv]) == code
+        assert main([]) == 2 and main(["telepathy"]) == 2 and main(["--help"]) == 0
+
+    one_round(tmp_path / "first")
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    one_round(tmp_path / "second")
+    assert built == []
+
+
+def _explain_argv(ws, *flags):
+    return ["explain", *gap_args(ws), "--image", first_image(ws), "--method", "gradcam",
+            *flags]
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(workspace, tmp_path, monkeypatch,
+                                                           capsys):
+    assert main(_explain_argv(workspace, "--category", "0", "--top-k", "3",
+                              "--pool", "max", "--no-relu", "--layer", "c1")) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    seen = []
+    run = cli.cmd_explain
+    monkeypatch.setattr(cli, "cmd_explain", lambda args: seen.append(args) or run(args))
+    argv = _explain_argv(workspace, "--category", "0", "--out-heat", str(tmp_path / "h.fmap"))
+    assert main(argv) == 0
+    assert seen == [cli._parser.__wrapped__("explain").parse_args(argv)]
+    assert (seen[0].top_k, seen[0].pool, seen[0].no_relu, seen[0].layer) == (
+        None, "avg", False, None)
+
+
+# a value each flag takes, by the name of its type
+_VALID = {"int": st.integers(1, 3).map(str), "float": st.sampled_from(["0", "0.5", "1"]),
+          "_fill": st.sampled_from(["auto", "0.5"]), None: st.sampled_from(["a", "b/c"])}
+_INVALID = st.sampled_from(["-1", "1e9", "nan", "x", "", "--bogus"])
+
+
+def _flag_argvs(command):
+    """Argument lists of `command`: each of its flags but --help left out or
+    given, in any order, with a valid value or, unless the list is meant to
+    parse, an invalid one; a list meant to parse gives every required flag."""
+    sub = next(a for a in cli.build_parser(command)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+    def words(action, kind):
+        if kind == "omit":
+            return st.just([])
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            return st.just([flag])
+        if kind == "invalid":
+            values = _INVALID
+        elif action.choices:
+            values = st.sampled_from(list(action.choices))
+        else:
+            values = _VALID[getattr(action.type, "__name__", None)]
+        return values.map(lambda v: [flag, v])
+
+    def argv(meant_to_parse):
+        kinds = {True: ["valid", "omit"], False: ["valid", "omit", "invalid"]}[meant_to_parse]
+        per_flag = st.tuples(*[
+            (st.just("valid") if meant_to_parse and a.required else st.sampled_from(kinds))
+            .flatmap(lambda kind, a=a: words(a, kind)) for a in flags])
+        return per_flag.flatmap(st.permutations).map(
+            lambda groups: [command, *(w for group in groups for w in group)])
+    return st.booleans().flatmap(argv)
+
+
+def _parse(parser, argv):
+    """(namespace or None, exit code, stdout, stderr) of parsing `argv`; the
+    namespace as its repr, which equals itself when it holds `--fill nan`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = repr(parser.parse_args(argv)), 0
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_shared_parser_parses_as_a_fresh_one_after_any_parse(command, data):
+    first = data.draw(_flag_argvs(command))
+    second = data.draw(_flag_argvs(command))
+    shared = cli.build_parser(command)
+    _parse(shared, first)
+    assert _parse(shared, second) == _parse(cli._parser.__wrapped__(command), second)
+
+
+def test_every_command_has_its_function_and_every_function_its_command():
+    functions = {name for name, obj in vars(cli).items()
+                 if name.startswith("cmd_") and callable(obj)}
+    assert functions == {"cmd_" + c.replace("-", "_") for c in cli.COMMANDS}
+
+
+def test_a_function_rebound_after_a_call_is_the_one_that_runs(workspace, tmp_path,
+                                                              monkeypatch):
+    argv = _explain_argv(workspace, "--category", "0", "--out-heat", str(tmp_path / "h.fmap"))
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_explain", lambda args: seen.append(args.category) or 7)
+    assert main(argv) == 7
+    assert seen == [0]
 
 
 # raised only when camlab calls itself wrongly, never by a user's input
