@@ -46,15 +46,24 @@ def _config_from(args):
     )
 
 
-def _refuses_unread_flag(method, config):
-    """Print the usage error and return 2 if `method` reads no GradCamConfig
-    and an ablation flag sets `config` away from the default."""
-    default = explain.GradCamConfig()
-    for field, flag in (("weight_pooling", "--pool"), ("apply_relu", "--no-relu"),
-                        ("absolute_gradients", "--abs-grads"),
-                        ("relu_policy", "--relu-policy"), ("score_point", "--score")):
-        if method in explain.CONFIG_FREE and getattr(config, field) != getattr(default, field):
-            print(f"error: --method {method} does not read {flag}", file=sys.stderr)
+# Each GradCamConfig field, and the layer, -> the flag that sets it
+_FLAGS = {"weight_pooling": "--pool", "apply_relu": "--no-relu",
+          "absolute_gradients": "--abs-grads", "relu_policy": "--relu-policy",
+          "score_point": "--score", "layer": "--layer"}
+
+
+def _refuses_unread_flag(named, methods, layer, config=None):
+    """Print the usage error and return 2 if a flag sets the layer or `config`
+    away from its default and no method of `methods` (`named` on the command
+    line) reads it; a name outside METHODS is the protocol's to refuse."""
+    if not set(methods) <= set(explain.METHODS):
+        return None
+    reads = set().union(*(explain.METHODS[method].reads for method in methods))
+    given = dict(vars(config or explain.GradCamConfig()), layer=layer)
+    default = dict(vars(explain.GradCamConfig()), layer=None)
+    for field, flag in _FLAGS.items():
+        if given[field] != default[field] and field not in reads:
+            print(f"error: {named} does not read {flag}", file=sys.stderr)
             return 2
 
 
@@ -89,7 +98,7 @@ def cmd_train(args):
 
 def cmd_explain(args):
     config = _config_from(args)
-    if _refuses_unread_flag(args.method, config):
+    if _refuses_unread_flag(f"--method {args.method}", [args.method], args.layer, config):
         return 2
     spec, weights = _load_model(args)
     image = _load_image(args.image)
@@ -99,7 +108,7 @@ def cmd_explain(args):
         categories = [args.category]
     else:
         categories = evaluation.top_k(scores, args.top_k)
-    heats = explain.METHODS[args.method](tape, categories, layer, config)
+    heats = explain.METHODS[args.method].heat(tape, categories, layer, config)
     multi = len(categories) > 1
     for category, heat in zip(categories, heats):
         _emit(heat, image, args, suffix=f".c{category}" if multi else "")
@@ -144,7 +153,7 @@ def _is_stdout(path):
 
 def cmd_localize(args):
     config = explain.GradCamConfig(apply_relu=not args.no_relu)
-    if _refuses_unread_flag(args.method, config):
+    if _refuses_unread_flag(f"--method {args.method}", [args.method], args.layer, config):
         return 2
     spec, weights = _load_model(args)
     return _report(evaluation.localize(
@@ -167,6 +176,8 @@ def cmd_point(args):
 
 
 def cmd_faithfulness(args):
+    if _refuses_unread_flag(f"--methods {args.methods}", args.methods.split(","), args.layer):
+        return 2
     spec, weights = _load_model(args)
     occ_cfg = occlusion.OcclusionConfig(patch=args.patch, stride=args.stride)
     metrics, _ = evaluation.faithfulness(spec, weights, fixtures.load_dataset(args.data),
@@ -271,7 +282,7 @@ def _localize_flags(p):
     p.add_argument("--threshold-frac", type=_bounded(float, 0, 1), default=0.15)
     p.add_argument("--iou", type=_bounded(float, 0, 1), default=0.5)
     p.add_argument("--layer", default=None)
-    p.add_argument("--method", choices=("gradcam", "backprop"), default="gradcam")
+    p.add_argument("--method", choices=explain.METHODS, default="gradcam")
     p.add_argument("--no-relu", action="store_true")
     p.add_argument("--report", required=True)
 

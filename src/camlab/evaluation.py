@@ -236,7 +236,7 @@ def localize(spec, weights, examples, method="gradcam", layer=None, config=None,
     layer = _target_layer(spec, layer, [method])
     top1 = top5 = 0
     for batch, tape in nn.tapes(spec, weights, examples):
-        heats = explain.METHODS[method](tape, [ex.label for ex in batch], layer, config)
+        heats = explain.METHODS[method].heat(tape, [ex.label for ex in batch], layer, config)
         h, w = batch[0].gt_mask.shape    # each mask has its image's shape
         for ex, scores, heat in zip(batch, tape.scores, bilinear_resize(heats, w, h)):
             preds = top_k(scores, 5)
@@ -310,7 +310,8 @@ def faithfulness(spec, weights, examples, methods, occlusion_config, layer=None)
         labels = [ex.label for ex in batch]
         occ = occlusion.occlusion_map(tape, labels, occlusion_config)
         for m in methods:
-            rhos[m] += map(rank_correlation, explain.METHODS[m](tape, labels, layer, None), occ)
+            heats = explain.METHODS[m].heat(tape, labels, layer, None)
+            rhos[m] += map(rank_correlation, heats, occ)
     metrics = {}
     for m, values in rhos.items():
         defined = [rho for rho in values if not math.isnan(rho)]

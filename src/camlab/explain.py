@@ -15,7 +15,8 @@ from one backward walk of the tape, each map equal to that of its
 category on its image alone.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class GradCamConfig:
     weight_pooling: str = "avg"          # avg | max (GMP-gradients ablation)
     apply_relu: bool = True              # final rectification of the map
     absolute_gradients: bool = False
-    gradient_sign: int = 1               # -1 selects the counterfactual mode
     relu_policy: str = "standard"        # backward rule for upstream ReLUs
     score_point: str = "pre_softmax"     # pre_softmax | post_softmax
 
@@ -44,8 +44,6 @@ class GradCamConfig:
         if self.weight_pooling not in ("avg", "max"):
             raise GradCamConfigError(
                 f"weight_pooling must be avg or max, got {self.weight_pooling!r}")
-        if self.gradient_sign not in (1, -1):
-            raise GradCamConfigError("gradient_sign must be +1 or -1")
         if self.score_point not in ("pre_softmax", "post_softmax"):
             raise GradCamConfigError(f"bad score_point {self.score_point!r}")
         if self.relu_policy not in RELU_POLICIES:
@@ -80,8 +78,6 @@ def neuron_weights(grads, config=None):
     a stack [S,K,u,v] gives [S,K]."""
     config = config or GradCamConfig()
     g = np.asarray(grads, dtype=np.float64)
-    if config.gradient_sign == -1:
-        g = -g
     if config.absolute_gradients:
         g = np.abs(g)
     if config.weight_pooling == "max":
@@ -102,11 +98,17 @@ def _weigh_maps(alpha, amaps):
 def gradcam(tape, categories, layer, config=None):
     """Grad-CAM heatmaps [u,v] at the named spatial checkpoint, with the
     categories' leading axes."""
+    return _gradcam(tape, categories, layer, config, negate=False)
+
+
+def _gradcam(tape, categories, layer, config, negate):
+    """Grad-CAM of `config`, of the negated gradient if `negate`."""
     config = config or GradCamConfig()
     grads = grad_at_layer(tape, categories, layer,
                           policy=config.relu_policy,
                           score_point=config.score_point)
-    heat = _weigh_maps(neuron_weights(grads, config), tape.checkpoint(layer))
+    heat = _weigh_maps(neuron_weights(-grads if negate else grads, config),
+                       tape.checkpoint(layer))
     if config.apply_relu:
         heat = np.maximum(heat, 0)
     return heat.astype(np.float32)
@@ -142,7 +144,7 @@ def cam(tape, categories):
 def counterfactual(tape, categories, layer, config=None):
     """Regions whose removal would raise the category score: Grad-CAM of
     `config` with the gradient negated."""
-    return gradcam(tape, categories, layer, replace(config or GradCamConfig(), gradient_sign=-1))
+    return _gradcam(tape, categories, layer, config, negate=True)
 
 
 def pixel_saliency(tape, categories, policy="guided"):
@@ -178,27 +180,26 @@ def saliency_to_heatmap(saliency):
     return s
 
 
-# Scalar heatmap of each method, called as (tape, categories, layer, config)
-# with the categories that `grad_at_layer` takes: feature resolution for the
-# CAM family, image resolution for pixel saliency.  CAM reads the maps that
-# feed GAP whatever `layer` is; callers that take a layer from the user
-# check it first with `target_layer`.
-# The entries look the functions up by name at call time, so rebinding a
-# module attribute (a tracer, a test) also reaches calls made through here.
-METHODS = {
-    "gradcam": lambda tape, c, layer, config: gradcam(tape, c, layer, config),
-    "cam": lambda tape, c, layer, config: cam(tape, c),
-    "counterfactual": lambda tape, c, layer, config: counterfactual(tape, c, layer, config),
-    "guided-backprop": lambda tape, c, layer, config: saliency_to_heatmap(
-        pixel_saliency(tape, c, "guided")),
-    "deconv": lambda tape, c, layer, config: saliency_to_heatmap(
-        pixel_saliency(tape, c, "deconv")),
-    "guided-gradcam": lambda tape, c, layer, config: saliency_to_heatmap(
-        guided_gradcam(pixel_saliency(tape, c, "guided"), gradcam(tape, c, layer, config))),
-    "backprop": lambda tape, c, layer, config: saliency_to_heatmap(
-        pixel_saliency(tape, c, "standard")),
-}
+_ALL = frozenset(field.name for field in fields(GradCamConfig)) | {"layer"}
+_Method = namedtuple("_Method", "reads heat")
 
-# The methods of METHODS that read no GradCamConfig: `config` changes none
-# of their maps.
-CONFIG_FREE = ("cam", "guided-backprop", "deconv", "backprop")
+# Each method's record: `reads`, the GradCamConfig fields and "layer" that it
+# reads (CAM reads `layer` only to check it; under `absolute_gradients` a
+# counterfactual map is Grad-CAM's), and `heat`, its scalar heatmaps as
+# (tape, categories, layer, config) for the categories `grad_at_layer` takes.
+# `heat` calls the functions by name, so a rebound module attribute (a
+# tracer, a test) is what runs.
+METHODS = {
+    "gradcam": _Method(_ALL, lambda tape, c, layer, config: gradcam(tape, c, layer, config)),
+    "cam": _Method(frozenset({"layer"}), lambda tape, c, layer, config: cam(tape, c)),
+    "counterfactual": _Method(_ALL - {"absolute_gradients"}, lambda tape, c, layer, config:
+                              counterfactual(tape, c, layer, config)),
+    "guided-backprop": _Method(frozenset(), lambda tape, c, layer, config: saliency_to_heatmap(
+        pixel_saliency(tape, c, "guided"))),
+    "deconv": _Method(frozenset(), lambda tape, c, layer, config: saliency_to_heatmap(
+        pixel_saliency(tape, c, "deconv"))),
+    "guided-gradcam": _Method(_ALL, lambda tape, c, layer, config: saliency_to_heatmap(
+        guided_gradcam(pixel_saliency(tape, c, "guided"), gradcam(tape, c, layer, config)))),
+    "backprop": _Method(frozenset(), lambda tape, c, layer, config: saliency_to_heatmap(
+        pixel_saliency(tape, c, "standard"))),
+}

@@ -99,7 +99,12 @@ def test_cam_on_fc_architecture_is_refused_before_any_forward(workspace, tmp_pat
         assert main([argv[0], *fc_args(ws), *argv[1:]]) == 3
         assert capsys.readouterr().err == ("error: CAM needs spatial maps -> global average "
                                            "pooling -> dense scores\n")
-    # the localize command offers no cam, the protocol takes every method
+    # the localize command offers every method and refuses cam as the
+    # protocol does
+    assert main(["localize", *fc_args(ws), "--data", str(ws / "data"), "--method", "cam",
+                 "--report", out]) == 3
+    assert capsys.readouterr().err == ("error: CAM needs spatial maps -> global average "
+                                       "pooling -> dense scores\n")
     with pytest.raises(explain.CamIncompatibleError):
         evaluation.localize(nn.load_model_spec(ws / "fc.spec"), nn.WeightStore.load(ws / "fc_w"),
                             camlab.load_dataset(ws / "data"), "cam")
@@ -107,22 +112,98 @@ def test_cam_on_fc_architecture_is_refused_before_any_forward(workspace, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+# a value away from the default that each flag of cli._FLAGS takes
+AWAY = {"--pool": ["max"], "--no-relu": [], "--abs-grads": [], "--relu-policy": ["deconv"],
+        "--score": ["post"], "--layer": ["r2"]}
+# the flags of cli._FLAGS that each command takes, and how it names its methods
+TAKES = {"explain": ("--method", set(AWAY)), "localize": ("--method", {"--no-relu", "--layer"}),
+         "faithfulness": ("--methods", {"--layer"})}
+
+
+def _unread():
+    """[command, methods, flag, *value] of each command line whose flag sets
+    a field away from its default that no record of its methods reads: each
+    such method alone, and for faithfulness all of them at once."""
+    rows = []
+    for command, (_, flags) in TAKES.items():
+        for field, flag in cli._FLAGS.items():
+            if flag not in flags:
+                continue
+            unread = [m for m, record in explain.METHODS.items() if field not in record.reads]
+            rows += [[command, m, flag, *AWAY[flag]] for m in unread]
+            if command == "faithfulness":
+                rows.append([command, ",".join(unread), flag, *AWAY[flag]])
+    return rows
+
+
 # Each of these exited 0 and wrote, byte for byte, the map or report it
-# writes without the flag
+# writes without the flag, or named a localize method its parser did not
+# take; the last four, whose --layer names no layer's maps, exited 3
 @pytest.mark.parametrize("argv", [
-    *(["explain", method, *flag] for method in ("cam", "guided-backprop", "deconv", "backprop")
-      for flag in (["--pool", "max"], ["--no-relu"], ["--abs-grads"],
-                   ["--relu-policy", "deconv"], ["--score", "post"])),
-    ["localize", "backprop", "--no-relu"],
+    *_unread(),
+    ["explain", "guided-backprop", "--layer", "nowhere"],
+    ["localize", "backprop", "--layer", "nowhere"],
+    ["faithfulness", "guided-backprop", "--layer", "nowhere"],
+    ["explain", "guided-backprop", "--layer", "gap"],
 ])
-def test_a_flag_the_method_does_not_read_is_usage_error(workspace, tmp_path, capsys, argv):
-    command, method, *flag = argv
+def test_a_flag_the_method_does_not_read_is_usage_error(workspace, tmp_path, capsys,
+                                                        monkeypatch, argv):
+    command, methods, *flag = argv
+    option, _ = TAKES[command]
     out = tmp_path / "out"
-    rest = (["--image", first_image(workspace), "--category", "0", "--out-heat", str(out)]
-            if command == "explain" else ["--data", str(workspace / "data"), "--report", str(out)])
-    assert main([command, *gap_args(workspace), "--method", method, *flag, *rest]) == 2
-    assert capsys.readouterr().err == f"error: --method {method} does not read {flag[0]}\n"
+    rest = {"explain": ["--image", first_image(workspace), "--category", "0",
+                        "--out-heat", str(out)],
+            "localize": ["--data", str(workspace / "data"), "--report", str(out)],
+            "faithfulness": ["--data", str(workspace / "data"), "--report", str(out)]}[command]
+    runs, tape = [], nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda *a: runs.append(a) or tape(*a))
+    assert main([command, *gap_args(workspace), option, methods, *flag, *rest]) == 2
+    assert capsys.readouterr().err == f"error: {option} {methods} does not read {flag[0]}\n"
+    assert runs == []
     assert not out.exists()
+
+
+# each ablation flag: the GradCamConfig field it sets, and the value it sets
+# by the word that follows it (None for a flag that takes none)
+ABLATIONS = {"--pool": ("weight_pooling", {"avg": "avg", "max": "max"}),
+             "--no-relu": ("apply_relu", {None: False}),
+             "--abs-grads": ("absolute_gradients", {None: True}),
+             "--relu-policy": ("relu_policy", {p: p for p in autodiff.RELU_POLICIES}),
+             "--score": ("score_point", {"pre": "pre_softmax", "post": "post_softmax"})}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_explain_refuses_exactly_the_flags_its_method_does_not_read(workspace, data):
+    method = data.draw(st.sampled_from(list(explain.METHODS)))
+    argv, fields = [], {}
+    for flag in data.draw(st.lists(st.sampled_from(list(ABLATIONS)), unique=True)):
+        field, values = ABLATIONS[flag]
+        word = data.draw(st.sampled_from(list(values)))
+        argv += [flag] if word is None else [flag, word]
+        fields[field] = values[word]
+    if data.draw(st.booleans()):
+        argv += ["--layer", "r2"]
+    config, default = explain.GradCamConfig(**fields), explain.GradCamConfig()
+    away = {field for field, value in fields.items() if value != getattr(default, field)}
+    unread = (away | ({"layer"} if "--layer" in argv else set())) - explain.METHODS[method].reads
+    out, err = workspace / "drawn.fmap", io.StringIO()
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stderr(err):
+        code = main(["explain", *gap_args(workspace), "--image", first_image(workspace),
+                     "--category", "0", "--method", method, *argv, "--out-heat", str(out)])
+    if unread:
+        assert code == 2 and not out.exists()
+        flag = err.getvalue().removeprefix(f"error: --method {method} does not read ")
+        assert flag.rstrip("\n") in {cli._FLAGS[field] for field in unread}
+    else:
+        assert code == 0
+        spec = nn.load_model_spec(workspace / "gap.spec")
+        weights = nn.WeightStore.load(workspace / "gap_w")
+        _, tape = nn.forward(spec, weights, imaging.image_to_tensor(
+            imaging.read_image(first_image(workspace))))
+        want = explain.METHODS[method].heat(tape, 0, "r2", config)
+        assert imaging.read_fmap(out).tobytes() == np.asarray(want, np.float32).tobytes()
 
 
 @pytest.mark.parametrize("spec_text,extra,message", [
@@ -408,20 +489,19 @@ def _directory(tmp, name):
                       "--methods", "gradcam,cam", "--layer", "r1", "--patch", "9",
                       "--stride", "8", "--report", str(tmp / "r.txt")],
      "CAM reads layer 'r2', the maps that feed GAP, not 'r1'"),
-    # ran to exit 0 with the maps of the default layer: a pixel-space method
-    # reads no layer, but a name that is no layer's maps is still refused
+    # a layer name that is no layer's maps, for every command that takes one
     (lambda ws, tmp: ["explain", *gap_args(ws), "--image", first_image(ws), "--category", "0",
-                      "--method", "guided-backprop", "--layer", "nowhere",
+                      "--method", "gradcam", "--layer", "nowhere",
                       "--out-heat", str(tmp / "r.txt")], "no checkpoint named 'nowhere'"),
     (lambda ws, tmp: ["localize", *gap_args(ws), "--data", str(ws / "data"),
-                      "--method", "backprop", "--layer", "nowhere",
+                      "--method", "gradcam", "--layer", "nowhere",
                       "--report", str(tmp / "r.txt")], "no checkpoint named 'nowhere'"),
     (lambda ws, tmp: ["faithfulness", *gap_args(ws), "--data", str(ws / "data"),
-                      "--methods", "guided-backprop", "--layer", "nowhere", "--patch", "9",
-                      "--stride", "8", "--report", str(tmp / "r.txt")],
+                      "--methods", "gradcam,guided-backprop", "--layer", "nowhere", "--patch",
+                      "9", "--stride", "8", "--report", str(tmp / "r.txt")],
      "no checkpoint named 'nowhere'"),
     (lambda ws, tmp: ["explain", *gap_args(ws), "--image", first_image(ws), "--category", "0",
-                      "--method", "guided-backprop", "--layer", "gap",
+                      "--method", "gradcam", "--layer", "gap",
                       "--out-heat", str(tmp / "r.txt")],
      "checkpoint 'gap' is not spatial (shape (12,)); choose from input, c1, r1, c2, r2"),
 ])
@@ -693,7 +773,7 @@ def test_every_camlab_error_is_a_domain_error_or_internal():
 def test_internal_value_error_is_not_a_domain_error(workspace, monkeypatch):
     def broken(*args):
         raise ValueError("a bug")
-    monkeypatch.setitem(explain.METHODS, "gradcam", broken)
+    monkeypatch.setattr(explain, "gradcam", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["explain", *gap_args(workspace), "--image", first_image(workspace),
               "--category", "0", "--method", "gradcam"])
@@ -866,8 +946,7 @@ def test_counterfactual_reads_no_relu(workspace, tmp_path):
     weights = nn.WeightStore.load(workspace / "gap_w")
     image = imaging.image_to_tensor(imaging.read_image(first_image(workspace)))
     _, tape = camlab.forward(spec, weights, image)
-    want = explain.gradcam(tape, 0, "r2",
-                           explain.GradCamConfig(gradient_sign=-1, apply_relu=False))
+    want = explain.counterfactual(tape, 0, "r2", explain.GradCamConfig(apply_relu=False))
     assert want.min() < 0
     assert imaging.read_fmap(out).tobytes() == want.tobytes()
 
@@ -891,6 +970,20 @@ def test_localize_writes_report(workspace, tmp_path):
     assert "top1_localization_error=" in text
     assert "top5_localization_error=" in text
     assert "n_images=12" in text
+
+
+@pytest.mark.parametrize("method", list(explain.METHODS))
+def test_localize_reports_the_protocol_metrics_of_each_method(workspace, tmp_path, method):
+    # the command offered only gradcam and backprop
+    report = tmp_path / "loc.txt"
+    assert main(["localize", *gap_args(workspace), "--data", str(workspace / "data"),
+                 "--method", method, "--report", str(report)]) == 0
+    metrics = evaluation.localize(nn.load_model_spec(workspace / "gap.spec"),
+                                  nn.WeightStore.load(workspace / "gap_w"),
+                                  camlab.load_dataset(workspace / "data"), method)
+    written = dict(line.split("=") for line in report.read_text().splitlines())
+    assert {key: float(value) for key, value in written.items()} == {
+        key: round(value, 6) for key, value in metrics.items()}
 
 
 def test_point_writes_report(workspace, tmp_path):

@@ -1,5 +1,8 @@
 """Heatmap construction: equivalences, ablation flags, fusion."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -20,13 +23,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GradCamConfig(weight_pooling="median")
     with pytest.raises(ValueError):
-        GradCamConfig(gradient_sign=0)
-    with pytest.raises(ValueError):
         GradCamConfig(score_point="mid")
 
 
 def test_config_errors_are_named():
-    for bad in (dict(weight_pooling="median"), dict(gradient_sign=0), dict(score_point="mid"),
+    for bad in (dict(weight_pooling="median"), dict(score_point="mid"),
                 dict(relu_policy="mystery")):
         with pytest.raises(explain.GradCamConfigError):
             GradCamConfig(**bad)
@@ -43,10 +44,18 @@ def test_neuron_weights_pooling_modes():
     assert neuron_weights(g, GradCamConfig(weight_pooling="max"))[0] == 2.0
     assert neuron_weights(
         g, GradCamConfig(absolute_gradients=True))[0] == pytest.approx(1.5)
-    assert neuron_weights(
-        g, GradCamConfig(gradient_sign=-1))[0] == pytest.approx(0.0)
-    assert neuron_weights(
-        g, GradCamConfig(gradient_sign=-1, weight_pooling="max"))[0] == 3.0
+
+
+def test_counterfactual_pools_the_negated_gradient(fc_spec, fc_weights, test_set):
+    # on FC the gradient at r2 varies over the map, so the max of the
+    # negated gradient is not the negated max
+    _, tape = camlab.forward(fc_spec, fc_weights, test_set[0].image)
+    config = GradCamConfig(weight_pooling="max", apply_relu=False)
+    g = camlab.grad_at_layer(tape, 1, "r2").astype(np.float64)
+    alpha = (-g).max(axis=(-2, -1))
+    assert not np.allclose(alpha, -g.max(axis=(-2, -1)))
+    want = np.einsum("k,kuv->uv", alpha, tape.checkpoint("r2")[0].astype(np.float64))
+    np.testing.assert_allclose(counterfactual(tape, 1, "r2", config), want, atol=1e-5)
 
 
 # --------------------------------------------------------- toy identities
@@ -163,17 +172,73 @@ def test_ablation_flags_produce_distinct_maps(gap_spec, gap_weights, test_set):
         assert_gap_maps_equal_the_default(gap_spec, gap_weights, test_set, config)
 
 
+def test_policy_substitution_leaves_target_activations_alone(
+        gap_spec, gap_weights, test_set):
+    """Guided policy applies to ReLUs traversed on the backward path; on
+    FIX-GAP there are none between scores and r2, so maps coincide."""
+    assert_gap_maps_equal_the_default(gap_spec, gap_weights, test_set,
+                                      GradCamConfig(relu_policy="guided"))
+
+
+# a value away from the default of each field a method may read
+AWAY = {"weight_pooling": ["max"], "apply_relu": [False], "absolute_gradients": [True],
+        "relu_policy": ["guided", "deconv"], "score_point": ["post_softmax"], "layer": ["r1"]}
+
+
 @pytest.mark.parametrize("method", list(explain.METHODS))
-def test_config_free_methods_are_those_the_config_leaves_alone(gap_spec, gap_weights,
-                                                               test_set, method):
-    # the CLI refuses the ablation flags for the methods of CONFIG_FREE
-    assert set(explain.CONFIG_FREE) <= set(explain.METHODS)
-    scores, tape = camlab.forward(gap_spec, gap_weights, test_set[0].image)
-    c, layer, run = int(np.argmax(scores)), target_layer(gap_spec), explain.METHODS[method]
-    config = GradCamConfig(absolute_gradients=True, score_point="post_softmax",
-                           apply_relu=False)
-    same = run(tape, c, layer, config).tobytes() == run(tape, c, layer, None).tobytes()
-    assert same == (method in explain.CONFIG_FREE)
+def test_each_field_a_method_reads_changes_its_map(fc_spec, fc_weights, gap_spec, gap_weights,
+                                                   test_set, method):
+    """On FC (GAP for CAM), a value away from the default of a field in the
+    method's `reads` changes its map; of any other field, it leaves the map
+    as it is or makes it another method's map."""
+    assert set(AWAY) == {field.name for field in dataclasses.fields(GradCamConfig)} | {"layer"}
+    spec, weights = (gap_spec, gap_weights) if method == "cam" else (fc_spec, fc_weights)
+    _, tape = camlab.forward(spec, weights, test_set[0].image)
+
+    def heat(method, field=None, value=None):
+        config = None if field in (None, "layer") else GradCamConfig(**{field: value})
+        layer = value if field == "layer" else "r2"
+        return explain.METHODS[method].heat(tape, 1, layer, config).tobytes()
+
+    base = heat(method)
+    for field, values in AWAY.items():
+        for value in values:
+            got = heat(method, field, value)
+            if method == "cam" and field == "layer":
+                # CAM reads only the maps that feed GAP and refuses any other
+                with pytest.raises(CamIncompatibleError):
+                    target_layer(spec, value, [method])
+            elif field in explain.METHODS[method].reads:
+                assert got != base, (field, value)
+            elif got != base:
+                assert got in {heat(other, field, value) for other in explain.METHODS
+                               if other not in (method, "cam")}, (field, value)
+
+
+def _accepted_configs(reads):
+    """Every GradCamConfig whose fields away from the default are all in `reads`."""
+    choices = {"weight_pooling": ["avg", "max"], "apply_relu": [True, False],
+               "absolute_gradients": [False, True], "relu_policy": list(RELU_POLICIES),
+               "score_point": ["pre_softmax", "post_softmax"]}
+    fields = [field for field in choices if field in reads]
+    for values in itertools.product(*(choices[field] for field in fields)):
+        yield GradCamConfig(**dict(zip(fields, values)))
+
+
+@pytest.mark.parametrize("arch", ["gap", "fc"])
+def test_no_accepted_config_makes_one_method_write_another_methods_map(request, test_set,
+                                                                       arch):
+    spec = request.getfixturevalue(f"{arch}_spec")
+    _, tape = camlab.forward(spec, request.getfixturevalue(f"{arch}_weights"),
+                             test_set[0].image)
+    writers = {}
+    for method, record in explain.METHODS.items():
+        if method == "cam" and arch == "fc":
+            continue
+        for config in _accepted_configs(record.reads):
+            heat = record.heat(tape, 1, "r2", config)
+            writers.setdefault(heat.tobytes(), set()).add(method)
+    assert [sorted(methods) for methods in writers.values() if len(methods) > 1] == []
 
 
 def assert_gap_maps_equal_the_default(gap_spec, gap_weights, test_set, config):
@@ -184,14 +249,6 @@ def assert_gap_maps_equal_the_default(gap_spec, gap_weights, test_set, config):
         _, tape = camlab.forward(gap_spec, gap_weights, ex.image)
         want = gradcam(tape, categories, "r2")
         assert gradcam(tape, categories, "r2", config).tobytes() == want.tobytes()
-
-
-def test_policy_substitution_leaves_target_activations_alone(
-        gap_spec, gap_weights, test_set):
-    """Guided policy applies to ReLUs traversed on the backward path; on
-    FIX-GAP there are none between scores and r2, so maps coincide."""
-    assert_gap_maps_equal_the_default(gap_spec, gap_weights, test_set,
-                                      GradCamConfig(relu_policy="guided"))
 
 
 def test_gradcam_at_earlier_layer_differs(gap_spec, gap_weights, test_set):
@@ -263,7 +320,7 @@ def test_saliency_to_heatmap_channel_max_of_abs():
 def test_method_of_a_list_equals_a_loop_byte_for_byte(request, test_set, arch, method):
     spec = request.getfixturevalue(f"{arch}_spec")
     weights = request.getfixturevalue(f"{arch}_weights")
-    run = explain.METHODS[method]
+    run = explain.METHODS[method].heat
     configs = [None, GradCamConfig(score_point="post_softmax", relu_policy="guided"),
                GradCamConfig(apply_relu=False, weight_pooling="max")]
     for ex, config in zip(test_set[:3], configs):
@@ -312,8 +369,8 @@ def test_a_tape_of_one_image_is_a_tape_of_n_1(request, test_set, arch):
             assert tape.checkpoint(name).shape == (1,) + tuple(shape)
             assert tape.checkpoint(name).tobytes() == tapes[0].checkpoint(name).tobytes()
     occlude = camlab.OcclusionConfig(patch=5, stride=2)
-    runs = dict(explain.METHODS, occlusion=lambda tape, c, layer, config:
-                camlab.occlusion_map(tape, c, occlude))
+    runs = {m: record.heat for m, record in explain.METHODS.items()}
+    runs["occlusion"] = lambda tape, c, layer, config: camlab.occlusion_map(tape, c, occlude)
     if arch == "fc":
         for tape in tapes:
             with pytest.raises(CamIncompatibleError):
@@ -366,12 +423,12 @@ def assert_tape_of_images_equals_one_image_tapes(spec, weights, images, rng):
                     same(camlab.grad_at_layer(tape, categories, at, policy, point),
                          [camlab.grad_at_layer(t, c, at, policy, point)
                           for t, c in zip(alone, categories)])
-        for method, run in explain.METHODS.items():
+        for method, record in explain.METHODS.items():
             if method == "cam" and spec.layers[-2].kind != "gap":
                 continue
             for config in configs:
-                same(run(tape, categories, layer, config),
-                     [run(t, c, layer, config) for t, c in zip(alone, categories)])
+                same(record.heat(tape, categories, layer, config),
+                     [record.heat(t, c, layer, config) for t, c in zip(alone, categories)])
 
 
 @pytest.mark.parametrize("arch", ["gap", "fc"])

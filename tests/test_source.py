@@ -1,6 +1,8 @@
 """Checks on the source text of the package, its tests and its demos."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -9,7 +11,7 @@ import pkgutil
 import re
 
 import camlab
-from camlab import autodiff, cli
+from camlab import autodiff, cli, explain
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -124,3 +126,26 @@ def test_every_camlab_name_in_the_readme_resolves():
     assert len(names) >= 20
     assert sorted(name for name in names if not _resolves(name)) == []
     assert not _resolves("explain.no_such_name")
+
+
+def test_every_config_field_has_its_refused_flag_and_every_record_reads_known_names():
+    """A new GradCamConfig field, or a METHODS entry that reads a name the
+    CLI does not know, would skip the refusal of unread flags."""
+    names = {field.name for field in dataclasses.fields(explain.GradCamConfig)} | {"layer"}
+    assert set(cli._FLAGS) == names
+    for method, record in explain.METHODS.items():
+        assert record.reads <= names, method
+    # each flag is an explain option and sets its field, and only that one
+    sub = next(a for a in cli.build_parser("explain")._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.option_strings[-1]: a for a in sub.choices["explain"]._actions}
+    default = dict(vars(explain.GradCamConfig()), layer=None)
+    for field, flag in cli._FLAGS.items():
+        action = actions[flag]
+        value = ([] if action.nargs == 0 else ["r1"] if action.choices is None
+                 else [next(c for c in action.choices if c != action.default)])
+        args = cli.build_parser("explain").parse_args(
+            ["explain", "--spec", "s", "--weights", "w", "--image", "i", "--category", "0",
+             "--method", "gradcam", flag, *value])
+        given = dict(vars(cli._config_from(args)), layer=args.layer)
+        assert {name for name in given if given[name] != default[name]} == {field}, flag
